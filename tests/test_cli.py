@@ -80,6 +80,32 @@ def test_golden_fq_report(capsys):
     assert out == (GOLDEN / "report_fq.json").read_text()
 
 
+SUBCOMMAND_GOLDEN = {
+    "stability_config_4_4": ("stability", "--config", "4,4"),
+    "stability_table_8": ("stability", "--table", "8"),
+    "fq_census": ("fq", "census"),
+    "fq_perp_0x01": ("fq", "perp", "0x01"),
+    "fq_group": ("fq", "group"),
+    "slice_transversality_all": ("slice", "transversality", "--chart", "all"),
+    "slice_transversality_R": ("slice", "transversality", "--chart", "R"),
+    "slice_stabilizers": ("slice", "stabilizers"),
+    "betti_kirwan": ("betti", "kirwan"),
+    "betti_tor_ordered": ("betti", "tor", "--ordered"),
+    "betti_tor_unordered": ("betti", "tor", "--unordered"),
+    "betti_boundary": ("betti", "boundary"),
+    "picard_verify": ("picard", "verify"),
+    "picard_intersections": ("picard", "intersections"),
+    "picard_obstruction": ("picard", "obstruction"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_GOLDEN))
+def test_subcommand_output_is_golden(name, capsys):
+    code, out = run_cli(capsys, *SUBCOMMAND_GOLDEN[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["run", "nosuchsuite"])
