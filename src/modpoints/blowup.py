@@ -30,7 +30,6 @@ from .poly import (
     poly_gcd,
     resultant,
     squarefree_part,
-    try_divide,
 )
 
 SLICE_VARIABLES = ("alpha0", "alpha1", "beta0", "beta1", "gamma0", "gamma1")
@@ -371,11 +370,9 @@ def quotient_chart_transversality() -> QuotientTransversality:
     downstairs = z1 ** 2  # w1 expressed upstairs
     invariant = downstairs.substitute({"z1": -z1}) == downstairs
     not_invariant_linear = z1.substitute({"z1": -z1}) != z1
-    quotient_ok = _restricts_transversally("t", w1 + 0 * MultiPoly.variable("t"))
-    upstairs_double = not _restricts_transversally(
-        "t", downstairs + 0 * MultiPoly.variable("t")
-    )
-    independent = _restricts_transversally("t", z2 + 0 * MultiPoly.variable("t"))
+    quotient_ok = _restricts_transversally("t", w1)
+    upstairs_double = not _restricts_transversally("t", downstairs)
+    independent = _restricts_transversally("t", z2)
     return QuotientTransversality(
         transversal=quotient_ok and invariant and not_invariant_linear,
         quotient_coordinate_invariant=invariant,

@@ -2,11 +2,11 @@
 
 ``modpoints run [suite]`` executes verification suites and emits a text or
 JSON report (exit 0 when everything passes, 1 on failures, 2 on usage
-errors).  The remaining subcommands expose individual computations:
-stability verdicts, quadratic-space censuses and group data, blow-up chart
-reports, Betti tables and the divisor ledger.  All output is exact; the
-MODPOINTS_SEED environment variable is reserved and currently ignored
-(the default suites use no randomness).
+errors and malformed input).  The remaining subcommands expose individual
+computations: stability verdicts, quadratic-space censuses and group data,
+blow-up chart reports, Betti tables and the divisor ledger.  Each handler
+returns its payload and ``main`` writes it, as JSON unless ``run`` asks for
+text.  All output is exact.
 """
 
 from __future__ import annotations
@@ -14,82 +14,65 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from . import betti, blowup, checks, fqspace, picard, stability
 
-
-def _emit(payload, fmt: str, out: Optional[str]) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
-        if not text.endswith("\n"):
-            text += "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+MAX_TABLE_DEGREE = 40  # 37338 partitions, about 3 MB of output
 
 
-def _cmd_run(args) -> int:
-    suite = args.suite_option or args.suite
-    names = list(checks.SUITE_NAMES) if suite == "all" else [suite]
-    report = checks.run_report(names, parallel=args.parallel)
-    if args.format == "json":
-        _emit(report, "json", args.out)
-    else:
-        _emit(checks.render_text(report) + "\n", "text", args.out)
-    return 0 if checks.report_passed(report) else 1
+class InputError(ValueError):
+    """Malformed command line input, reported in one line with exit code 2."""
 
 
-def _cmd_stability(args) -> int:
-    if args.config:
-        parts = tuple(int(p) for p in args.config.split(","))
-        verdict = stability.classify(stability.PointConfig.from_parts(parts))
-        payload = {
-            "config": list(parts),
-            "status": verdict.status,
-            "polystable": verdict.polystable,
-        }
-    else:
-        n = args.table
-        payload = {
-            ",".join(map(str, parts)): {
-                "status": (v := stability.classify(stability.PointConfig.from_parts(parts))).status,
-                "polystable": v.polystable,
-            }
-            for parts in stability.partitions(n)
-        }
-    _emit(payload, "json", args.out)
-    return 0
+def _cmd_run(args) -> dict:
+    names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
+    return checks.run_report(names)
 
 
-def _cmd_fq(args) -> int:
+def _verdict(config: stability.PointConfig) -> dict:
+    verdict = stability.classify(config)
+    return {"status": verdict.status, "polystable": verdict.polystable}
+
+
+def _cmd_stability(args) -> dict:
+    if args.config is not None:
+        try:
+            parts = tuple(int(p) for p in args.config.split(","))
+            config = stability.PointConfig.from_parts(parts)
+        except ValueError as exc:
+            raise InputError(f"--config {args.config}: {exc}") from None
+        return {"config": list(parts), **_verdict(config)}
+    if not 1 <= args.table <= MAX_TABLE_DEGREE:
+        raise InputError(f"--table {args.table}: degree must be between 1 and {MAX_TABLE_DEGREE}")
+    return {
+        ",".join(map(str, parts)): _verdict(stability.PointConfig.from_parts(parts))
+        for parts in stability.partitions(args.table)
+    }
+
+
+def _cmd_fq(args) -> dict:
     if args.action == "census":
         zero, iso, non = fqspace.census()
-        payload = {"zero": zero, "isotropic": iso, "nonisotropic": non}
-    elif args.action == "perp":
-        vector = int(args.vector, 16)
-        iso, non = fqspace.perp_census(vector)
-        payload = {"vector": f"0x{vector:02x}", "isotropic": iso, "nonisotropic": non}
-    else:  # group
-        group = fqspace.generate_group()
-        h = fqspace.isotropic_vectors()[0]
-        payload = {
-            "order": group.order,
-            "orbit_sizes": {
-                "isotropic": len(fqspace.orbit(fqspace.isotropic_vectors()[0], group.generators)),
-                "nonisotropic": len(
-                    fqspace.orbit(fqspace.nonisotropic_vectors()[0], group.generators)
-                ),
-            },
-            "stab_order": len(fqspace.stabilizer(h)),
-        }
-    _emit(payload, "json", args.out)
-    return 0
+        return {"zero": zero, "isotropic": iso, "nonisotropic": non}
+    if args.action == "perp":
+        try:
+            vector = int(args.vector, 16)
+            iso, non = fqspace.perp_census(vector)
+        except ValueError as exc:
+            raise InputError(f"fq perp {args.vector}: {exc}") from None
+        return {"vector": f"0x{vector:02x}", "isotropic": iso, "nonisotropic": non}
+    group = fqspace.generate_group()
+    h = fqspace.isotropic_vectors()[0]
+    return {
+        "order": group.order,
+        "orbit_sizes": {
+            "isotropic": len(fqspace.orbit(h, group.generators)),
+            "nonisotropic": len(fqspace.orbit(fqspace.nonisotropic_vectors()[0], group.generators)),
+        },
+        "stab_order": len(fqspace.stabilizer(h)),
+    }
 
 
 def _chart_payload(report: blowup.TransversalityReport) -> dict:
@@ -113,75 +96,58 @@ def _chart_payload(report: blowup.TransversalityReport) -> dict:
     }
 
 
-def _cmd_slice(args) -> int:
+def _cmd_slice(args):
     if args.action == "transversality":
         names = ["P", "Q", "R"] if args.chart == "all" else [args.chart]
-        payload = [
-            _chart_payload(blowup.discriminant_pullback(blowup.chart(name)))
-            for name in names
-        ]
-    else:  # stabilizers
-        scan = blowup.scan_stabilizers()
-        payload = {
-            "orders": list(scan.orders),
-            "torus_orders": list(scan.torus_orders),
-            "effective_orders": list(scan.effective_orders),
-            "max_order": scan.max_order,
-            "e": scan.e,
-            "per_chart": {
-                name: [
-                    {"support": list(support), "order": order}
-                    for support, order in rows
-                ]
-                for name, rows in scan.per_chart.items()
-            },
-        }
-    _emit(payload, "json", args.out)
-    return 0
+        return [_chart_payload(blowup.discriminant_pullback(blowup.chart(name))) for name in names]
+    scan = blowup.scan_stabilizers()
+    return {
+        "orders": list(scan.orders),
+        "torus_orders": list(scan.torus_orders),
+        "effective_orders": list(scan.effective_orders),
+        "max_order": scan.max_order,
+        "e": scan.e,
+        "per_chart": {
+            name: [{"support": list(support), "order": order} for support, order in rows]
+            for name, rows in scan.per_chart.items()
+        },
+    }
 
 
 def _table_payload(table: betti.BettiTable) -> dict:
     return {str(degree): value for degree, value in sorted(table.by_degree().items())}
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args) -> dict:
     if args.action == "kirwan":
-        payload = _table_payload(betti.kirwan_betti())
-    elif args.action == "tor":
+        return _table_payload(betti.kirwan_betti())
+    if args.action == "tor":
         table = betti.tor_betti_ordered() if args.ordered else betti.tor_betti_unordered()
-        payload = _table_payload(table)
-    else:  # boundary
-        dims = betti.boundary_invariants()
-        payload = {str(2 * i): v for i, v in enumerate(dims)}
-    _emit(payload, "json", args.out)
-    return 0
+        return _table_payload(table)
+    return {str(2 * i): v for i, v in enumerate(betti.boundary_invariants())}
 
 
-def _cmd_picard(args) -> int:
+def _cmd_picard(args):
     if args.action == "verify":
-        identities = picard.verify_blowup_identities()
-        payload = [
+        return [
             {"name": c.name, "holds": c.holds, "lhs": c.lhs, "rhs": c.rhs}
-            for c in identities
+            for c in picard.verify_blowup_identities()
         ]
-    elif args.action == "intersections":
+    if args.action == "intersections":
         numbers = picard.top_self_intersections()
-        payload = {
+        return {
             "T_i^5": str(numbers.component_power),
             "T_ord^5": str(numbers.ordered_power),
             "T^5": str(numbers.unordered_power),
         }
-    else:  # obstruction
-        cert = picard.k_equivalence_obstruction()
-        payload = {
-            "toroidal_power": str(cert.toroidal_power),
-            "required_exceptional_power": str(cert.required_exceptional_power),
-            "denominator_five_valuation": cert.denominator_five_valuation,
-            "e_candidates": list(cert.e_candidates),
-            "feasible": cert.feasible,
-        }
-    _emit(payload, "json", args.out)
-    return 0
+    cert = picard.k_equivalence_obstruction()
+    return {
+        "toroidal_power": str(cert.toroidal_power),
+        "required_exceptional_power": str(cert.required_exceptional_power),
+        "denominator_five_valuation": cert.denominator_five_valuation,
+        "e_candidates": list(cert.e_candidates),
+        "feasible": cert.feasible,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,68 +155,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="modpoints",
         description="Exact checks for the moduli space of 8 points on the projective line",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(format="json")  # only ``run`` offers text
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write to this file instead of stdout")
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    suite_choices = ("all",) + checks.SUITE_NAMES
-    run = sub.add_parser("run", help="run verification suites")
-    run.add_argument("suite", nargs="?", default="all", choices=suite_choices)
-    run.add_argument("--suite", dest="suite_option", choices=suite_choices)
+    def leaf(parent, name, func, **kwargs):
+        command = parent.add_parser(name, parents=[output], **kwargs)
+        command.set_defaults(func=func)
+        return command
+
+    def actions(name, help):
+        return commands.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+    run = leaf(commands, "run", _cmd_run, help="run verification suites")
+    suites = ("all",) + checks.SUITE_NAMES
+    run.add_argument("suite", nargs="?", default="all", choices=suites)
     run.add_argument("--format", choices=("text", "json"), default="text")
-    run.add_argument("--parallel", action="store_true")
-    run.add_argument("--out")
-    run.set_defaults(func=_cmd_run)
 
-    stab = sub.add_parser("stability", help="classify a configuration")
+    stab = leaf(commands, "stability", _cmd_stability, help="classify a configuration")
     group = stab.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="comma-separated multiplicities, e.g. 4,4")
-    group.add_argument("--table", type=int, help="full verdict table for degree N")
-    stab.add_argument("--out")
-    stab.set_defaults(func=_cmd_stability)
+    group.add_argument("--table", type=int, help=f"verdicts for degree N <= {MAX_TABLE_DEGREE}")
 
-    fq = sub.add_parser("fq", help="quadratic space over GF(2)")
-    fq_sub = fq.add_subparsers(dest="action", required=True)
-    fq_census = fq_sub.add_parser("census")
-    fq_census.add_argument("--out")
-    fq_census.set_defaults(func=_cmd_fq)
-    fq_perp = fq_sub.add_parser("perp")
-    fq_perp.add_argument("vector", help="hex-encoded vector, bit i = coordinate i+1")
-    fq_perp.add_argument("--out")
-    fq_perp.set_defaults(func=_cmd_fq)
-    fq_group = fq_sub.add_parser("group")
-    fq_group.add_argument("--out")
-    fq_group.set_defaults(func=_cmd_fq)
+    fq = actions("fq", "quadratic space over GF(2)")
+    leaf(fq, "census", _cmd_fq)
+    perp = leaf(fq, "perp", _cmd_fq)
+    perp.add_argument("vector", help="hex-encoded isotropic vector, bit i = coordinate i+1")
+    leaf(fq, "group", _cmd_fq)
 
-    slc = sub.add_parser("slice", help="blow-up charts of the normal slice")
-    slc_sub = slc.add_subparsers(dest="action", required=True)
-    slc_trans = slc_sub.add_parser("transversality")
-    slc_trans.add_argument("--chart", choices=("P", "Q", "R", "all"), default="all")
-    slc_trans.add_argument("--out")
-    slc_trans.set_defaults(func=_cmd_slice)
-    slc_stab = slc_sub.add_parser("stabilizers")
-    slc_stab.add_argument("--out")
-    slc_stab.set_defaults(func=_cmd_slice)
+    slc = actions("slice", "blow-up charts of the normal slice")
+    trans = leaf(slc, "transversality", _cmd_slice)
+    trans.add_argument("--chart", choices=("P", "Q", "R", "all"), default="all")
+    leaf(slc, "stabilizers", _cmd_slice)
 
-    bt = sub.add_parser("betti", help="Betti tables")
-    bt_sub = bt.add_subparsers(dest="action", required=True)
-    bt_kirwan = bt_sub.add_parser("kirwan")
-    bt_kirwan.add_argument("--out")
-    bt_kirwan.set_defaults(func=_cmd_betti)
-    bt_tor = bt_sub.add_parser("tor")
-    side = bt_tor.add_mutually_exclusive_group(required=True)
+    bt = actions("betti", "Betti tables")
+    leaf(bt, "kirwan", _cmd_betti)
+    side = leaf(bt, "tor", _cmd_betti).add_mutually_exclusive_group(required=True)
     side.add_argument("--ordered", action="store_true")
     side.add_argument("--unordered", action="store_true")
-    bt_tor.add_argument("--out")
-    bt_tor.set_defaults(func=_cmd_betti)
-    bt_boundary = bt_sub.add_parser("boundary")
-    bt_boundary.add_argument("--out")
-    bt_boundary.set_defaults(func=_cmd_betti)
+    leaf(bt, "boundary", _cmd_betti)
 
-    pc = sub.add_parser("picard", help="divisor-class ledger")
-    pc_sub = pc.add_subparsers(dest="action", required=True)
+    pc = actions("picard", "divisor-class ledger")
     for action in ("verify", "intersections", "obstruction"):
-        p = pc_sub.add_parser(action)
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_picard)
+        leaf(pc, action, _cmd_picard)
 
     return parser
 
@@ -258,7 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        payload = args.func(args)
+    except InputError as exc:
+        parser.exit(2, f"modpoints: error: {exc}\n")
+    text = checks.render_text(payload) if args.format == "text" else json.dumps(payload, indent=2)
+    try:
+        target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+        with target as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        parser.exit(2, f"modpoints: error: {exc}\n")
+    return 1 if args.command == "run" and not checks.report_passed(payload) else 0
 
 
 def entry() -> None:

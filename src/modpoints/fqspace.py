@@ -61,7 +61,7 @@ def nonisotropic_vectors() -> Tuple[int, ...]:
 def perp_census(h: int) -> Tuple[int, int]:
     """(isotropic, non-isotropic) counts among nonzero vectors of h-perp."""
     if not 0 < h < SIZE:
-        raise ValueError("h must be a nonzero vector")
+        raise ValueError(f"h must be a nonzero vector below {SIZE}")
     if q(h) != 0:
         raise ValueError("h must be isotropic")
     isotropic = nonisotropic = 0
@@ -72,6 +72,10 @@ def perp_census(h: int) -> Tuple[int, int]:
             else:
                 nonisotropic += 1
     return isotropic, nonisotropic
+
+
+def _compose(p: bytes, g: bytes) -> bytes:
+    return bytes(map(p.__getitem__, g))
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class Isometry:
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other."""
-        return Isometry(bytes(map(self.perm.__getitem__, other.perm)))
+        return Isometry(_compose(self.perm, other.perm))
 
     def is_linear(self) -> bool:
         basis_images = [self.perm[1 << i] for i in range(DIMENSION)]
@@ -131,10 +135,6 @@ class OrthogonalGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-
-def _compose(p: bytes, g: bytes) -> bytes:
-    return bytes(map(p.__getitem__, g))
 
 
 @lru_cache(maxsize=1)
@@ -206,29 +206,25 @@ def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> List[froze
                     block.add(y)
                     nxt.append(y)
             frontier = nxt
-        block &= set(points) | block  # orbits of invariant sets stay inside
         out.append(frozenset(block))
         remaining -= block
     return out
 
 
-def stab_transitive_on_perp(h: int) -> bool:
-    """Does Stab(h) act transitively on the non-isotropic part of h-perp?"""
-    iso_count, noniso_count = perp_census(h)  # validates h
-    noniso_perp = [v for v in nonisotropic_vectors() if b(v, h) == 0]
-    assert len(noniso_perp) == noniso_count
-    blocks = orbits_under(stabilizer(h), noniso_perp)
-    return len(blocks) == 1
-
-
 def stab_orbit_summary(h: int) -> Dict[str, int]:
     """Orbit counts of Stab(h) on the isotropic and non-isotropic parts of h-perp."""
-    perp_census(h)
-    stab = stabilizer(h)
+    iso_count, noniso_count = perp_census(h)  # validates h
     iso_perp = [v for v in isotropic_vectors() if b(v, h) == 0]
     noniso_perp = [v for v in nonisotropic_vectors() if b(v, h) == 0]
+    assert (len(iso_perp), len(noniso_perp)) == (iso_count, noniso_count)
+    stab = stabilizer(h)
     return {
         "isotropic_orbits": len(orbits_under(stab, iso_perp)),
         "nonisotropic_orbits": len(orbits_under(stab, noniso_perp)),
         "stabilizer_order": len(stab),
     }
+
+
+def stab_transitive_on_perp(h: int) -> bool:
+    """Does Stab(h) act transitively on the non-isotropic part of h-perp?"""
+    return stab_orbit_summary(h)["nonisotropic_orbits"] == 1

@@ -25,7 +25,6 @@ class PointConfig:
 
     n: int
     parts: Tuple[int, ...]
-    labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         if any(p < 1 for p in self.parts):
@@ -35,9 +34,9 @@ class PointConfig:
         object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
 
     @classmethod
-    def from_parts(cls, parts: Iterable[int], labels=None) -> "PointConfig":
+    def from_parts(cls, parts: Iterable[int]) -> "PointConfig":
         parts = tuple(parts)
-        return cls(sum(parts), parts, tuple(labels) if labels else None)
+        return cls(sum(parts), parts)
 
 
 @dataclass(frozen=True)

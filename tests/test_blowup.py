@@ -1,6 +1,5 @@
 """Charts of the slice blow-up: strict transforms, stabilizers, constraints."""
 
-import math
 from itertools import combinations
 
 import pytest

@@ -59,12 +59,6 @@ def test_report_is_byte_stable(capsys):
     assert first == second
 
 
-def test_parallel_matches_serial(capsys):
-    _, serial = run_cli(capsys, "run", "all", "--format", "json")
-    _, parallel = run_cli(capsys, "run", "all", "--format", "json", "--parallel")
-    assert serial == parallel
-
-
 def test_single_suite_and_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(capsys, "run", "fq", "--format", "json", "--out", str(target))
@@ -112,18 +106,44 @@ def test_unknown_suite_exits_2():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("option", ["--parallel", "--suite=fq"])
+def test_run_accepts_no_other_options(option):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "fq", option])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fq", "perp", "zz"),
+        ("fq", "perp", "0x03"),  # non-isotropic
+        ("fq", "perp", "0x40"),  # out of range
+        ("stability", "--config", "0,8"),
+        ("stability", "--config", "4,x"),
+        ("stability", "--table", "0"),
+        ("stability", "--table", "-3"),
+        ("stability", "--table", "41"),
+        ("fq", "census", "--out", "/nonexistent/x"),
+    ],
+    ids=" ".join,
+)
+def test_malformed_input_exits_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("modpoints: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_failing_check_exits_1(monkeypatch, capsys):
     broken = [checks.CheckResult("fq.broken", "forced failure", "fail", None)]
     monkeypatch.setitem(checks.SUITES, "fq", lambda: broken)
     code, out = run_cli(capsys, "run", "fq", "--format", "json")
     assert code == 1
     assert json.loads(out)["suites"][0]["checks"][0]["status"] == "fail"
-
-
-def test_suite_option_flag(capsys):
-    code, out = run_cli(capsys, "run", "--suite", "stability", "--format", "json")
-    assert code == 0
-    assert [s["name"] for s in json.loads(out)["suites"]] == ["stability"]
 
 
 def test_text_format_lists_every_check(capsys):

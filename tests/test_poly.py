@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import groupby, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modpoints.poly import (
     ExponentOverflowError,
@@ -291,6 +293,37 @@ def test_gcd_divides_both_arguments():
             assert try_divide(p, g) is not None
         if not q.is_zero:
             assert try_divide(q, g) is not None
+
+
+# ----------------------------------------------------------------------
+# properties over Z[a, x, y]: degree <= 3 in each variable, <= 5 terms
+
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9), max_size=5
+).map(lambda terms: MultiPoly(("a", "x", "y"), terms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_polys)
+def test_property_parse_round_trip(p):
+    assert parse_poly(str(p)) == p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_polys, small_polys, small_polys)
+def test_property_ring_laws(p, q, r):
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (p - p).is_zero
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_polys, small_polys)
+def test_property_gcd_divides_both(p, q):
+    assume(not (p.is_zero and q.is_zero))
+    g = poly_gcd(p, q)
+    assert try_divide(p, g) is not None
+    assert try_divide(q, g) is not None
 
 
 def test_squarefree_detection():
