@@ -1,12 +1,13 @@
 """CLI surface: subcommands, exit codes, report determinism."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from modpoints import checks
-from modpoints.cli import main
+from modpoints.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,6 +76,7 @@ def test_golden_fq_report(capsys):
 
 
 SUBCOMMAND_GOLDEN = {
+    "report_all": ("run", "all", "--format", "json"),
     "stability_config_4_4": ("stability", "--config", "4,4"),
     "stability_table_8": ("stability", "--table", "8"),
     "fq_census": ("fq", "census"),
@@ -98,6 +100,28 @@ def test_subcommand_output_is_golden(name, capsys):
     code, out = run_cli(capsys, *SUBCOMMAND_GOLDEN[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_golden_text_report(capsys):
+    code, out = run_cli(capsys, "run", "all")
+    assert code == 0
+    assert out == (GOLDEN / "report_all.txt").read_text()
+
+
+def _leaf_commands(parser, prefix=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield prefix
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_commands(child, prefix + (name,))
+
+
+def test_every_leaf_subcommand_is_golden():
+    leaves = list(_leaf_commands(build_parser()))
+    assert len(leaves) == 13
+    for leaf in leaves:
+        assert any(argv[: len(leaf)] == leaf for argv in SUBCOMMAND_GOLDEN.values()), leaf
 
 
 def test_unknown_suite_exits_2():
