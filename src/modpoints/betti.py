@@ -125,7 +125,7 @@ class TruncatedSeries:
         for k in range(1, self.order):
             acc = 0
             for j in range(1, k + 1):
-                acc += self.coefficients[j] * inv[k - j] if j < self.order else 0
+                acc += self.coefficients[j] * inv[k - j]
             inv[k] = -c0 * acc
         return TruncatedSeries(tuple(inv), self.order)
 

@@ -31,18 +31,12 @@ from .poly import (
     resultant,
     squarefree_part,
 )
+from .stability import luna_slice_basis, stabilizer_c44
 
 SLICE_VARIABLES = ("alpha0", "alpha1", "beta0", "beta1", "gamma0", "gamma1")
-SLICE_WEIGHTS: Dict[str, int] = {
-    "alpha0": 8,
-    "alpha1": -8,
-    "beta0": 6,
-    "beta1": -6,
-    "gamma0": 4,
-    "gamma1": -4,
-}
+PROJECTIVE_WEIGHTS = luna_slice_basis(8).weights
+SLICE_WEIGHTS: Dict[str, int] = dict(zip(SLICE_VARIABLES, PROJECTIVE_WEIGHTS))
 PROJECTIVE_COORDINATES = ("S0", "S1", "T0", "T1", "U0", "U1")
-PROJECTIVE_WEIGHTS = (8, -8, 6, -6, 4, -4)
 
 _CHART_COORDINATE = {
     "alpha0": "s0",
@@ -55,7 +49,7 @@ _CHART_COORDINATE = {
 _CHART_UNIT = {"P": "alpha0", "Q": "beta0", "R": "gamma0"}
 _RESIDUAL = {"P": "s1", "Q": "t1", "R": "u1"}
 
-COMPONENT_GROUP_ORDER = 2
+COMPONENT_GROUP_ORDER = stabilizer_c44().component_group_order
 
 
 class PositiveDimensionalStabilizerError(ValueError):

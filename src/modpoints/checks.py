@@ -4,14 +4,16 @@ Each check recomputes one concrete quantity and compares it with the
 asserted value; results carry the claim being verified (``anchor``), a
 pass/fail status and an exact payload.  Rationals are serialized as "p/q"
 strings, never floats, and suite assembly is deterministic so reports are
-byte-stable run to run.
+byte-stable run to run.  The quantities that both a suite and a CLI
+subcommand report are computed by the named functions below, and
+``encode`` turns every result into JSON-ready values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import betti, blowup, fqspace, picard, stability
 from .poly import MultiPoly, variables
@@ -24,27 +26,78 @@ SUITE_NAMES = ("stability", "fq", "slice", "betti", "picard")
 class CheckResult:
     id: str
     anchor: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     payload: object
 
 
-def _encode(value):
-    if isinstance(value, Fraction):
+def encode(value):
+    """JSON-ready form of a result.
+
+    Rationals and polynomials become strings, dataclasses become objects
+    with their fields in declaration order, tuples and sets become lists
+    (sets sorted), and tuple keys are joined with commas.
+    """
+    if isinstance(value, (Fraction, MultiPoly)):
         return str(value)
-    if isinstance(value, MultiPoly):
-        return str(value)
-    if isinstance(value, bool) or isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):
         return value
+    if is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
+        return {
+            ",".join(map(str, k)) if isinstance(k, tuple) else k: encode(v)
+            for k, v in value.items()
+        }
     if isinstance(value, (list, tuple, set, frozenset)):
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_encode(v) for v in items]
+        return [encode(v) for v in items]
     return str(value)
 
 
 def _check(check_id: str, anchor: str, ok: bool, payload) -> CheckResult:
-    return CheckResult(check_id, anchor, "pass" if ok else "fail", _encode(payload))
+    return CheckResult(check_id, anchor, "pass" if ok else "fail", encode(payload))
+
+
+# ----------------------------------------------------------------------
+# quantities reported both by a suite and by a CLI subcommand
+
+def verdict_table(n: int) -> Dict[Tuple[int, ...], stability.StabilityVerdict]:
+    """The stability verdict of every partition of n, keyed by its parts."""
+    return {
+        parts: stability.classify(stability.PointConfig.from_parts(parts))
+        for parts in stability.partitions(n)
+    }
+
+
+def group_summary(stab: Dict[str, int]) -> Dict:
+    """Order of the reflection group, its orbit sizes on nonzero vectors,
+    and the order of Stab(h) read from ``stab = stab_orbit_summary(h)``."""
+    group = fqspace.generate_group()
+    return {
+        "order": group.order,
+        "orbit_sizes": {
+            "isotropic": len(fqspace.orbit(fqspace.isotropic_vectors()[0], group.generators)),
+            "nonisotropic": len(fqspace.orbit(fqspace.nonisotropic_vectors()[0], group.generators)),
+        },
+        "stab_order": stab["stabilizer_order"],
+    }
+
+
+def scan_summary(scan: blowup.StabilizerScan) -> Dict:
+    """The stabilizer census of ``scan`` without its per-chart rows."""
+    return {
+        "orders": scan.orders,
+        "torus_orders": scan.torus_orders,
+        "effective_orders": scan.effective_orders,
+        "max_order": scan.max_order,
+        "e": scan.e,
+    }
+
+
+def obstruction() -> picard.ObstructionCertificate:
+    """The K-equivalence obstruction over the divisors of the scan's bound e."""
+    e = blowup.scan_stabilizers().e
+    return picard.k_equivalence_obstruction(d for d in range(1, e + 1) if e % d == 0)
 
 
 # ----------------------------------------------------------------------
@@ -53,10 +106,9 @@ def _check(check_id: str, anchor: str, ok: bool, payload) -> CheckResult:
 def suite_stability() -> List[CheckResult]:
     out: List[CheckResult] = []
 
-    table = {}
+    table = verdict_table(8)
     ok = True
-    for parts in stability.partitions(8):
-        verdict = stability.classify(stability.PointConfig.from_parts(parts))
+    for parts, verdict in table.items():
         biggest = max(parts)
         expected_status = (
             stability.STABLE
@@ -67,24 +119,17 @@ def suite_stability() -> List[CheckResult]:
         )
         expected_poly = biggest < 4 or parts == (4, 4)
         ok &= verdict.status == expected_status and verdict.polystable == expected_poly
-        table[",".join(map(str, parts))] = {
-            "status": verdict.status,
-            "polystable": verdict.polystable,
-        }
     out.append(_check("stability.table", "stable iff no 4 coincide; semistable iff no 5", ok, table))
 
     polystable_not_stable = [
-        parts
-        for parts in stability.partitions(8)
-        if (v := stability.classify(stability.PointConfig.from_parts(parts))).polystable
-        and v.status != stability.STABLE
+        parts for parts, v in table.items() if v.polystable and v.status != stability.STABLE
     ]
     out.append(
         _check(
             "stability.polystable_types",
             "unique properly polystable type (4,4)",
             polystable_not_stable == [(4, 4)],
-            [list(p) for p in polystable_not_stable],
+            polystable_not_stable,
         )
     )
 
@@ -109,7 +154,7 @@ def suite_stability() -> List[CheckResult]:
             "stability.torus_weights",
             "degree-8 torus weights -8..8 step 2",
             weights == (-8, -6, -4, -2, 0, 2, 4, 6, 8),
-            list(weights),
+            weights,
         )
     )
 
@@ -123,11 +168,7 @@ def suite_stability() -> List[CheckResult]:
             and luna.weights == (8, -8, 6, -6, 4, -4)
             and sorted(luna.tangent_weights) == [-2, 0, 2]
             and partition_ok,
-            {
-                "monomials": list(luna.monomials),
-                "weights": list(luna.weights),
-                "tangent_weights": list(luna.tangent_weights),
-            },
+            luna,
         )
     )
     return out
@@ -136,7 +177,7 @@ def suite_stability() -> List[CheckResult]:
 def suite_fq() -> List[CheckResult]:
     out: List[CheckResult] = []
     counts = fqspace.census()
-    out.append(_check("fq.census", "census (1, 35, 28)", counts == (1, 35, 28), list(counts)))
+    out.append(_check("fq.census", "census (1, 35, 28)", counts == (1, 35, 28), counts))
 
     perp_ok = all(fqspace.perp_census(h) == (19, 12) for h in fqspace.isotropic_vectors())
     out.append(
@@ -144,27 +185,26 @@ def suite_fq() -> List[CheckResult]:
             "fq.perp",
             "19 isotropic and 12 non-isotropic vectors in each isotropic perp",
             perp_ok,
-            list(fqspace.perp_census(fqspace.isotropic_vectors()[0])),
+            fqspace.perp_census(fqspace.isotropic_vectors()[0]),
         )
     )
 
-    group = fqspace.generate_group()
-    out.append(_check("fq.group_order", "reflection closure has order 40320", group.order == 40320, group.order))
+    summary = fqspace.stab_orbit_summary(fqspace.isotropic_vectors()[0])
+    group = group_summary(summary)
+    order = group["order"]
+    out.append(_check("fq.group_order", "reflection closure has order 40320", order == 40320, order))
 
-    orbit_iso = fqspace.orbit(fqspace.isotropic_vectors()[0], group.generators)
-    orbit_non = fqspace.orbit(fqspace.nonisotropic_vectors()[0], group.generators)
+    orbits = group["orbit_sizes"]
     out.append(
         _check(
             "fq.orbits",
             "orbit sizes 35 and 28 partition the nonzero vectors",
-            (len(orbit_iso), len(orbit_non)) == (35, 28),
-            {"isotropic": len(orbit_iso), "nonisotropic": len(orbit_non)},
+            (orbits["isotropic"], orbits["nonisotropic"]) == (35, 28),
+            orbits,
         )
     )
 
-    h = fqspace.isotropic_vectors()[0]
-    summary = fqspace.stab_orbit_summary(h)
-    stab_order = summary["stabilizer_order"]
+    stab_order = group["stab_order"]
     out.append(
         _check(
             "fq.stabilizer",
@@ -243,9 +283,9 @@ def suite_slice() -> List[CheckResult]:
             trans_ok,
             {
                 name: {
-                    "restriction": str(r.restriction),
+                    "restriction": r.restriction,
                     "squarefree": r.squarefree,
-                    "offending": list(r.offending),
+                    "offending": r.offending,
                     "factor_constant": [f.is_constant for f in r.factors],
                 }
                 for name, r in reports.items()
@@ -259,7 +299,7 @@ def suite_slice() -> List[CheckResult]:
             "slice.unstable_locus",
             "unstable locus is the two one-sided codimension-3 subspaces",
             sorted(map(sorted, loci)) == [["S0", "T0", "U0"], ["S1", "T1", "U1"]],
-            [sorted(l) for l in loci],
+            loci,
         )
     )
 
@@ -269,13 +309,7 @@ def suite_slice() -> List[CheckResult]:
             "slice.stabilizer_scan",
             "stabilizer orders {1,2,4}; bound e = 8 is free of 5",
             scan.orders == (1, 2, 4) and scan.e == 8 and scan.e % 5 != 0,
-            {
-                "orders": list(scan.orders),
-                "torus_orders": list(scan.torus_orders),
-                "effective_orders": list(scan.effective_orders),
-                "max_order": scan.max_order,
-                "e": scan.e,
-            },
+            scan_summary(scan),
         )
     )
 
@@ -288,7 +322,7 @@ def suite_slice() -> List[CheckResult]:
             constraint == t0 ** 8 - t1 ** 8
             and constraint.evaluate({"t0": 1, "t1": 2}) != 0
             and constraint.evaluate({"t0": 0, "t1": 0}) == 0,
-            str(constraint),
+            constraint,
         )
     )
 
@@ -347,7 +381,7 @@ def suite_betti() -> List[CheckResult]:
             "betti.M_K",
             "Betti table (1,2,3,3,2,1) of the blown-up quotient",
             kirwan.even == (1, 2, 3, 3, 2, 1),
-            list(kirwan.even),
+            kirwan.even,
         )
     )
 
@@ -357,7 +391,7 @@ def suite_betti() -> List[CheckResult]:
             "betti.boundary",
             "boundary invariants (1,1,2,1,1)",
             boundary == (1, 1, 2, 1, 1),
-            list(boundary),
+            boundary,
         )
     )
 
@@ -367,7 +401,7 @@ def suite_betti() -> List[CheckResult]:
             "betti.tor_ordered",
             "(1,8,29,29,8,1) with 35 fibers (1,2,3,2,1) gives (1,43,99,99,43,1)",
             ordered.even == (1, 43, 99, 99, 43, 1),
-            list(ordered.even),
+            ordered.even,
         )
     )
 
@@ -377,7 +411,7 @@ def suite_betti() -> List[CheckResult]:
             "betti.tor_unordered",
             "(1,1,2,2,1,1) with one fiber (1,1,2,1,1) gives (1,2,3,3,2,1)",
             unordered.even == (1, 2, 3, 3, 2, 1),
-            list(unordered.even),
+            unordered.even,
         )
     )
 
@@ -386,7 +420,7 @@ def suite_betti() -> List[CheckResult]:
             "betti.routes_agree",
             "stratification route equals decomposition route",
             kirwan.even == unordered.even,
-            {"kirwan": list(kirwan.even), "decomposition": list(unordered.even)},
+            {"kirwan": kirwan.even, "decomposition": unordered.even},
         )
     )
     return out
@@ -411,7 +445,7 @@ def suite_picard() -> List[CheckResult]:
             "picard.normal_bundle",
             "boundary normal bundle has bidegree (-1,-1)",
             normal.bidegree == (Fraction(-1), Fraction(-1)),
-            [normal.bidegree[0], normal.bidegree[1]],
+            normal.bidegree,
         )
     )
 
@@ -430,22 +464,13 @@ def suite_picard() -> List[CheckResult]:
         )
     )
 
-    scan = blowup.scan_stabilizers()
-    cert = picard.k_equivalence_obstruction(
-        e for e in range(1, scan.e + 1) if scan.e % e == 0
-    )
+    cert = obstruction()
     out.append(
         _check(
             "picard.obstruction",
             "(5 Delta)^5 = (7 T)^5 is infeasible with a 5-free denominator bound",
             not cert.feasible and cert.denominator_five_valuation == 5,
-            {
-                "toroidal_power": cert.toroidal_power,
-                "required_exceptional_power": cert.required_exceptional_power,
-                "denominator_five_valuation": cert.denominator_five_valuation,
-                "e_candidates": list(cert.e_candidates),
-                "feasible": cert.feasible,
-            },
+            cert,
         )
     )
 
@@ -459,7 +484,7 @@ def suite_picard() -> List[CheckResult]:
             "picard.discrepancies",
             "discrepancies 1/2 (log pair), 5 (absolute), -1 (ordered pair)",
             discs == (Fraction(1, 2), Fraction(5), Fraction(-1)),
-            [discs[0], discs[1], discs[2]],
+            discs,
         )
     )
 
@@ -493,27 +518,13 @@ def run_report(names: Sequence[str]) -> Dict:
     results = {name: SUITES[name]() for name in names}
     return {
         "version": SCHEMA_VERSION,
-        "suites": [
-            {
-                "name": name,
-                "checks": [
-                    {
-                        "id": c.id,
-                        "anchor": c.anchor,
-                        "status": c.status,
-                        "payload": c.payload,
-                    }
-                    for c in results[name]
-                ],
-            }
-            for name in names
-        ],
+        "suites": [{"name": name, "checks": encode(results[name])} for name in names],
     }
 
 
 def report_passed(report: Dict) -> bool:
     return all(
-        check["status"] in ("pass", "skipped")
+        check["status"] == "pass"
         for suite in report["suites"]
         for check in suite["checks"]
     )

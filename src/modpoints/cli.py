@@ -5,8 +5,9 @@ JSON report (exit 0 when everything passes, 1 on failures, 2 on usage
 errors and malformed input).  The remaining subcommands expose individual
 computations: stability verdicts, quadratic-space censuses and group data,
 blow-up chart reports, Betti tables and the divisor ledger.  Each handler
-returns its payload and ``main`` writes it, as JSON unless ``run`` asks for
-text.  All output is exact.
+returns its result, reading any quantity a suite also checks from the
+same function in ``checks``; ``main`` encodes it with ``checks.encode`` and
+writes it, as JSON unless ``run`` asks for text.  All output is exact.
 """
 
 from __future__ import annotations
@@ -27,13 +28,8 @@ class InputError(ValueError):
 
 
 def _cmd_run(args) -> dict:
-    names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
+    names = checks.SUITE_NAMES if args.suite == "all" else (args.suite,)
     return checks.run_report(names)
-
-
-def _verdict(config: stability.PointConfig) -> dict:
-    verdict = stability.classify(config)
-    return {"status": verdict.status, "polystable": verdict.polystable}
 
 
 def _cmd_stability(args) -> dict:
@@ -43,13 +39,10 @@ def _cmd_stability(args) -> dict:
             config = stability.PointConfig.from_parts(parts)
         except ValueError as exc:
             raise InputError(f"--config {args.config}: {exc}") from None
-        return {"config": list(parts), **_verdict(config)}
+        return {"config": parts, **checks.encode(stability.classify(config))}
     if not 1 <= args.table <= MAX_TABLE_DEGREE:
         raise InputError(f"--table {args.table}: degree must be between 1 and {MAX_TABLE_DEGREE}")
-    return {
-        ",".join(map(str, parts)): _verdict(stability.PointConfig.from_parts(parts))
-        for parts in stability.partitions(args.table)
-    }
+    return checks.verdict_table(args.table)
 
 
 def _cmd_fq(args) -> dict:
@@ -63,33 +56,24 @@ def _cmd_fq(args) -> dict:
         except ValueError as exc:
             raise InputError(f"fq perp {args.vector}: {exc}") from None
         return {"vector": f"0x{vector:02x}", "isotropic": iso, "nonisotropic": non}
-    group = fqspace.generate_group()
-    h = fqspace.isotropic_vectors()[0]
-    return {
-        "order": group.order,
-        "orbit_sizes": {
-            "isotropic": len(fqspace.orbit(h, group.generators)),
-            "nonisotropic": len(fqspace.orbit(fqspace.nonisotropic_vectors()[0], group.generators)),
-        },
-        "stab_order": len(fqspace.stabilizer(h)),
-    }
+    return checks.group_summary(fqspace.stab_orbit_summary(fqspace.isotropic_vectors()[0]))
 
 
 def _chart_payload(report: blowup.TransversalityReport) -> dict:
     return {
         "chart": report.chart,
         "exceptional_multiplicity": report.multiplicity,
-        "restriction": str(report.restriction),
+        "restriction": report.restriction,
         "squarefree": report.squarefree,
-        "offending": list(report.offending),
+        "offending": report.offending,
         "factors": [
             {
                 "multiplicity": f.multiplicity,
-                "strict_transform": str(f.strict_transform),
-                "restriction": str(f.restriction),
+                "strict_transform": f.strict_transform,
+                "restriction": f.restriction,
                 "constant": f.is_constant,
-                "offending": list(f.offending),
-                "residual_form": str(f.residual_form),
+                "offending": f.offending,
+                "residual_form": f.residual_form,
             }
             for f in report.factors
         ],
@@ -101,53 +85,34 @@ def _cmd_slice(args):
         names = ["P", "Q", "R"] if args.chart == "all" else [args.chart]
         return [_chart_payload(blowup.discriminant_pullback(blowup.chart(name))) for name in names]
     scan = blowup.scan_stabilizers()
-    return {
-        "orders": list(scan.orders),
-        "torus_orders": list(scan.torus_orders),
-        "effective_orders": list(scan.effective_orders),
-        "max_order": scan.max_order,
-        "e": scan.e,
-        "per_chart": {
-            name: [{"support": list(support), "order": order} for support, order in rows]
-            for name, rows in scan.per_chart.items()
-        },
+    per_chart = {
+        name: [{"support": support, "order": order} for support, order in rows]
+        for name, rows in scan.per_chart.items()
     }
-
-
-def _table_payload(table: betti.BettiTable) -> dict:
-    return {str(degree): value for degree, value in sorted(table.by_degree().items())}
+    return {**checks.scan_summary(scan), "per_chart": per_chart}
 
 
 def _cmd_betti(args) -> dict:
     if args.action == "kirwan":
-        return _table_payload(betti.kirwan_betti())
-    if args.action == "tor":
+        table = betti.kirwan_betti()
+    elif args.action == "tor":
         table = betti.tor_betti_ordered() if args.ordered else betti.tor_betti_unordered()
-        return _table_payload(table)
-    return {str(2 * i): v for i, v in enumerate(betti.boundary_invariants())}
+    else:
+        table = betti.BettiTable(betti.boundary_invariants())
+    return table.by_degree()
 
 
 def _cmd_picard(args):
     if args.action == "verify":
-        return [
-            {"name": c.name, "holds": c.holds, "lhs": c.lhs, "rhs": c.rhs}
-            for c in picard.verify_blowup_identities()
-        ]
+        return picard.verify_blowup_identities()
     if args.action == "intersections":
         numbers = picard.top_self_intersections()
         return {
-            "T_i^5": str(numbers.component_power),
-            "T_ord^5": str(numbers.ordered_power),
-            "T^5": str(numbers.unordered_power),
+            "T_i^5": numbers.component_power,
+            "T_ord^5": numbers.ordered_power,
+            "T^5": numbers.unordered_power,
         }
-    cert = picard.k_equivalence_obstruction()
-    return {
-        "toroidal_power": str(cert.toroidal_power),
-        "required_exceptional_power": str(cert.required_exceptional_power),
-        "denominator_five_valuation": cert.denominator_five_valuation,
-        "e_candidates": list(cert.e_candidates),
-        "feasible": cert.feasible,
-    }
+    return checks.obstruction()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,15 +172,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.func(args)
-    except InputError as exc:
-        parser.exit(2, f"modpoints: error: {exc}\n")
-    text = checks.render_text(payload) if args.format == "text" else json.dumps(payload, indent=2)
-    try:
-        target = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
-        with target as handle:
+        # open --out before any work, so that an unwritable path fails at once
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
+            payload = checks.encode(args.func(args))
+            text = checks.render_text(payload) if args.format == "text" else json.dumps(payload, indent=2)
             handle.write(text + "\n")
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         parser.exit(2, f"modpoints: error: {exc}\n")
     return 1 if args.command == "run" and not checks.report_passed(payload) else 0
 

@@ -363,9 +363,7 @@ class ObstructionCertificate:
     feasible: bool
 
 
-def k_equivalence_obstruction(
-    e_candidates: Iterable[int] = (1, 2, 4, 8)
-) -> ObstructionCertificate:
+def k_equivalence_obstruction(e_candidates: Iterable[int]) -> ObstructionCertificate:
     """No 5-free denominator bound e admits (5 Delta)^5 = (7 T)^5.
 
     The toroidal side gives (7T)^5 = 16807/192; equality would force

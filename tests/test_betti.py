@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpoints.betti import (
     IH_BB_ORDERED,
@@ -43,6 +45,13 @@ def test_invert_unit():
     assert s.invert_unit() == TruncatedSeries.geometric(2, 6)
     with pytest.raises(ValueError):
         TruncatedSeries.from_coefficients([2], 4).invert_unit()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from((1, -1)), st.lists(st.integers(-9, 9), max_size=11))
+def test_property_invert_unit_inverts(constant, rest):
+    s = TruncatedSeries.from_coefficients([constant, *rest], len(rest) + 1)
+    assert s * s.invert_unit() == TruncatedSeries.one(s.order)
 
 
 def test_projective_space_series():

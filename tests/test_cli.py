@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modpoints import checks
+from modpoints import checks, fqspace, stability
 from modpoints.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -160,6 +160,38 @@ def test_malformed_input_exits_2_with_one_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("modpoints: error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_unwritable_out_fails_before_any_suite_runs(monkeypatch, tmp_path, capsys):
+    def must_not_run():
+        raise AssertionError("the suite ran although --out cannot be opened")
+
+    monkeypatch.setitem(checks.SUITES, "fq", must_not_run)
+    with pytest.raises(SystemExit) as info:
+        main(["run", "fq", "--out", str(tmp_path / "missing" / "x")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("modpoints: error: ")
+    assert err.count("\n") == 1
+
+
+def test_run_all_computes_each_shared_quantity_once(monkeypatch):
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(fqspace, "stabilizer")
+    count(fqspace, "orbits_under")
+    count(stability, "classify")
+    checks.run_report(list(checks.SUITE_NAMES))
+    assert calls == {"stabilizer": 1, "orbits_under": 2, "classify": 130}
 
 
 def test_failing_check_exits_1(monkeypatch, capsys):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpoints import blowup, picard
 from modpoints.picard import (
@@ -137,6 +139,22 @@ def test_divisor_class_validation():
         DivisorClass.make("nowhere", {})
     with pytest.raises(ValueError):
         divisor(picard.K_ORD, D2_1=1) + divisor(picard.GIT_ORD, D2_0=1)
+
+
+rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+@pytest.mark.parametrize("name", sorted(picard.MAPS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_property_maps_are_linear(name, data):
+    # draw only symbols with a registered image: pi_pullback rightly rejects H
+    entry = picard.MAPS[name]
+    classes = st.dictionaries(st.sampled_from(sorted(entry.matrix)), rationals).map(
+        lambda coeffs: DivisorClass.make(entry.source, coeffs)
+    )
+    a, b, k = data.draw(classes), data.draw(classes), data.draw(rationals)
+    assert apply_map(name, a + b.scale(k)) == apply_map(name, a) + apply_map(name, b).scale(k)
 
 
 def test_e_candidates_flow_from_the_stabilizer_scan():
