@@ -2,12 +2,14 @@
 
 ``modpoints run [suite]`` executes verification suites and emits a text or
 JSON report (exit 0 when everything passes, 1 on failures, 2 on usage
-errors and malformed input).  The remaining subcommands expose individual
-computations: stability verdicts, quadratic-space censuses and group data,
-blow-up chart reports, Betti tables and the divisor ledger.  Each handler
-returns its result, reading any quantity a suite also checks from the
-same function in ``checks``; ``main`` encodes it with ``checks.encode`` and
-writes it, as JSON unless ``run`` asks for text.  All output is exact.
+errors and malformed input, 3 when a suite raised; the report then shows
+it as an error check and still holds the other suites).  The remaining
+subcommands expose individual computations: stability verdicts,
+quadratic-space censuses and group data, blow-up chart reports, Betti
+tables and the divisor ledger.  Each handler returns its result, reading
+any quantity a suite also checks from the same function in ``checks``;
+``main`` encodes it with ``checks.encode`` and writes it, as JSON unless
+``run`` asks for text.  All output is exact.
 """
 
 from __future__ import annotations
@@ -179,7 +181,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             handle.write(text + "\n")
     except (InputError, OSError) as exc:
         parser.exit(2, f"modpoints: error: {exc}\n")
-    return 1 if args.command == "run" and not checks.report_passed(payload) else 0
+    if args.command != "run" or checks.report_passed(payload):
+        return 0
+    return 3 if checks.report_errored(payload) else 1
 
 
 def entry() -> None:

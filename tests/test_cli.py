@@ -180,18 +180,50 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch):
 
     def count(module, name):
         original = getattr(module, name)
+        calls[name] = 0
 
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
+    count(fqspace, "generate_group")
     count(fqspace, "stabilizer")
     count(fqspace, "orbits_under")
     count(stability, "classify")
+    fqspace.stabilizer_chain.cache_clear()
     checks.run_report(list(checks.SUITE_NAMES))
-    assert calls == {"stabilizer": 1, "orbits_under": 2, "classify": 130}
+    assert calls == {"generate_group": 0, "stabilizer": 0, "orbits_under": 2, "classify": 130}
+    assert fqspace.stabilizer_chain.cache_info().misses == 1  # one chain build
+
+
+def test_raising_suite_is_reported_as_an_error(monkeypatch, capsys):
+    def broken():
+        raise ZeroDivisionError("forced")
+
+    monkeypatch.setitem(checks.SUITES, "betti", broken)
+    assert main(["run", "all", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert "ZeroDivisionError: forced" in captured.err  # the traceback
+    report = json.loads(captured.out)
+    assert report["version"] == "1"
+    assert [s["name"] for s in report["suites"]] == list(checks.SUITE_NAMES)
+    by_suite = {s["name"]: s["checks"] for s in report["suites"]}
+    assert by_suite["betti"] == [
+        {
+            "id": "betti.error",
+            "anchor": "the suite runs to completion",
+            "status": "error",
+            "payload": {"type": "ZeroDivisionError", "message": "forced"},
+        }
+    ]
+    assert all(c["status"] == "pass" for name in ("stability", "fq", "slice", "picard") for c in by_suite[name])
+    assert not checks.report_passed(report)
+
+    code, out = run_cli(capsys, "run", "betti")
+    assert code == 3
+    assert "[ERROR] betti.error: the suite runs to completion" in out
 
 
 def test_failing_check_exits_1(monkeypatch, capsys):

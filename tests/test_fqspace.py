@@ -1,6 +1,8 @@
 """Censuses, reflections and the orthogonal group of the GF(2) space."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpoints import fqspace
 from modpoints.fqspace import (
@@ -12,12 +14,14 @@ from modpoints.fqspace import (
     isotropic_vectors,
     nonisotropic_vectors,
     orbit,
+    orbits_under,
     perp_census,
     q,
     reflection,
     stab_orbit_summary,
     stab_transitive_on_perp,
     stabilizer,
+    stabilizer_chain,
 )
 
 
@@ -164,3 +168,60 @@ def test_element_numbering_is_deterministic():
     assert group.generators == tuple(
         reflection(v).perm for v in nonisotropic_vectors()
     )
+
+
+# ----------------------------------------------------------------------
+# the stabilizer chain against the enumerated group
+
+
+def test_chain_order_equals_enumerated_order():
+    chain = stabilizer_chain(isotropic_vectors()[0])
+    assert chain.orbit_sizes == (35, 18, 8, 4, 2)
+    assert chain.order == generate_group().order == 40320
+
+
+@pytest.mark.parametrize("h", isotropic_vectors())
+def test_chain_stabilizer_agrees_with_enumeration(h):
+    chain = stabilizer_chain(h)
+    assert chain.base[0] == h
+    stab = stabilizer(h)
+    iso_perp = [v for v in isotropic_vectors() if b(v, h) == 0]
+    noniso_perp = [v for v in nonisotropic_vectors() if b(v, h) == 0]
+    summary = stab_orbit_summary(h)
+    assert summary["stabilizer_order"] == len(stab)
+    assert summary["isotropic_orbits"] == len(orbits_under(stab, iso_perp))
+    assert summary["nonisotropic_orbits"] == len(orbits_under(stab, noniso_perp))
+    for points in (iso_perp, noniso_perp):
+        assert set(orbits_under(chain.generators[1], points)) == set(orbits_under(stab, points))
+
+
+def test_every_enumerated_element_sifts_to_the_identity():
+    chain = stabilizer_chain(isotropic_vectors()[0])
+    assert all(chain.contains(perm) for perm in generate_group().elements)
+
+
+def test_chain_rejects_a_permutation_outside_the_group():
+    chain = stabilizer_chain(isotropic_vectors()[0])
+    for perm in generate_group().elements[:50]:
+        swapped = bytearray(perm)
+        swapped[5], swapped[9] = swapped[9], swapped[5]
+        assert not chain.contains(bytes(swapped))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 27), max_size=40), st.sampled_from(isotropic_vectors()))
+def test_property_reflection_words_sift_to_the_identity(word, h):
+    perm = fqspace.IDENTITY
+    for i in word:
+        perm = Isometry(fqspace.reflections()[i]).compose(Isometry(perm)).perm
+    assert stabilizer_chain(h).contains(perm)
+
+
+def test_is_linear_rejects_every_transposition():
+    # a linear map fixes a subspace, and 62 points are not one
+    assert Isometry(fqspace.IDENTITY).is_linear()
+    for v in range(SIZE):
+        for w in range(v + 1, SIZE):
+            swapped = bytearray(fqspace.IDENTITY)
+            swapped[v], swapped[w] = w, v
+            assert not Isometry(bytes(swapped)).is_linear(), (v, w)
