@@ -106,11 +106,6 @@ def discriminant_factors() -> Tuple[MultiPoly, MultiPoly]:
     return discriminant_quartic(a0, b0, g0), discriminant_quartic(a1, b1, g1)
 
 
-def discriminant_product() -> MultiPoly:
-    f0, f1 = discriminant_factors()
-    return f0 * f1
-
-
 def _monomial_offenders(p: MultiPoly) -> List[str]:
     return [v for v in p.occurring_variables() if extract_exceptional(p, v)[0] >= 2]
 

@@ -30,9 +30,18 @@ class ClosureOverflowError(RuntimeError):
     """Breadth-first closure grew past the safety bound."""
 
 
+_Q = bytes(
+    ((v >> 0) & (v >> 1) & 1) ^ ((v >> 2) & (v >> 3) & 1) ^ ((v >> 4) & (v >> 5) & 1)
+    for v in range(SIZE)
+)
+
+
 def q(v: int) -> int:
-    """The quadratic form: sum of products over the three hyperbolic pairs."""
-    return ((v >> 0) & (v >> 1) & 1) ^ ((v >> 2) & (v >> 3) & 1) ^ ((v >> 4) & (v >> 5) & 1)
+    """The quadratic form: sum of products over the three hyperbolic pairs.
+
+    A lookup in a table of the 64 values; v must lie in 0..63.
+    """
+    return _Q[v]
 
 
 def b(u: int, v: int) -> int:

@@ -8,10 +8,10 @@ identities can be asserted with ``==`` and golden strings stay fixed.
 
 Besides ring arithmetic the module provides the elimination-theoretic
 tools needed elsewhere: substitution, formal derivatives, extraction of a
-coordinate power (for strict transforms under a blow-up), a subresultant
-gcd, squarefreeness tests, the closed-form discriminant of a depressed
-quartic, and Sylvester resultants evaluated by fraction-free Bareiss
-elimination.
+coordinate power (for strict transforms under a blow-up), squarefreeness
+tests, the closed-form discriminant of a depressed quartic, and one
+subresultant pseudo-remainder sequence that gives both the gcd and the
+resultant.
 """
 
 from __future__ import annotations
@@ -115,12 +115,6 @@ class MultiPoly:
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
         return next(iter(self._terms.values()))
-
-    @property
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(exp) for exp in self._terms)
 
     def occurring_variables(self) -> Tuple[str, ...]:
         used = [False] * len(self._vars)
@@ -473,25 +467,18 @@ def _pseudo_remainder(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     return r
 
 
-def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Last nonzero element of the subresultant remainder sequence.
+def _subresultant_prs(f: MultiPoly, g: MultiPoly, name: str):
+    """The subresultant remainder sequence of f and g in ``name``.
 
-    Inputs are primitive in ``name`` with positive degree; the classical
-    g/h divisor bookkeeping keeps every division exact.
+    Needs deg f >= deg g > 0.  Each pseudo-division yields (A, B, h): A is
+    the previous B, B = prem(A, B) / (g h^delta), and the classical g/h
+    divisor bookkeeping keeps every division exact.  The sequence ends
+    after a B that is zero or free of ``name``.
     """
-    if f.degree_in(name) < g.degree_in(name):
-        f, g = g, f
-    gg = MultiPoly.constant(1)
-    hh = MultiPoly.constant(1)
+    gg = hh = MultiPoly.constant(1)
     while True:
         delta = f.degree_in(name) - g.degree_in(name)
-        r = _pseudo_remainder(f, g, name)
-        if r.is_zero:
-            return g
-        if r.degree_in(name) == 0:
-            return r
-        divisor = gg * hh ** delta
-        reduced = try_divide(r, divisor)
+        reduced = try_divide(_pseudo_remainder(f, g, name), gg * hh ** delta)
         assert reduced is not None, "subresultant division must be exact"
         f, g = g, reduced
         gg = _leading_coefficient_in(f, name)
@@ -499,6 +486,21 @@ def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
             head = try_divide(gg ** delta, hh ** (delta - 1)) if delta > 1 else gg
             assert head is not None
             hh = head
+        yield f, g, hh
+        if g.is_zero or g.degree_in(name) == 0:
+            return
+
+
+def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
+    """Last nonzero element of the subresultant remainder sequence.
+
+    Inputs have positive degree in ``name``.
+    """
+    if f.degree_in(name) < g.degree_in(name):
+        f, g = g, f
+    for f, g, _ in _subresultant_prs(f, g, name):
+        pass
+    return f if g.is_zero else g
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -599,31 +601,14 @@ def discriminant_quartic(alpha, beta, gamma) -> MultiPoly:
     )
 
 
-def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str) -> list:
-    """Sylvester matrix of f and g with respect to ``name``."""
-    n, m = f.degree_in(name), g.degree_in(name)
-    if n <= 0 and m <= 0:
-        raise ValueError("both polynomials are constant in the variable")
-    cf = _univariate_coefficients(f, name)
-    cg = _univariate_coefficients(g, name)
-    size = n + m
-    zero = MultiPoly.zero()
-    rows = []
-    for shift in range(m):
-        row = [zero] * size
-        for d, c in cf.items():
-            row[shift + (n - d)] = c
-        rows.append(row)
-    for shift in range(n):
-        row = [zero] * size
-        for d, c in cg.items():
-            row[shift + (m - d)] = c
-        rows.append(row)
-    return rows
-
-
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Res(f, g) in ``name`` by fraction-free Bareiss elimination."""
+    """Res(f, g) in ``name`` from the subresultant remainder sequence.
+
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.7,
+    without the content step: after the pseudo-divisions the resultant is
+    ell(B)^deg A / h^(deg A - 1), up to the sign (-1)^(deg A * deg B)
+    gathered at every step and at the initial swap.
+    """
     n, m = f.degree_in(name), g.degree_in(name)
     if n < 0 or m < 0:
         return MultiPoly.zero()
@@ -631,23 +616,16 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
         return f ** m
     if m == 0:
         return g ** n
-    matrix = sylvester_matrix(f, g, name)
-    size = len(matrix)
     sign = 1
-    previous = MultiPoly.constant(1)
-    for k in range(size - 1):
-        if matrix[k][k].is_zero:
-            pivot = next((r for r in range(k + 1, size) if not matrix[r][k].is_zero), None)
-            if pivot is None:
-                return MultiPoly.zero()
-            matrix[k], matrix[pivot] = matrix[pivot], matrix[k]
+    if n < m:
+        f, g, n, m = g, f, m, n
+        sign = -1 if n & m & 1 else 1
+    for f, g, h in _subresultant_prs(f, g, name):
+        if n & m & 1:
             sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                numerator = matrix[k][k] * matrix[i][j] - matrix[i][k] * matrix[k][j]
-                cell = try_divide(numerator, previous)
-                assert cell is not None, "Bareiss division must be exact"
-                matrix[i][j] = cell
-            matrix[i][k] = MultiPoly.zero()
-        previous = matrix[k][k]
-    return sign * matrix[size - 1][size - 1]
+        if g.is_zero:
+            return MultiPoly.zero()
+        n, m = m, g.degree_in(name)
+    value = try_divide(g ** n, h ** (n - 1))
+    assert value is not None, "subresultant division must be exact"
+    return sign * value

@@ -12,6 +12,8 @@ from fractions import Fraction
 from modpoints import betti, blowup, fqspace, picard, stability
 from modpoints.poly import MultiPoly, discriminant_quartic, resultant, variables
 
+from oracles import bareiss_resultant
+
 
 def _report(line):
     print(f"ACCEPTANCE {line}")
@@ -64,18 +66,25 @@ def test_c04_discriminant_oracle():
     a0, b0, g0 = variables("alpha0", "beta0", "gamma0")
     x = MultiPoly.variable("x")
     symbolic = x ** 4 + a0 * x ** 2 + b0 * x + g0
-    assert resultant(symbolic, symbolic.partial_derivative("x"), "x") == discriminant_quartic(
-        a0, b0, g0
+    d_symbolic = symbolic.partial_derivative("x")
+    assert (
+        resultant(symbolic, d_symbolic, "x")
+        == bareiss_resultant(symbolic, d_symbolic, "x")
+        == discriminant_quartic(a0, b0, g0)
     )
     rng = random.Random(1029)
     trials = 0
     for _ in range(20):
         a, b, g = (rng.randint(-9, 9) for _ in range(3))
         f = x ** 4 + a * x ** 2 + b * x + MultiPoly.constant(g)
-        assert resultant(f, f.partial_derivative("x"), "x") == discriminant_quartic(a, b, g)
+        df = f.partial_derivative("x")
+        assert resultant(f, df, "x") == bareiss_resultant(f, df, "x") == discriminant_quartic(a, b, g)
         trials += 1
     assert trials == 20
-    _report("C4 discriminant vs Sylvester-resultant oracle (symbolic + 20 triples): PASS")
+    _report(
+        "C4 discriminant: subresultant = Bareiss-Sylvester oracle = closed form "
+        "(symbolic + 20 triples): PASS"
+    )
 
 
 def test_c05_stabilizer_scan():

@@ -17,6 +17,7 @@ from modpoints.fqspace import (
     orbits_under,
     perp_census,
     q,
+    q_planes,
     reflection,
     stab_orbit_summary,
     stab_transitive_on_perp,
@@ -27,6 +28,10 @@ from modpoints.fqspace import (
 
 def test_census():
     assert census() == (1, 35, 28)
+
+
+def test_q_table_matches_the_hyperbolic_planes():
+    assert [q(v) for v in range(SIZE)] == [q_planes(v, 3) for v in range(SIZE)]
 
 
 def test_single_plane_census():

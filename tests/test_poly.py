@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import groupby, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modpoints.poly import (
@@ -18,10 +18,11 @@ from modpoints.poly import (
     poly_gcd,
     resultant,
     squarefree_part,
-    sylvester_matrix,
     try_divide,
     variables,
 )
+
+from oracles import bareiss_resultant, sylvester_matrix
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +200,9 @@ def _monic_quartic(alpha, beta, gamma):
 def test_discriminant_matches_sylvester_resultant_symbolically():
     a0, b0, g0 = variables("alpha0", "beta0", "gamma0")
     f = _monic_quartic(a0, b0, g0)
-    assert resultant(f, f.partial_derivative("x"), "x") == discriminant_quartic(a0, b0, g0)
+    df = f.partial_derivative("x")
+    res = resultant(f, df, "x")
+    assert res == bareiss_resultant(f, df, "x") == discriminant_quartic(a0, b0, g0)
 
 
 def test_discriminant_matches_resultant_on_random_integer_triples():
@@ -207,8 +210,9 @@ def test_discriminant_matches_resultant_on_random_integer_triples():
     for _ in range(25):
         a, b, g = (rng.randint(-9, 9) for _ in range(3))
         f = _monic_quartic(MultiPoly.constant(a), MultiPoly.constant(b), MultiPoly.constant(g))
-        res = resultant(f, f.partial_derivative("x"), "x")
-        assert res == discriminant_quartic(a, b, g)
+        df = f.partial_derivative("x")
+        res = resultant(f, df, "x")
+        assert res == bareiss_resultant(f, df, "x") == discriminant_quartic(a, b, g)
 
 
 def test_sylvester_matrix_shape():
@@ -324,6 +328,60 @@ def test_property_gcd_divides_both(p, q):
     g = poly_gcd(p, q)
     assert try_divide(p, g) is not None
     assert try_divide(q, g) is not None
+
+
+# ----------------------------------------------------------------------
+# the subresultant resultant against the Bareiss oracle, over Z[a, x]
+
+def _from_coefficients(coefficients):
+    """The sum of (c + d*a) * x^i over the pairs (c, d), lowest degree first."""
+    terms = {}
+    for i, (c, d) in enumerate(coefficients):
+        terms[(0, i)] = c
+        terms[(1, i)] = d
+    return MultiPoly(("a", "x"), terms)
+
+
+def _x_polys(max_degree, min_degree=0):
+    # about a third of the coefficients are gaps, so that degrees drop by more
+    # than one along the remainder sequence (non-normal, delta > 1)
+    entry = st.one_of(
+        st.just((0, 0)),
+        st.tuples(st.integers(-4, 4), st.just(0)),
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    )
+    coefficients = st.lists(entry, min_size=min_degree + 1, max_size=max_degree + 1)
+    if min_degree:
+        coefficients = coefficients.filter(lambda cs: cs[-1] != (0, 0))
+    return coefficients.map(_from_coefficients)
+
+
+@st.composite
+def _resultant_pairs(draw):
+    """(f, g, planted) of degree <= 7 in x; planted pairs share a factor in x."""
+    if not draw(st.booleans()):
+        return draw(_x_polys(7)), draw(_x_polys(7)), False
+    h = draw(_x_polys(2, min_degree=1))
+    rest = 7 - h.degree_in("x")
+    return h * draw(_x_polys(rest)), h * draw(_x_polys(rest)), True
+
+
+# Knuth's example (TAOCP vol. 2, 4.6.1): degrees 8, 6, 4, 2, 1, 0
+_KNUTH_F = parse_poly("x^8 + x^6 - 3*x^4 - 3*x^3 + 8*x^2 + 2*x - 5")
+_KNUTH_G = parse_poly("3*x^6 + 5*x^4 - 4*x^2 - 9*x + 21")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_resultant_pairs())
+@example((_KNUTH_F, _KNUTH_G, False))
+def test_property_resultant_matches_bareiss(pair):
+    f, g, planted = pair
+    res = resultant(f, g, "x")
+    assert res == bareiss_resultant(f, g, "x")
+    n, m = f.degree_in("x"), g.degree_in("x")
+    assert resultant(g, f, "x") == (-1) ** (n * m % 2) * res
+    if planted:
+        assert res.is_zero
 
 
 def test_squarefree_detection():
