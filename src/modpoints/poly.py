@@ -1,7 +1,9 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 Polynomials are stored sparsely: a sorted tuple of variable names together
-with a map from exponent vectors to nonzero Fraction coefficients.  Values
+with a map from exponent vectors to nonzero coefficients, each a plain int
+when integral and a Fraction otherwise; the public accessors (``terms``,
+``leading``, ``constant_value``, ``evaluate``) give Fractions.  Values
 are immutable, every operation is exact, and printing is byte-stable
 (graded lexicographic term order over alphabetically sorted variables), so
 identities can be asserted with ``==`` and golden strings stay fixed.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -33,12 +36,17 @@ class ExponentOverflowError(OverflowError):
     """A term exponent exceeded the fixed-width bound."""
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _scalar(value: Scalar) -> Scalar:
+    """``value`` as stored: an int, or a Fraction only when it is not integral."""
+    if isinstance(value, (int, Fraction)):
+        return int(value) if value.denominator == 1 else value
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _divide(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: a // b when b divides a, else Fraction(a, b), never a float."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def _grlex_key(exponent: Exponent) -> Tuple[int, Exponent]:
@@ -46,7 +54,8 @@ def _grlex_key(exponent: Exponent) -> Tuple[int, Exponent]:
 
 
 class MultiPoly:
-    """An exact polynomial in named variables with Fraction coefficients."""
+    """An exact polynomial in named variables with rational coefficients, stored
+    as int where integral and as Fraction otherwise; the accessors give Fractions."""
 
     __slots__ = ("_vars", "_terms")
 
@@ -54,7 +63,7 @@ class MultiPoly:
         vs = tuple(variables)
         if list(vs) != sorted(set(vs)):
             raise ValueError("variables must be sorted and distinct")
-        cleaned: Dict[Exponent, Fraction] = {}
+        cleaned: Dict[Exponent, Scalar] = {}
         for exponent, coefficient in terms.items():
             exponent = tuple(exponent)
             if len(exponent) != len(vs):
@@ -64,8 +73,8 @@ class MultiPoly:
                     raise ValueError("negative exponent")
                 if e > EXPONENT_LIMIT:
                     raise ExponentOverflowError(f"exponent {e} exceeds {EXPONENT_LIMIT}")
-            c = _as_fraction(coefficient)
-            if c != 0:
+            c = _scalar(coefficient)
+            if c:
                 cleaned[exponent] = c
         object.__setattr__(self, "_vars", vs)
         object.__setattr__(self, "_terms", cleaned)
@@ -78,16 +87,16 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, variables: Sequence[str] = ()) -> "MultiPoly":
-        return cls(sorted(set(variables)), {})
+        return _trusted(tuple(sorted(set(variables))), {})
 
     @classmethod
     def constant(cls, value: Scalar, variables: Sequence[str] = ()) -> "MultiPoly":
-        vs = sorted(set(variables))
-        return cls(vs, {(0,) * len(vs): _as_fraction(value)})
+        vs = tuple(sorted(set(variables)))
+        return _trusted(vs, {(0,) * len(vs): _scalar(value)})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return _trusted((name,), {(1,): 1})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -98,7 +107,7 @@ class MultiPoly:
 
     @property
     def terms(self) -> Dict[Exponent, Fraction]:
-        return dict(self._terms)
+        return {exp: Fraction(c) for exp, c in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -114,15 +123,10 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return next(iter(self._terms.values()))
+        return Fraction(next(iter(self._terms.values())))
 
     def occurring_variables(self) -> Tuple[str, ...]:
-        used = [False] * len(self._vars)
-        for exp in self._terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self._vars, used) if u)
+        return tuple(v for v, column in zip(self._vars, zip(*self._terms)) if any(column))
 
     def degree_in(self, name: str) -> int:
         if self.is_zero:
@@ -137,23 +141,18 @@ class MultiPoly:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self._terms, key=_grlex_key)
-        return exp, self._terms[exp]
+        return exp, Fraction(self._terms[exp])
 
     # ------------------------------------------------------------------
     # universe management
 
-    def _embedded(self, variables: Tuple[str, ...]) -> Dict[Exponent, Fraction]:
+    def _embedded(self, variables: Tuple[str, ...]) -> Dict[Exponent, Scalar]:
+        """The terms over ``variables``; a name left out must not occur."""
         if variables == self._vars:
             return dict(self._terms)
-        positions = [variables.index(v) for v in self._vars]
-        out: Dict[Exponent, Fraction] = {}
-        width = len(variables)
-        for exp, coeff in self._terms.items():
-            new = [0] * width
-            for pos, e in zip(positions, exp):
-                new[pos] = e
-            out[tuple(new)] = coeff
-        return out
+        pick = [self._vars.index(v) if v in self._vars else None for v in variables]
+        return {tuple(0 if i is None else exp[i] for i in pick): c
+                for exp, c in self._terms.items()}
 
     @staticmethod
     def _merge(p: "MultiPoly", q: "MultiPoly"):
@@ -172,13 +171,13 @@ class MultiPoly:
         other = self._coerced(other)
         variables, a, b = self._merge(self, other)
         for exp, coeff in b.items():
-            a[exp] = a.get(exp, Fraction(0)) + coeff
-        return MultiPoly(variables, a)
+            a[exp] = a.get(exp, 0) + coeff
+        return _trusted(variables, a)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self._vars, {e: -c for e, c in self._terms.items()})
+        return _trusted(self._vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerced(other))
@@ -189,22 +188,25 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         other = self._coerced(other)
         variables, a, b = self._merge(self, other)
-        out: Dict[Exponent, Fraction] = {}
+        top = map(add, map(max, zip(*a)), map(max, zip(*b)))  # the top degrees add up
+        if a and b and max(top, default=0) > EXPONENT_LIMIT:
+            raise ExponentOverflowError(f"a product exponent exceeds {EXPONENT_LIMIT}")
+        out: Dict[Exponent, Scalar] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return MultiPoly(variables, out)
+                exp = tuple(map(add, ea, eb))
+                out[exp] = out.get(exp, 0) + ca * cb
+        return _trusted(variables, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a natural number")
-        result = MultiPoly.constant(1, self._vars)
-        for _ in range(n):
-            result = result * self
-        return result
+        if n < 2:
+            return self if n else MultiPoly.constant(1, self._vars)
+        half = self ** (n // 2)
+        return half * half * self if n & 1 else half * half
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -216,8 +218,7 @@ class MultiPoly:
 
     def __hash__(self):
         occ = self.occurring_variables()
-        pruned = _restrict_vars(self, occ)
-        return hash((occ, tuple(sorted(pruned._terms.items()))))
+        return hash((occ, tuple(sorted(self._embedded(occ).items()))))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -230,15 +231,16 @@ class MultiPoly:
         missing = [v for v in self.occurring_variables() if v not in mapping]
         if missing:
             raise ValueError(f"substitution missing variables: {missing}")
-        images: Dict[str, MultiPoly] = {}
-        for name, value in mapping.items():
-            images[name] = value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
+        images = {name: value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
+                  for name, value in mapping.items()}
+        needed = {(v, e) for exp in self._terms for v, e in zip(self._vars, exp) if e}
+        powers = {(v, e): images[v] ** e for v, e in needed}
         result = MultiPoly.zero()
         for exp, coeff in self._terms.items():
             term = MultiPoly.constant(coeff)
             for v, e in zip(self._vars, exp):
                 if e:
-                    term = term * images[v] ** e
+                    term = term * powers[v, e]
             result = result + term
         return result
 
@@ -249,14 +251,14 @@ class MultiPoly:
         if name not in self._vars:
             raise ValueError(f"unknown variable {name!r}")
         i = self._vars.index(name)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Scalar] = {}
         for exp, coeff in self._terms.items():
             if exp[i] == 0:
                 continue
             new = list(exp)
             new[i] -= 1
             out[tuple(new)] = coeff * exp[i]
-        return MultiPoly(self._vars, out)
+        return _trusted(self._vars, out)
 
     # ------------------------------------------------------------------
     # printing
@@ -265,10 +267,10 @@ class MultiPoly:
         if self.is_zero:
             return "0"
         occ = self.occurring_variables()
-        pruned = _restrict_vars(self, occ)
+        terms = self._embedded(occ)
         pieces = []
-        for exp in sorted(pruned._terms, key=_grlex_key, reverse=True):
-            coeff = pruned._terms[exp]
+        for exp in sorted(terms, key=_grlex_key, reverse=True):
+            coeff = terms[exp]
             factors = []
             for v, e in zip(occ, exp):
                 if e == 1:
@@ -293,11 +295,14 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _restrict_vars(p: MultiPoly, variables: Tuple[str, ...]) -> MultiPoly:
-    """Project onto a variable subset; the dropped variables must not occur."""
-    keep = [p._vars.index(v) for v in variables]
-    terms = {tuple(exp[i] for i in keep): c for exp, c in p._terms.items()}
-    return MultiPoly(variables, terms)
+def _trusted(variables: Tuple[str, ...], terms: Mapping[Exponent, Scalar]) -> MultiPoly:
+    """An arithmetic result, unchecked: ``variables`` sorted, exponents in range.
+    Zeros are dropped and an integral Fraction is stored as its int."""
+    p = object.__new__(MultiPoly)
+    object.__setattr__(p, "_vars", variables)
+    object.__setattr__(p, "_terms", {e: c if c.denominator != 1 else c.numerator
+                                     for e, c in terms.items() if c})
+    return p
 
 
 def variables(*names: str) -> Tuple[MultiPoly, ...]:
@@ -388,35 +393,31 @@ def try_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
     vs, rem, qt = MultiPoly._merge(p, q)
     lq = max(qt, key=_grlex_key)
     cq = qt[lq]
-    quotient: Dict[Exponent, Fraction] = {}
+    quotient: Dict[Exponent, Scalar] = {}
     while rem:
         lr = max(rem, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(lr, lq))
         if any(d < 0 for d in diff):
             return None
-        c = rem[lr] / cq
-        quotient[diff] = quotient.get(diff, Fraction(0)) + c
+        c = _divide(rem[lr], cq)
+        quotient[diff] = quotient.get(diff, 0) + c
         for eq, cq2 in qt.items():
-            exp = tuple(a + b for a, b in zip(diff, eq))
-            nxt = rem.get(exp, Fraction(0)) - c * cq2
+            exp = tuple(map(add, diff, eq))
+            nxt = rem.get(exp, 0) - c * cq2
             if nxt:
                 rem[exp] = nxt
             else:
                 rem.pop(exp, None)
-    return MultiPoly(vs, quotient)
+    return _trusted(vs, quotient)
 
 
 def normalize(p: MultiPoly) -> MultiPoly:
     """Scale to primitive integer coefficients with positive leading one."""
     if p.is_zero:
         return p
-    denom_lcm = 1
-    for c in p._terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in p._terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    scale = Fraction(denom_lcm, num_gcd)
+    denom_lcm = math.lcm(*(c.denominator for c in p._terms.values()))
+    num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator) for c in p._terms.values()))
+    scale = _divide(denom_lcm, num_gcd)
     _, lead = p.leading()
     if lead < 0:
         scale = -scale
@@ -428,12 +429,12 @@ def _univariate_coefficients(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
     if name not in p._vars:
         return {0: p} if not p.is_zero else {}
     i = p._vars.index(name)
-    buckets: Dict[int, Dict[Exponent, Fraction]] = {}
+    buckets: Dict[int, Dict[Exponent, Scalar]] = {}
     for exp, coeff in p._terms.items():
         d = exp[i]
         stripped = exp[:i] + (0,) + exp[i + 1:]
         buckets.setdefault(d, {})[stripped] = coeff
-    return {d: MultiPoly(p._vars, terms) for d, terms in buckets.items()}
+    return {d: _trusted(p._vars, terms) for d, terms in buckets.items()}
 
 
 def _leading_coefficient_in(p: MultiPoly, name: str) -> MultiPoly:
@@ -462,9 +463,7 @@ def _pseudo_remainder(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
         d = r.degree_in(name)
         r = lead_g * r - _leading_coefficient_in(r, name) * v ** (d - m) * g
         steps -= 1
-    for _ in range(steps):
-        r = lead_g * r
-    return r
+    return lead_g ** steps * r
 
 
 def _subresultant_prs(f: MultiPoly, g: MultiPoly, name: str):
@@ -580,7 +579,7 @@ def extract_exceptional(p: MultiPoly, name: str) -> Tuple[int, MultiPoly]:
         new = list(exp)
         new[i] -= k
         terms[tuple(new)] = coeff
-    return k, MultiPoly(p._vars, terms)
+    return k, _trusted(p._vars, terms)
 
 
 # ----------------------------------------------------------------------

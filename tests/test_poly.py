@@ -9,11 +9,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modpoints.poly import (
+    EXPONENT_LIMIT,
     ExponentOverflowError,
     MultiPoly,
     discriminant_quartic,
     extract_exceptional,
     is_squarefree,
+    normalize,
     parse_poly,
     poly_gcd,
     resultant,
@@ -109,6 +111,20 @@ def test_exponent_overflow_is_hard_error():
     with pytest.raises(ExponentOverflowError):
         big = MultiPoly(("x",), {(1 << 15,): Fraction(1)})
         _ = big * big
+    with pytest.raises(ExponentOverflowError):
+        _ = (x ** (1 << 14)) ** 3  # the squaring path: x^32768, then x^49152
+    y, = variables("y")
+    at_limit = (x ** (EXPONENT_LIMIT - 3) * y) * (x ** 3 + y ** (EXPONENT_LIMIT - 1))
+    assert at_limit.degree_in("x") == at_limit.degree_in("y") == EXPONENT_LIMIT
+    assert (x ** EXPONENT_LIMIT).degree_in("x") == EXPONENT_LIMIT
+
+
+def test_try_divide_of_integer_polynomials_can_be_a_fraction():
+    x, = variables("x")
+    quotient = try_divide(x + 1, 2 * x + 2)
+    assert quotient == MultiPoly.constant(Fraction(1, 2))
+    assert type(quotient.constant_value) is Fraction
+    assert normalize(quotient) == 1
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +344,48 @@ def test_property_gcd_divides_both(p, q):
     g = poly_gcd(p, q)
     assert try_divide(p, g) is not None
     assert try_divide(q, g) is not None
+
+
+# ----------------------------------------------------------------------
+# properties over Q[a, x, y]: coefficients are stored as int where integral
+# and as Fraction otherwise, so both halves of that storage are drawn
+
+small_rational_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    max_size=5,
+).map(lambda terms: MultiPoly(("a", "x", "y"), terms))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_rational_polys, small_rational_polys)
+def test_property_rational_product_and_exact_quotient(p, q):
+    assert p * q == naive_mul(p, q)
+    if not q.is_zero:
+        assert try_divide(p * q, q) == p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9), max_size=5))
+def test_property_int_and_fraction_coefficients_agree(terms):
+    from_ints = MultiPoly(("a", "x", "y"), terms)
+    from_fractions = MultiPoly(("a", "x", "y"), {e: Fraction(c) for e, c in terms.items()})
+    scaled_back = from_fractions * Fraction(1, 3) * 3
+    for p in (from_fractions, scaled_back):
+        assert p == from_ints
+        assert hash(p) == hash(from_ints)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_rational_polys, small_polys)
+def test_property_accessors_give_fractions(p, q):
+    point = {"a": 2, "x": Fraction(1, 2), "y": -1}
+    for r in (p, q, p * q, p + q, p.partial_derivative("x")):
+        assert all(type(c) is Fraction for c in r.terms.values())
+        if not r.is_zero:
+            assert type(r.leading()[1]) is Fraction
+        assert type(r.substitute(point).constant_value) is Fraction
+        assert type(r.evaluate(point)) is Fraction
 
 
 # ----------------------------------------------------------------------
