@@ -11,10 +11,10 @@ boundary-fiber tables.  The two routes must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
+from .record import Record
 from .stability import luna_slice_basis, torus_monomial_weights
 
 SLICE_CODIMENSION = 6
@@ -26,8 +26,7 @@ class InsufficientCodimensionError(ValueError):
     """Truncation order exceeds what the stratification bound certifies."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Integer power series known modulo t^order."""
 
     coefficients: Tuple[int, ...]
@@ -147,8 +146,7 @@ class TruncatedSeries:
 # ----------------------------------------------------------------------
 # stratification bookkeeping
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(Record):
     beta: int
     label: int
     r: int
@@ -241,8 +239,7 @@ def extra_correction_min_degree(weights: Sequence[int] | None = None) -> int:
 # ----------------------------------------------------------------------
 # Betti tables
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Record):
     """Even-degree Betti numbers b_0, b_2, ..., b_(2n); odd ones vanish."""
 
     even: Tuple[int, ...]

@@ -18,7 +18,6 @@ support of the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
@@ -31,6 +30,7 @@ from .poly import (
     resultant,
     squarefree_part,
 )
+from .record import Record
 from .stability import luna_slice_basis, stabilizer_c44
 
 SLICE_VARIABLES = ("alpha0", "alpha1", "beta0", "beta1", "gamma0", "gamma1")
@@ -56,8 +56,7 @@ class PositiveDimensionalStabilizerError(ValueError):
     """The support imposes no finite-order constraint on the torus."""
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """One affine chart of the blow-up of the slice at the origin."""
 
     name: str
@@ -123,8 +122,7 @@ def _offending_factors(p: MultiPoly) -> List[str]:
     return offenders
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(Record):
     multiplicity: int
     strict_transform: MultiPoly
     restriction: MultiPoly
@@ -133,8 +131,7 @@ class FactorReport:
     residual_form: MultiPoly
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
+class TransversalityReport(Record):
     chart: str
     multiplicity: int
     restriction: MultiPoly
@@ -251,8 +248,7 @@ def _admissible_supports(ch: Chart) -> List[Tuple[str, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class StabilizerScan:
+class StabilizerScan(Record):
     orders: Tuple[int, ...]
     torus_orders: Tuple[int, ...]
     effective_orders: Tuple[int, ...]
@@ -337,8 +333,7 @@ def _restricts_transversally(hyperplane_var: str, divisor: MultiPoly) -> bool:
     return is_squarefree(restricted)
 
 
-@dataclass(frozen=True)
-class QuotientTransversality:
+class QuotientTransversality(Record):
     transversal: bool
     quotient_coordinate_invariant: bool
     upstairs_double: bool

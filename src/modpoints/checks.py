@@ -11,19 +11,18 @@ subcommand report are computed by the named functions below, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import betti, blowup, fqspace, picard, stability
 from .poly import MultiPoly, variables
+from .record import Record
 
 SCHEMA_VERSION = "1"
 SUITE_NAMES = ("stability", "fq", "slice", "betti", "picard")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     id: str
     anchor: str
     status: str  # pass | fail | error (the suite raised)
@@ -33,16 +32,16 @@ class CheckResult:
 def encode(value):
     """JSON-ready form of a result.
 
-    Rationals and polynomials become strings, dataclasses become objects
-    with their fields in declaration order, tuples and sets become lists
-    (sets sorted), and tuple keys are joined with commas.
+    Rationals and polynomials become strings, records become objects with
+    their fields in declaration order, tuples and sets become lists (sets
+    sorted), and tuple keys are joined with commas.
     """
     if isinstance(value, (Fraction, MultiPoly)):
         return str(value)
     if value is None or isinstance(value, (int, str)):
         return value
-    if is_dataclass(value):
-        return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Record):
+        return {name: encode(v) for name, v in zip(value.__record_fields__, value._values())}
     if isinstance(value, dict):
         return {
             ",".join(map(str, k)) if isinstance(k, tuple) else k: encode(v)

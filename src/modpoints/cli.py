@@ -174,10 +174,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # open --out before any work, so that an unwritable path fails at once
-        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
+        # open --out before any work, so that an unwritable path fails at once,
+        # but empty it only once there is output: malformed input leaves it as it was
+        with open(args.out, "a", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
             payload = checks.encode(args.func(args))
             text = checks.render_text(payload) if args.format == "text" else json.dumps(payload, indent=2)
+            if args.out:
+                handle.truncate(0)
             handle.write(text + "\n")
     except (InputError, OSError) as exc:
         parser.exit(2, f"modpoints: error: {exc}\n")

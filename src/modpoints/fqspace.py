@@ -15,9 +15,10 @@ vectors stored as bytes, so composition is one ``bytes.translate``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+from .record import Record
 
 DIMENSION = 6
 SIZE = 64
@@ -97,8 +98,7 @@ def _inverse(p: bytes) -> bytes:
     return bytes(sorted(range(SIZE), key=p.__getitem__))
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Record):
     """A q-preserving linear permutation of the 64 vectors."""
 
     perm: bytes
@@ -148,8 +148,7 @@ def reflections() -> Tuple[bytes, ...]:
     return tuple(reflection(v).perm for v in nonisotropic_vectors())
 
 
-@dataclass(frozen=True)
-class OrthogonalGroup:
+class OrthogonalGroup(Record):
     elements: Tuple[bytes, ...]
     generators: Tuple[bytes, ...]
 
@@ -264,8 +263,7 @@ def _first_nontrivial_residue(base, strong, transversals, level: int):
     return None, None
 
 
-@dataclass(frozen=True)
-class StabilizerChain:
+class StabilizerChain(Record):
     """A base and strong generating set of the reflection group.
 
     Level i belongs to G_i, the pointwise stabilizer of ``base[:i]`` (G_0 is

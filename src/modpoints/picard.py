@@ -13,9 +13,10 @@ the obstruction to a common crepant resolution, and discrepancies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
+
+from .record import Record
 
 Scalar = Union[int, Fraction]
 
@@ -34,8 +35,7 @@ def _fr(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class SpaceInfo:
+class SpaceInfo(Record):
     symbols: Tuple[str, ...]
     # relations rewrite a derived symbol into the remaining ones
     relations: Mapping[str, Mapping[str, Fraction]]
@@ -75,8 +75,7 @@ SPACES: Dict[str, SpaceInfo] = {
 }
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     space: str
     coefficients: Tuple[Tuple[str, Fraction], ...]
 
@@ -137,8 +136,7 @@ def divisor(space: str, **coeffs: Scalar) -> DivisorClass:
     return DivisorClass.make(space, coeffs)
 
 
-@dataclass(frozen=True)
-class LinearMapEntry:
+class LinearMapEntry(Record):
     source: str
     target: str
     kind: str  # pullback | pushforward | identification
@@ -227,8 +225,7 @@ def canonical(space: str) -> DivisorClass:
     return DivisorClass.make(space, info.canonical)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     name: str
     holds: bool
     lhs: str
@@ -297,8 +294,7 @@ def exceptional_pullback_coefficient() -> Fraction:
 # ----------------------------------------------------------------------
 # boundary normal bundle and intersection numbers
 
-@dataclass(frozen=True)
-class NormalBundleResult:
+class NormalBundleResult(Record):
     bidegree: Tuple[Fraction, Fraction]
     adjunction_bidegree: Tuple[int, int]
     multiplier: int
@@ -333,8 +329,7 @@ def _plane_pair_top_intersection(a: Fraction, b: Fraction) -> Fraction:
     return ring.get((2, 2), Fraction(0))
 
 
-@dataclass(frozen=True)
-class IntersectionNumbers:
+class IntersectionNumbers(Record):
     component_power: Fraction  # T_i^5 on one ordered boundary component
     ordered_power: Fraction  # T_ord^5
     unordered_power: Fraction  # T^5
@@ -354,8 +349,7 @@ def top_self_intersections(
 # ----------------------------------------------------------------------
 # the obstruction and discrepancies
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(Record):
     toroidal_power: Fraction  # (7T)^5
     required_exceptional_power: Fraction  # what Delta^5 would have to be
     denominator_five_valuation: int

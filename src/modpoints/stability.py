@@ -11,16 +11,16 @@ its weights, and the stabilizer data of that point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
+
+from .record import Record
 
 STABLE = "stable"
 STRICTLY_SEMISTABLE = "strictly_semistable"
 UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(Record):
     """A multiset of point multiplicities summing to the total degree."""
 
     n: int
@@ -39,8 +39,7 @@ class PointConfig:
         return cls(sum(parts), parts)
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Record):
     status: str
     polystable: bool
 
@@ -86,8 +85,7 @@ def torus_monomial_weights(n: int) -> Tuple[int, ...]:
     return tuple(sorted(2 * i - n for i in range(n + 1)))
 
 
-@dataclass(frozen=True)
-class LunaSlice:
+class LunaSlice(Record):
     """Normal slice to the orbit of x0^4*x1^4 inside degree-8 forms."""
 
     monomials: Tuple[str, ...]
@@ -114,8 +112,7 @@ def luna_slice_basis(n: int = 8) -> LunaSlice:
     return LunaSlice(monomials, weights, tangent)
 
 
-@dataclass(frozen=True)
-class StabilizerData:
+class StabilizerData(Record):
     """Stabilizer of the doubly-fourfold point: a torus extended by a swap."""
 
     identity_component: str

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,6 +176,30 @@ def test_unwritable_out_fails_before_any_suite_runs(monkeypatch, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("modpoints: error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("stability", "--config", "4,x"), ("fq", "perp", "0x03"), ("stability", "--table", "41")]
+)
+def test_malformed_input_leaves_existing_out_file_as_it_was(argv, tmp_path):
+    target = tmp_path / "keep.json"
+    target.write_bytes(b"earlier output\n" * 100)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(target)])
+    assert info.value.code == 2
+    assert target.read_bytes() == b"earlier output\n" * 100
+    # a run that has output replaces the whole file, however long it was
+    assert main(["stability", "--config", "4,4", "--out", str(target)]) == 0
+    assert target.read_text() == (GOLDEN / "stability_config_4_4.json").read_text()
+
+
+def test_cli_import_needs_no_dataclasses():
+    # -S keeps site, and whatever it imports, out of sys.modules
+    probe = "import modpoints.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_run_all_computes_each_shared_quantity_once(monkeypatch):
