@@ -5,7 +5,6 @@ from .poly import (
     discriminant_quartic,
     extract_exceptional,
     is_squarefree,
-    parse_poly,
     poly_gcd,
     resultant,
     squarefree_part,
@@ -21,7 +20,6 @@ __all__ = [
     "discriminant_quartic",
     "extract_exceptional",
     "is_squarefree",
-    "parse_poly",
     "poly_gcd",
     "resultant",
     "squarefree_part",

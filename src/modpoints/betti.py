@@ -20,6 +20,8 @@ from .stability import luna_slice_basis, torus_monomial_weights
 SLICE_CODIMENSION = 6
 COMPLEX_DIMENSION = 5
 STRATIFICATION_BOUND_BASE = 7
+# Modulo t^6 the series fixes b_0, b_2 and b_4, which duality completes.
+TRUNCATION_ORDER = 6
 
 
 class InsufficientCodimensionError(ValueError):
@@ -47,10 +49,6 @@ class TruncatedSeries(Record):
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls.from_coefficients([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([1], order)
 
     @classmethod
     def monomial(cls, degree: int, order: int, coefficient: int = 1) -> "TruncatedSeries":
@@ -116,18 +114,6 @@ class TruncatedSeries(Record):
     def scale(self, factor: int) -> "TruncatedSeries":
         return TruncatedSeries(tuple(factor * c for c in self.coefficients), self.order)
 
-    def invert_unit(self) -> "TruncatedSeries":
-        c0 = self.coefficients[0]
-        if c0 not in (1, -1):
-            raise ValueError("only series with constant term +-1 are invertible here")
-        inv = [c0] + [0] * (self.order - 1)
-        for k in range(1, self.order):
-            acc = 0
-            for j in range(1, k + 1):
-                acc += self.coefficients[j] * inv[k - j]
-            inv[k] = -c0 * acc
-        return TruncatedSeries(tuple(inv), self.order)
-
     def __str__(self) -> str:
         pieces = []
         for k, c in enumerate(self.coefficients):
@@ -153,15 +139,13 @@ class IndexEntry(Record):
     codim_bound: int
 
 
-def kirwan_index_set(
-    weights: Sequence[int], bound_base: int = STRATIFICATION_BOUND_BASE
-) -> Tuple[IndexEntry, ...]:
+def kirwan_index_set(weights: Sequence[int]) -> Tuple[IndexEntry, ...]:
     """Nonzero stratification indices for a one-parameter torus action.
 
     Candidates are the points closest to 0 of convex hulls of one-sided
     weight subsets; for each, r counts the weights alpha with
     alpha*beta >= |beta|^2 and the stratum codimension is bounded below by
-    bound_base - r.
+    STRATIFICATION_BOUND_BASE - r.
     """
     candidates = set()
     ws = tuple(weights)
@@ -175,7 +159,8 @@ def kirwan_index_set(
     entries = []
     for beta in sorted(candidates):
         r = sum(1 for alpha in ws if alpha * beta >= beta * beta)
-        entries.append(IndexEntry(beta=beta, label=beta // 2, r=r, codim_bound=bound_base - r))
+        bound = STRATIFICATION_BOUND_BASE - r
+        entries.append(IndexEntry(beta=beta, label=beta // 2, r=r, codim_bound=bound))
     return tuple(entries)
 
 
@@ -215,7 +200,7 @@ def normalizer_invariants_series(order: int) -> TruncatedSeries:
 def slice_normal_weights() -> Tuple[int, ...]:
     """Weights on the normal slice: all degree-8 weights minus the orbit tangent."""
     full = list(torus_monomial_weights(8))
-    slice_data = luna_slice_basis(8)
+    slice_data = luna_slice_basis()
     for w in slice_data.tangent_weights:
         full.remove(w)
     assert sorted(full) == sorted(slice_data.weights)
@@ -244,10 +229,6 @@ class BettiTable(Record):
 
     even: Tuple[int, ...]
 
-    @property
-    def complex_dimension(self) -> int:
-        return len(self.even) - 1
-
     def is_palindromic(self) -> bool:
         return self.even == tuple(reversed(self.even))
 
@@ -268,8 +249,9 @@ def extend_by_duality(partial: Sequence[int], complex_dim: int) -> BettiTable:
     return table
 
 
-def kirwan_betti(order: int = 6) -> BettiTable:
+def kirwan_betti() -> BettiTable:
     """Betti table of the blown-up quotient via the stratification route."""
+    order = TRUNCATION_ORDER
     series = semistable_series(8, order) + main_correction(
         normalizer_invariants_series(order), SLICE_CODIMENSION, order
     )

@@ -31,10 +31,10 @@ from .poly import (
     squarefree_part,
 )
 from .record import Record
-from .stability import luna_slice_basis, stabilizer_c44
+from .stability import COMPONENT_GROUP_ORDER, luna_slice_basis
 
 SLICE_VARIABLES = ("alpha0", "alpha1", "beta0", "beta1", "gamma0", "gamma1")
-PROJECTIVE_WEIGHTS = luna_slice_basis(8).weights
+PROJECTIVE_WEIGHTS = luna_slice_basis().weights
 SLICE_WEIGHTS: Dict[str, int] = dict(zip(SLICE_VARIABLES, PROJECTIVE_WEIGHTS))
 PROJECTIVE_COORDINATES = ("S0", "S1", "T0", "T1", "U0", "U1")
 
@@ -48,8 +48,6 @@ _CHART_COORDINATE = {
 }
 _CHART_UNIT = {"P": "alpha0", "Q": "beta0", "R": "gamma0"}
 _RESIDUAL = {"P": "s1", "Q": "t1", "R": "u1"}
-
-COMPONENT_GROUP_ORDER = stabilizer_c44().component_group_order
 
 
 class PositiveDimensionalStabilizerError(ValueError):

@@ -161,7 +161,7 @@ def suite_stability() -> List[CheckResult]:
         )
     )
 
-    luna = stability.luna_slice_basis(8)
+    luna = stability.luna_slice_basis()
     partition_ok = sorted(luna.weights + luna.tangent_weights) == sorted(weights)
     out.append(
         _check(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from typing import Optional, Sequence
@@ -173,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    created = bool(args.out) and not os.path.exists(args.out)
     try:
         # open --out before any work, so that an unwritable path fails at once,
         # but empty it only once there is output: malformed input leaves it as it was
@@ -183,6 +185,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 handle.truncate(0)
             handle.write(text + "\n")
     except (InputError, OSError) as exc:
+        if created and isinstance(exc, InputError):
+            os.remove(args.out)  # malformed input leaves no new file behind
         parser.exit(2, f"modpoints: error: {exc}\n")
     if args.command != "run" or checks.report_passed(payload):
         return 0

@@ -3,13 +3,12 @@
 Vectors are integers 0..63; bit i holds coordinate i+1, so the hyperbolic
 pairs are bits (0,1), (2,3), (4,5) and q(v) = v1*v2 + v3*v4 + v5*v6.
 Censuses by q-value, orthogonal complements of isotropic vectors and the
-28 transvections attached to non-isotropic vectors live here, with two
-independent routes to the orthogonal group they generate (order 40320):
-a deterministic Schreier-Sims stabilizer chain, which gives the group
-order, Stab(h) and its orbits from a few dozen permutations, and the
-breadth-first closure listing all 40320 elements, kept as the oracle the
-tests check the chain against.  Group elements are permutations of the 64
-vectors stored as bytes, so composition is one ``bytes.translate``.
+28 transvections attached to non-isotropic vectors live here.  The
+orthogonal group they generate (order 40320) is read from a deterministic
+Schreier-Sims stabilizer chain, which gives the group order, Stab(h) and
+its orbits from a few dozen permutations without listing the group.
+Group elements are permutations of the 64 vectors stored as bytes, so
+composition is one ``bytes.translate``.
 """
 
 from __future__ import annotations
@@ -25,10 +24,6 @@ SIZE = 64
 
 IDENTITY = bytes(range(SIZE))
 _PAD = bytes(256 - SIZE)  # fills a permutation out to a translate table
-
-
-class ClosureOverflowError(RuntimeError):
-    """Breadth-first closure grew past the safety bound."""
 
 
 _Q = bytes(
@@ -50,27 +45,18 @@ def b(u: int, v: int) -> int:
     return q(u ^ v) ^ q(u) ^ q(v)
 
 
-def q_planes(v: int, planes: int) -> int:
-    """q on the first ``planes`` hyperbolic planes (desk-sized variants)."""
-    total = 0
-    for i in range(planes):
-        total ^= (v >> (2 * i)) & (v >> (2 * i + 1)) & 1
-    return total
-
-
-def census(planes: int = 3) -> Tuple[int, int, int]:
-    """(zero, isotropic nonzero, non-isotropic) counts, by enumeration."""
-    size = 1 << (2 * planes)
-    isotropic = sum(1 for v in range(1, size) if q_planes(v, planes) == 0)
-    return 1, isotropic, size - 1 - isotropic
-
-
 def isotropic_vectors() -> Tuple[int, ...]:
     return tuple(v for v in range(1, SIZE) if q(v) == 0)
 
 
 def nonisotropic_vectors() -> Tuple[int, ...]:
     return tuple(v for v in range(1, SIZE) if q(v) == 1)
+
+
+def census() -> Tuple[int, int, int]:
+    """(zero, isotropic nonzero, non-isotropic) counts, by enumeration."""
+    isotropic = len(isotropic_vectors())
+    return 1, isotropic, SIZE - 1 - isotropic
 
 
 def perp_census(h: int) -> Tuple[int, int]:
@@ -110,17 +96,6 @@ class Isometry(Record):
     def __call__(self, v: int) -> int:
         return self.perm[v]
 
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other."""
-        return Isometry(_compose(self.perm, other.perm))
-
-    def is_linear(self) -> bool:
-        # splitting off the lowest set bit, by induction on the number of bits
-        perm = self.perm
-        return perm[0] == 0 and all(
-            perm[v] == perm[v & -v] ^ perm[v & (v - 1)] for v in range(1, SIZE)
-        )
-
     def preserves_form(self) -> bool:
         return all(q(self.perm[v]) == q(v) for v in range(SIZE))
 
@@ -148,47 +123,9 @@ def reflections() -> Tuple[bytes, ...]:
     return tuple(reflection(v).perm for v in nonisotropic_vectors())
 
 
-class OrthogonalGroup(Record):
-    elements: Tuple[bytes, ...]
-    generators: Tuple[bytes, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-@lru_cache(maxsize=1)
-def generate_group(max_elements: int = 10 ** 6) -> OrthogonalGroup:
-    """Breadth-first closure of the 28 reflections.
-
-    Generator order is fixed (ascending vector index) so element numbering
-    is reproducible run to run.  The check suites read the group from
-    ``stabilizer_chain``; this enumeration is the independent route the
-    tests compare it with.
-    """
-    generators = reflections()
-    seen = {IDENTITY}
-    order: List[bytes] = [IDENTITY]
-    frontier = [IDENTITY]
-    while frontier:
-        next_frontier = []
-        for element in frontier:
-            for gen in generators:
-                candidate = _compose(element, gen)
-                if candidate not in seen:
-                    seen.add(candidate)
-                    order.append(candidate)
-                    next_frontier.append(candidate)
-                    if len(order) > max_elements:
-                        raise ClosureOverflowError(
-                            f"closure exceeded {max_elements} elements"
-                        )
-        frontier = next_frontier
-    return OrthogonalGroup(tuple(order), generators)
-
-
-def orbit(v: int, generators: Iterable[bytes] | None = None) -> frozenset:
-    gens = tuple(generators) if generators is not None else reflections()
+def orbit(v: int) -> frozenset:
+    """The orbit of v under the 28 reflections."""
+    gens = reflections()
     seen = {v}
     frontier = [v]
     while frontier:
@@ -201,12 +138,6 @@ def orbit(v: int, generators: Iterable[bytes] | None = None) -> frozenset:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
-
-
-def stabilizer(h: int) -> Tuple[bytes, ...]:
-    """Stab(h) by filtering the enumerated group: the oracle for the chain."""
-    group = generate_group()
-    return tuple(p for p in group.elements if p[h] == h)
 
 
 def _transversal(point: int, generators: Sequence[bytes]) -> Dict[int, bytes]:
@@ -367,8 +298,3 @@ def stab_orbit_summary(h: int) -> Dict[str, int]:
         "nonisotropic_orbits": len(orbits_under(chain.generators[1], noniso_perp)),
         "stabilizer_order": math.prod(chain.orbit_sizes[1:]),
     }
-
-
-def stab_transitive_on_perp(h: int) -> bool:
-    """Does Stab(h) act transitively on the non-isotropic part of h-perp?"""
-    return stab_orbit_summary(h)["nonisotropic_orbits"] == 1

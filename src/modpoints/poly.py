@@ -19,7 +19,6 @@ resultant.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from operator import add
 from typing import Dict, Mapping, Sequence, Tuple, Union
@@ -307,78 +306,6 @@ def _trusted(variables: Tuple[str, ...], terms: Mapping[Exponent, Scalar]) -> Mu
 
 def variables(*names: str) -> Tuple[MultiPoly, ...]:
     return tuple(MultiPoly.variable(n) for n in names)
-
-
-# ----------------------------------------------------------------------
-# parsing
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<coeff>\d+(?:/\d+)?)|(?P<var>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?|(?P<mul>\*))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
-        pos = m.end()
-        if m.group("sign"):
-            tokens.append(("sign", m.group("sign")))
-        elif m.group("coeff"):
-            tokens.append(("coeff", Fraction(m.group("coeff"))))
-        elif m.group("var"):
-            tokens.append(("var", m.group("var"), int(m.group("exp") or 1)))
-        else:
-            tokens.append(("mul",))
-    return tokens
-
-
-def parse_poly(text: str) -> MultiPoly:
-    """Parse ``[sign] term (sign term)*`` with terms ``coeff ('*' var^e)*``."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty input")
-    result = MultiPoly.zero()
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        if tokens[i][0] == "sign":
-            sign = -1 if tokens[i][1] == "-" else 1
-            i += 1
-        elif not first:
-            raise ValueError("terms must be separated by + or -")
-        if i >= len(tokens):
-            raise ValueError("dangling sign")
-        coeff = Fraction(1)
-        factors: Dict[str, int] = {}
-        kind = tokens[i][0]
-        if kind == "coeff":
-            coeff = tokens[i][1]
-            i += 1
-        elif kind == "var":
-            factors[tokens[i][1]] = tokens[i][2]
-            i += 1
-        else:
-            raise ValueError("a term must start with a coefficient or a variable")
-        while i < len(tokens) and tokens[i][0] == "mul":
-            i += 1
-            if i >= len(tokens) or tokens[i][0] != "var":
-                raise ValueError("'*' must be followed by a variable")
-            name, e = tokens[i][1], tokens[i][2]
-            factors[name] = factors.get(name, 0) + e
-            i += 1
-        term = MultiPoly.constant(sign * coeff)
-        for name, e in factors.items():
-            term = term * MultiPoly.variable(name) ** e
-        result = result + term
-        first = False
-    return result
 
 
 # ----------------------------------------------------------------------

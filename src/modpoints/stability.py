@@ -6,7 +6,7 @@ SL2 action with the symmetric linearization depends only on the largest
 multiplicity, so no point coordinates are stored.  The module also carries
 the weight bookkeeping at the doubly-fourfold configuration: torus weights
 on degree-N monomials, the six-dimensional normal slice at x0^4*x1^4 and
-its weights, and the stabilizer data of that point.
+its weights, and the component group of that point's stabilizer.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from .record import Record
 STABLE = "stable"
 STRICTLY_SEMISTABLE = "strictly_semistable"
 UNSTABLE = "unstable"
+
+# The stabilizer of x0^4*x1^4 is a one-dimensional torus extended by the
+# swap of the two points, so its component group has order 2.
+COMPONENT_GROUP_ORDER = 2
 
 
 class PointConfig(Record):
@@ -97,33 +101,15 @@ class LunaSlice(Record):
         return len(self.monomials)
 
 
-def luna_slice_basis(n: int = 8) -> LunaSlice:
+def luna_slice_basis() -> LunaSlice:
     """The six slice monomials with weights (8,-8,6,-6,4,-4).
 
     The orbit tangent directions carry weights {0, 2, -2}; together with
     the slice they exhaust the weight multiset of all degree-8 monomials,
     the single weight-0 entry being the point itself.
     """
-    if n != 8:
-        raise ValueError("the slice is only set up for 8 points")
     monomials = ("x0^8", "x1^8", "x0^7*x1", "x0*x1^7", "x0^6*x1^2", "x0^2*x1^6")
     weights = (8, -8, 6, -6, 4, -4)
     tangent = (0, 2, -2)
     return LunaSlice(monomials, weights, tangent)
 
-
-class StabilizerData(Record):
-    """Stabilizer of the doubly-fourfold point: a torus extended by a swap."""
-
-    identity_component: str
-    component_group_order: int
-
-    def diag_weight_on_monomial(self, i: int, n: int = 8) -> int:
-        """Weight of the coefficient of x0^(n-i)*x1^i under diag(l, 1/l)."""
-        if not 0 <= i <= n:
-            raise ValueError("monomial index out of range")
-        return n - 2 * i
-
-
-def stabilizer_c44() -> StabilizerData:
-    return StabilizerData(identity_component="one-dimensional torus", component_group_order=2)

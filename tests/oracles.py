@@ -1,11 +1,37 @@
 """Reference implementations the tests check the program against.
 
-The resultant oracle is the determinant of the Sylvester matrix, evaluated
-by fraction-free Bareiss elimination: a route independent of the
-subresultant remainder sequence that ``modpoints.poly.resultant`` follows.
+Each oracle is a second route to a quantity that ``modpoints`` computes
+another way, or a helper only the tests need:
+
+- ``bareiss_resultant``: the determinant of the Sylvester matrix by
+  fraction-free Bareiss elimination, against the subresultant remainder
+  sequence that ``modpoints.poly.resultant`` follows;
+- ``generate_group`` and ``stabilizer``: the breadth-first closure of the
+  28 reflections, all 40320 elements, and Stab(h) filtered from it, against
+  the Schreier-Sims chain of ``modpoints.fqspace.stabilizer_chain`` and the
+  orders and orbits ``stab_orbit_summary`` reads from it; ``is_linear``
+  checks the enumerated elements, and ``compose`` multiplies permutations
+  without the ``bytes.translate`` of ``fqspace``;
+- ``q_planes`` and ``plane_census``: the form and its census on the first
+  1, 2 or 3 hyperbolic planes, against the table ``modpoints.fqspace.q``
+  and ``fqspace.census``;
+- ``invert_unit``: the inverse of a truncated series with constant term
+  +-1, term by term; 1/(1 - t^2) times 1/(1 - t^4) is a second route to
+  the series ``modpoints.betti.semistable_series`` builds from
+  ``projective_space`` and ``geometric``;
+- ``parse_poly``: reads the canonical printing of ``MultiPoly`` back, so
+  tests can write polynomials as text and check that printing round-trips.
 """
 
+import re
+from fractions import Fraction
+from functools import lru_cache
+from typing import Dict, List, Tuple
+
+from modpoints.betti import TruncatedSeries
+from modpoints.fqspace import IDENTITY, SIZE, _compose, reflections
 from modpoints.poly import MultiPoly, _univariate_coefficients, try_divide
+from modpoints.record import Record
 
 
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str) -> list:
@@ -60,3 +86,168 @@ def bareiss_resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
             matrix[i][k] = MultiPoly.zero()
         previous = matrix[k][k]
     return sign * matrix[size - 1][size - 1]
+
+
+# ----------------------------------------------------------------------
+# the orthogonal group of the GF(2) space, by enumeration
+
+class ClosureOverflowError(RuntimeError):
+    """Breadth-first closure grew past the safety bound."""
+
+
+class OrthogonalGroup(Record):
+    elements: Tuple[bytes, ...]
+    generators: Tuple[bytes, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+@lru_cache(maxsize=1)
+def generate_group(max_elements: int = 10 ** 6) -> OrthogonalGroup:
+    """Breadth-first closure of the 28 reflections.
+
+    Generator order is fixed (ascending vector index) so element numbering
+    is reproducible run to run.  Built once per test session.
+    """
+    generators = reflections()
+    seen = {IDENTITY}
+    order: List[bytes] = [IDENTITY]
+    frontier = [IDENTITY]
+    while frontier:
+        next_frontier = []
+        for element in frontier:
+            for gen in generators:
+                candidate = _compose(element, gen)
+                if candidate not in seen:
+                    seen.add(candidate)
+                    order.append(candidate)
+                    next_frontier.append(candidate)
+                    if len(order) > max_elements:
+                        raise ClosureOverflowError(
+                            f"closure exceeded {max_elements} elements"
+                        )
+        frontier = next_frontier
+    return OrthogonalGroup(tuple(order), generators)
+
+
+def stabilizer(h: int) -> Tuple[bytes, ...]:
+    """Stab(h) by filtering the enumerated group."""
+    return tuple(p for p in generate_group().elements if p[h] == h)
+
+
+def compose(p: bytes, g: bytes) -> bytes:
+    """p after g, the permutation v -> p[g[v]], one vector at a time."""
+    return bytes(p[v] for v in g)
+
+
+def is_linear(perm: bytes) -> bool:
+    # splitting off the lowest set bit, by induction on the number of bits
+    return perm[0] == 0 and all(
+        perm[v] == perm[v & -v] ^ perm[v & (v - 1)] for v in range(1, SIZE)
+    )
+
+
+def q_planes(v: int, planes: int) -> int:
+    """q on the first ``planes`` hyperbolic planes."""
+    total = 0
+    for i in range(planes):
+        total ^= (v >> (2 * i)) & (v >> (2 * i + 1)) & 1
+    return total
+
+
+def plane_census(planes: int) -> Tuple[int, int, int]:
+    """(zero, isotropic nonzero, non-isotropic) counts on ``planes`` planes."""
+    size = 1 << (2 * planes)
+    isotropic = sum(1 for v in range(1, size) if q_planes(v, planes) == 0)
+    return 1, isotropic, size - 1 - isotropic
+
+
+# ----------------------------------------------------------------------
+# truncated series
+
+def invert_unit(series: TruncatedSeries) -> TruncatedSeries:
+    """The inverse of a series with constant term +-1, modulo the same power of t."""
+    c0 = series.coefficients[0]
+    if c0 not in (1, -1):
+        raise ValueError("only series with constant term +-1 are invertible here")
+    inv = [c0] + [0] * (series.order - 1)
+    for k in range(1, series.order):
+        acc = 0
+        for j in range(1, k + 1):
+            acc += series.coefficients[j] * inv[k - j]
+        inv[k] = -c0 * acc
+    return TruncatedSeries(tuple(inv), series.order)
+
+
+# ----------------------------------------------------------------------
+# parsing polynomials
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<sign>[+-])|(?P<coeff>\d+(?:/\d+)?)|(?P<var>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?|(?P<mul>\*))"
+)
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip() == "":
+                break
+            raise ValueError(f"cannot parse polynomial at: {text[pos:]!r}")
+        pos = m.end()
+        if m.group("sign"):
+            tokens.append(("sign", m.group("sign")))
+        elif m.group("coeff"):
+            tokens.append(("coeff", Fraction(m.group("coeff"))))
+        elif m.group("var"):
+            tokens.append(("var", m.group("var"), int(m.group("exp") or 1)))
+        else:
+            tokens.append(("mul",))
+    return tokens
+
+
+def parse_poly(text: str) -> MultiPoly:
+    """Parse ``[sign] term (sign term)*`` with terms ``coeff ('*' var^e)*``."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ValueError("empty input")
+    result = MultiPoly.zero()
+    i = 0
+    first = True
+    while i < len(tokens):
+        sign = 1
+        if tokens[i][0] == "sign":
+            sign = -1 if tokens[i][1] == "-" else 1
+            i += 1
+        elif not first:
+            raise ValueError("terms must be separated by + or -")
+        if i >= len(tokens):
+            raise ValueError("dangling sign")
+        coeff = Fraction(1)
+        factors: Dict[str, int] = {}
+        kind = tokens[i][0]
+        if kind == "coeff":
+            coeff = tokens[i][1]
+            i += 1
+        elif kind == "var":
+            factors[tokens[i][1]] = tokens[i][2]
+            i += 1
+        else:
+            raise ValueError("a term must start with a coefficient or a variable")
+        while i < len(tokens) and tokens[i][0] == "mul":
+            i += 1
+            if i >= len(tokens) or tokens[i][0] != "var":
+                raise ValueError("'*' must be followed by a variable")
+            name, e = tokens[i][1], tokens[i][2]
+            factors[name] = factors.get(name, 0) + e
+            i += 1
+        term = MultiPoly.constant(sign * coeff)
+        for name, e in factors.items():
+            term = term * MultiPoly.variable(name) ** e
+        result = result + term
+        first = False
+    return result

@@ -18,7 +18,9 @@ from modpoints.blowup import (
     stabilizer_order,
     unstable_supports,
 )
-from modpoints.poly import MultiPoly, parse_poly, variables
+from modpoints.poly import MultiPoly, variables
+
+from oracles import parse_poly
 
 
 def test_chart_names():

@@ -188,6 +188,12 @@ def test_malformed_input_leaves_existing_out_file_as_it_was(argv, tmp_path):
         main([*argv, "--out", str(target)])
     assert info.value.code == 2
     assert target.read_bytes() == b"earlier output\n" * 100
+    # and a path that did not exist still does not
+    fresh = tmp_path / "new.json"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(fresh)])
+    assert info.value.code == 2
+    assert not fresh.exists()
     # a run that has output replaces the whole file, however long it was
     assert main(["stability", "--config", "4,4", "--out", str(target)]) == 0
     assert target.read_text() == (GOLDEN / "stability_config_4_4.json").read_text()
@@ -215,13 +221,11 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(fqspace, "generate_group")
-    count(fqspace, "stabilizer")
     count(fqspace, "orbits_under")
     count(stability, "classify")
     fqspace.stabilizer_chain.cache_clear()
     checks.run_report(list(checks.SUITE_NAMES))
-    assert calls == {"generate_group": 0, "stabilizer": 0, "orbits_under": 2, "classify": 130}
+    assert calls == {"orbits_under": 2, "classify": 130}
     assert fqspace.stabilizer_chain.cache_info().misses == 1  # one chain build
 
 

@@ -16,7 +16,6 @@ from modpoints.poly import (
     extract_exceptional,
     is_squarefree,
     normalize,
-    parse_poly,
     poly_gcd,
     resultant,
     squarefree_part,
@@ -24,7 +23,7 @@ from modpoints.poly import (
     variables,
 )
 
-from oracles import bareiss_resultant, sylvester_matrix
+from oracles import bareiss_resultant, parse_poly, sylvester_matrix
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from modpoints.stability import (
     classify,
     luna_slice_basis,
     partitions,
-    stabilizer_c44,
     torus_monomial_weights,
 )
 
@@ -86,7 +85,7 @@ def test_torus_weights():
 
 
 def test_luna_slice_basis():
-    slice_data = luna_slice_basis(8)
+    slice_data = luna_slice_basis()
     assert slice_data.dimension == 6
     assert slice_data.monomials == (
         "x0^8",
@@ -101,19 +100,7 @@ def test_luna_slice_basis():
 
 
 def test_slice_and_tangent_weights_partition_the_monomial_weights():
-    slice_data = luna_slice_basis(8)
+    slice_data = luna_slice_basis()
     combined = sorted(slice_data.weights + slice_data.tangent_weights)
     assert combined == sorted(torus_monomial_weights(8))
 
-
-def test_luna_slice_only_for_eight_points():
-    with pytest.raises(ValueError):
-        luna_slice_basis(6)
-
-
-def test_stabilizer_data():
-    data = stabilizer_c44()
-    assert data.component_group_order == 2
-    weights = [data.diag_weight_on_monomial(i) for i in range(9)]
-    assert sorted(weights) == sorted(torus_monomial_weights(8))
-    assert data.diag_weight_on_monomial(4) == 0
