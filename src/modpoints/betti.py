@@ -93,12 +93,6 @@ class TruncatedSeries(Record):
             tuple(x + y for x, y in zip(a.coefficients, b.coefficients)), a.order
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = self._aligned(other)
-        return TruncatedSeries(
-            tuple(x - y for x, y in zip(a.coefficients, b.coefficients)), a.order
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         a, b = self._aligned(other)
         out = [0] * a.order
@@ -110,9 +104,6 @@ class TruncatedSeries(Record):
                 if y:
                     out[i + j] += x * y
         return TruncatedSeries(tuple(out), a.order)
-
-    def scale(self, factor: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(factor * c for c in self.coefficients), self.order)
 
     def __str__(self) -> str:
         pieces = []

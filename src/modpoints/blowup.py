@@ -47,6 +47,7 @@ _CHART_COORDINATE = {
     "gamma1": "u1",
 }
 _CHART_UNIT = {"P": "alpha0", "Q": "beta0", "R": "gamma0"}
+CHART_NAMES = tuple(_CHART_UNIT)
 _RESIDUAL = {"P": "s1", "Q": "t1", "R": "u1"}
 
 
@@ -69,7 +70,7 @@ class Chart(Record):
 
 def chart(name: str) -> Chart:
     if name not in _CHART_UNIT:
-        raise ValueError(f"unknown chart {name!r}; expected one of P, Q, R")
+        raise ValueError(f"unknown chart {name!r}; expected one of {', '.join(CHART_NAMES)}")
     unit = _CHART_UNIT[name]
     exceptional = MultiPoly.variable(unit)
     substitution: Dict[str, MultiPoly] = {}
@@ -124,14 +125,14 @@ class FactorReport(Record):
     multiplicity: int
     strict_transform: MultiPoly
     restriction: MultiPoly
-    is_constant: bool
+    constant: bool
     offending: Tuple[str, ...]
     residual_form: MultiPoly
 
 
 class TransversalityReport(Record):
     chart: str
-    multiplicity: int
+    exceptional_multiplicity: int
     restriction: MultiPoly
     squarefree: bool
     offending: Tuple[str, ...]
@@ -141,22 +142,18 @@ class TransversalityReport(Record):
 def _factor_report(ch: Chart, factor: MultiPoly) -> FactorReport:
     pulled = factor.substitute(ch.substitution)
     multiplicity, strict = extract_exceptional(pulled, ch.exceptional)
-    hyperplane = {v: MultiPoly.variable(v) for v in strict.occurring_variables()}
-    hyperplane[ch.exceptional] = MultiPoly.zero()
-    restriction = strict.substitute(hyperplane)
+    restriction = strict.specialize(ch.exceptional, 0)
     # The residual normalization (residual coordinate = 1) is only a valid
     # chart off that coordinate's zero locus, so verdicts are read off the
     # unnormalized restriction and the normalized form is kept for display.
-    residual_map = {v: MultiPoly.variable(v) for v in strict.occurring_variables()}
-    residual_map[ch.residual] = MultiPoly.constant(1)
-    residual_form = strict.substitute(residual_map)
+    residual_form = strict.specialize(ch.residual, 1)
     constant = restriction.is_constant
     offending = () if constant else tuple(_offending_factors(restriction))
     return FactorReport(
         multiplicity=multiplicity,
         strict_transform=strict,
         restriction=restriction,
-        is_constant=constant,
+        constant=constant,
         offending=offending,
         residual_form=residual_form,
     )
@@ -175,7 +172,7 @@ def discriminant_pullback(ch: Chart) -> TransversalityReport:
         squarefree = not offending
     return TransversalityReport(
         chart=ch.name,
-        multiplicity=multiplicity,
+        exceptional_multiplicity=multiplicity,
         restriction=restriction,
         squarefree=squarefree,
         offending=offending,
@@ -267,7 +264,7 @@ def scan_stabilizers() -> StabilizerScan:
     """
     per_chart: Dict[str, Tuple[Tuple[Tuple[str, ...], int], ...]] = {}
     torus_orders = set()
-    for name in ("P", "Q", "R"):
+    for name in CHART_NAMES:
         ch = chart(name)
         rows = []
         for support in _admissible_supports(ch):
@@ -321,9 +318,7 @@ def _restricts_transversally(hyperplane_var: str, divisor: MultiPoly) -> bool:
     The divisor meets (v = 0) generically transversally exactly when its
     restriction to the hyperplane is nonzero and squarefree.
     """
-    mapping = {v: MultiPoly.variable(v) for v in divisor.occurring_variables()}
-    mapping[hyperplane_var] = MultiPoly.zero()
-    restricted = divisor.substitute(mapping)
+    restricted = divisor.specialize(hyperplane_var, 0)
     if restricted.is_zero:
         return False
     if restricted.is_constant:

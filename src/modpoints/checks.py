@@ -19,7 +19,6 @@ from .poly import MultiPoly, variables
 from .record import Record
 
 SCHEMA_VERSION = "1"
-SUITE_NAMES = ("stability", "fq", "slice", "betti", "picard")
 
 
 class CheckResult(Record):
@@ -74,14 +73,13 @@ def group_summary(stab: Dict[str, int]) -> Dict:
 
     The order comes from the stabilizer chain based at the first isotropic
     vector, the chain ``stab_orbit_summary`` reads for that vector; the
-    orbits are those of the 28 reflections.
+    orbits are those of the 28 reflections on the nonzero vectors, each
+    named by the value of q on it.
     """
+    orbits = fqspace.orbits_under(fqspace.reflections(), range(1, fqspace.SIZE))
     return {
         "order": fqspace.stabilizer_chain(fqspace.isotropic_vectors()[0]).order,
-        "orbit_sizes": {
-            "isotropic": len(fqspace.orbit(fqspace.isotropic_vectors()[0])),
-            "nonisotropic": len(fqspace.orbit(fqspace.nonisotropic_vectors()[0])),
-        },
+        "orbit_sizes": {("isotropic", "nonisotropic")[fqspace.q(min(o))]: len(o) for o in orbits},
         "stab_order": stab["stabilizer_order"],
     }
 
@@ -137,10 +135,9 @@ def suite_stability() -> List[CheckResult]:
     )
 
     odd_ok = all(
-        stability.classify(stability.PointConfig.from_parts(parts)).status
-        != stability.STRICTLY_SEMISTABLE
+        verdict.status != stability.STRICTLY_SEMISTABLE
         for n in (5, 7, 9, 11)
-        for parts in stability.partitions(n)
+        for verdict in verdict_table(n).values()
     )
     out.append(
         _check(
@@ -238,7 +235,7 @@ def suite_slice() -> List[CheckResult]:
     }
     weights_payload = {}
     weights_ok = True
-    for name in ("P", "Q", "R"):
+    for name in blowup.CHART_NAMES:
         ch = blowup.chart(name)
         weights_payload[name] = dict(ch.weights)
         weights_ok &= dict(ch.weights) == expected_weights[name]
@@ -260,13 +257,13 @@ def suite_slice() -> List[CheckResult]:
         )
     )
 
-    reports = {name: blowup.discriminant_pullback(blowup.chart(name)) for name in "PQR"}
+    reports = {name: blowup.discriminant_pullback(blowup.chart(name)) for name in blowup.CHART_NAMES}
     out.append(
         _check(
             "slice.multiplicity",
             "exceptional multiplicity 6 in every chart",
-            all(r.multiplicity == 6 for r in reports.values()),
-            {name: r.multiplicity for name, r in reports.items()},
+            all(r.exceptional_multiplicity == 6 for r in reports.values()),
+            {name: r.exceptional_multiplicity for name, r in reports.items()},
         )
     )
 
@@ -275,7 +272,7 @@ def suite_slice() -> List[CheckResult]:
         and not reports["P"].squarefree
         and set(reports["Q"].offending) == {"u0", "u1"}
         and not reports["Q"].squarefree
-        and reports["R"].factors[0].is_constant
+        and reports["R"].factors[0].constant
         and set(reports["R"].offending) == {"u1"}
         and not reports["R"].squarefree
     )
@@ -289,7 +286,7 @@ def suite_slice() -> List[CheckResult]:
                     "restriction": r.restriction,
                     "squarefree": r.squarefree,
                     "offending": r.offending,
-                    "factor_constant": [f.is_constant for f in r.factors],
+                    "factor_constant": [f.constant for f in r.factors],
                 }
                 for name, r in reports.items()
             },
@@ -348,7 +345,8 @@ def suite_slice() -> List[CheckResult]:
 def suite_betti() -> List[CheckResult]:
     out: List[CheckResult] = []
 
-    ss = betti.semistable_series(8, 6)
+    order = betti.TRUNCATION_ORDER
+    ss = betti.semistable_series(8, order)
     out.append(
         _check(
             "betti.semistable",
@@ -358,7 +356,9 @@ def suite_betti() -> List[CheckResult]:
         )
     )
 
-    main = betti.main_correction(betti.normalizer_invariants_series(6), 6, 6)
+    main = betti.main_correction(
+        betti.normalizer_invariants_series(order), betti.SLICE_CODIMENSION, order
+    )
     out.append(
         _check(
             "betti.main_correction",
@@ -457,13 +457,9 @@ def suite_picard() -> List[CheckResult]:
         _check(
             "picard.intersections",
             "T_i^5 = 6, T_ord^5 = 210, T^5 = 1/192",
-            (numbers.component_power, numbers.ordered_power, numbers.unordered_power)
+            (numbers.component, numbers.ordered, numbers.unordered)
             == (Fraction(6), Fraction(210), Fraction(1, 192)),
-            {
-                "component": numbers.component_power,
-                "ordered": numbers.ordered_power,
-                "unordered": numbers.unordered_power,
-            },
+            numbers,
         )
     )
 
@@ -491,7 +487,7 @@ def suite_picard() -> List[CheckResult]:
         )
     )
 
-    chart_multiplicity = blowup.discriminant_pullback(blowup.chart("P")).multiplicity
+    chart_multiplicity = blowup.discriminant_pullback(blowup.chart("P")).exceptional_multiplicity
     coefficient = picard.exceptional_pullback_coefficient()
     out.append(
         _check(
@@ -511,6 +507,7 @@ SUITES: Dict[str, Callable[[], List[CheckResult]]] = {
     "betti": suite_betti,
     "picard": suite_picard,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def _run_suite(name: str) -> List[CheckResult]:

@@ -62,31 +62,10 @@ def _cmd_fq(args) -> dict:
     return checks.group_summary(fqspace.stab_orbit_summary(fqspace.isotropic_vectors()[0]))
 
 
-def _chart_payload(report: blowup.TransversalityReport) -> dict:
-    return {
-        "chart": report.chart,
-        "exceptional_multiplicity": report.multiplicity,
-        "restriction": report.restriction,
-        "squarefree": report.squarefree,
-        "offending": report.offending,
-        "factors": [
-            {
-                "multiplicity": f.multiplicity,
-                "strict_transform": f.strict_transform,
-                "restriction": f.restriction,
-                "constant": f.is_constant,
-                "offending": f.offending,
-                "residual_form": f.residual_form,
-            }
-            for f in report.factors
-        ],
-    }
-
-
 def _cmd_slice(args):
     if args.action == "transversality":
-        names = ["P", "Q", "R"] if args.chart == "all" else [args.chart]
-        return [_chart_payload(blowup.discriminant_pullback(blowup.chart(name))) for name in names]
+        names = blowup.CHART_NAMES if args.chart == "all" else (args.chart,)
+        return [blowup.discriminant_pullback(blowup.chart(name)) for name in names]
     scan = blowup.scan_stabilizers()
     per_chart = {
         name: [{"support": support, "order": order} for support, order in rows]
@@ -111,9 +90,9 @@ def _cmd_picard(args):
     if args.action == "intersections":
         numbers = picard.top_self_intersections()
         return {
-            "T_i^5": numbers.component_power,
-            "T_ord^5": numbers.ordered_power,
-            "T^5": numbers.unordered_power,
+            "T_i^5": numbers.component,
+            "T_ord^5": numbers.ordered,
+            "T^5": numbers.unordered,
         }
     return checks.obstruction()
 
@@ -154,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slc = actions("slice", "blow-up charts of the normal slice")
     trans = leaf(slc, "transversality", _cmd_slice)
-    trans.add_argument("--chart", choices=("P", "Q", "R", "all"), default="all")
+    trans.add_argument("--chart", choices=blowup.CHART_NAMES + ("all",), default="all")
     leaf(slc, "stabilizers", _cmd_slice)
 
     bt = actions("betti", "Betti tables")

@@ -3,12 +3,12 @@
 Vectors are integers 0..63; bit i holds coordinate i+1, so the hyperbolic
 pairs are bits (0,1), (2,3), (4,5) and q(v) = v1*v2 + v3*v4 + v5*v6.
 Censuses by q-value, orthogonal complements of isotropic vectors and the
-28 transvections attached to non-isotropic vectors live here.  The
-orthogonal group they generate (order 40320) is read from a deterministic
-Schreier-Sims stabilizer chain, which gives the group order, Stab(h) and
-its orbits from a few dozen permutations without listing the group.
-Group elements are permutations of the 64 vectors stored as bytes, so
-composition is one ``bytes.translate``.
+28 transvections attached to non-isotropic vectors live here.  Group
+elements are permutations of the 64 vectors stored as bytes, so
+composition is one ``bytes.translate``.  The orthogonal group the
+reflections generate (order 40320) is read from a deterministic
+Schreier-Sims stabilizer chain, which gives the group order and Stab(h)
+without listing the group; ``orbits_under`` walks the orbits of either.
 """
 
 from __future__ import annotations
@@ -59,20 +59,20 @@ def census() -> Tuple[int, int, int]:
     return 1, isotropic, SIZE - 1 - isotropic
 
 
-def perp_census(h: int) -> Tuple[int, int]:
-    """(isotropic, non-isotropic) counts among nonzero vectors of h-perp."""
+def _perp(h: int) -> Tuple[List[int], List[int]]:
+    """The isotropic and the non-isotropic nonzero vectors of h-perp."""
     if not 0 < h < SIZE:
         raise ValueError(f"h must be a nonzero vector below {SIZE}")
     if q(h) != 0:
         raise ValueError("h must be isotropic")
-    isotropic = nonisotropic = 0
-    for v in range(1, SIZE):
-        if b(v, h) == 0:
-            if q(v) == 0:
-                isotropic += 1
-            else:
-                nonisotropic += 1
-    return isotropic, nonisotropic
+    perp = [v for v in range(1, SIZE) if b(v, h) == 0]
+    return [v for v in perp if q(v) == 0], [v for v in perp if q(v) == 1]
+
+
+def perp_census(h: int) -> Tuple[int, int]:
+    """(isotropic, non-isotropic) counts among nonzero vectors of h-perp."""
+    isotropic, nonisotropic = _perp(h)
+    return len(isotropic), len(nonisotropic)
 
 
 def _compose(p: bytes, g: bytes) -> bytes:
@@ -84,60 +84,29 @@ def _inverse(p: bytes) -> bytes:
     return bytes(sorted(range(SIZE), key=p.__getitem__))
 
 
-class Isometry(Record):
-    """A q-preserving linear permutation of the 64 vectors."""
-
-    perm: bytes
-
-    def __post_init__(self):
-        if len(self.perm) != SIZE or set(self.perm) != set(range(SIZE)):
-            raise ValueError("not a permutation of the 64 vectors")
-
-    def __call__(self, v: int) -> int:
-        return self.perm[v]
-
-    def preserves_form(self) -> bool:
-        return all(q(self.perm[v]) == q(v) for v in range(SIZE))
-
-
-def reflection(v: int) -> Isometry:
-    """The transvection x -> x + b(x, v) v for a non-isotropic v.
+def reflection(v: int) -> bytes:
+    """The transvection x -> x + b(x, v) v for a non-isotropic v, as a permutation.
 
     It is an involution fixing v (since b(v, v) = 0) and preserves q;
-    both facts are checked exhaustively on construction.
+    that it permutes the 64 vectors and preserves q is checked
+    exhaustively on construction.
     """
     if not 0 < v < SIZE:
         raise ValueError("v must be a nonzero vector")
     if q(v) != 1:
         raise ValueError("reflections require a non-isotropic vector")
     perm = bytes(x ^ (v if b(x, v) else 0) for x in range(SIZE))
-    iso = Isometry(perm)
-    if not iso.preserves_form():
+    if set(perm) != set(range(SIZE)):
+        raise AssertionError("transvection is not a permutation of the 64 vectors")
+    if any(q(perm[x]) != q(x) for x in range(SIZE)):
         raise AssertionError("transvection failed to preserve the form")
-    return iso
+    return perm
 
 
 @lru_cache(maxsize=1)
 def reflections() -> Tuple[bytes, ...]:
     """The 28 transvections, in ascending order of their vectors."""
-    return tuple(reflection(v).perm for v in nonisotropic_vectors())
-
-
-def orbit(v: int) -> frozenset:
-    """The orbit of v under the 28 reflections."""
-    gens = reflections()
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    return tuple(map(reflection, nonisotropic_vectors()))
 
 
 def _transversal(point: int, generators: Sequence[bytes]) -> Dict[int, bytes]:
@@ -259,6 +228,8 @@ def stabilizer_chain(h: int) -> StabilizerChain:
 
 
 def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> List[frozenset]:
+    """The orbits through ``points`` of the group that ``elements`` generate,
+    in order of their least point in ``points``; each is walked breadth-first."""
     elements = tuple(elements)
     remaining = set(points)
     out = []
@@ -288,10 +259,7 @@ def stab_orbit_summary(h: int) -> Dict[str, int]:
     the basic orbits below level 0, and its orbits are those of its strong
     generators.
     """
-    iso_count, noniso_count = perp_census(h)  # validates h
-    iso_perp = [v for v in isotropic_vectors() if b(v, h) == 0]
-    noniso_perp = [v for v in nonisotropic_vectors() if b(v, h) == 0]
-    assert (len(iso_perp), len(noniso_perp)) == (iso_count, noniso_count)
+    iso_perp, noniso_perp = _perp(h)  # validates h
     chain = stabilizer_chain(h)
     return {
         "isotropic_orbits": len(orbits_under(chain.generators[1], iso_perp)),

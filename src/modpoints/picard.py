@@ -6,8 +6,9 @@ algebra over Fraction coefficients.  No geometry happens here by design:
 the geometric inputs (pullback formulas, canonical classes, the weight-14
 modular form relation, boundary normal bundles, covering degrees) are a
 static registry, and this module only checks their arithmetic
-consequences: canonical-bundle identities, top self-intersection numbers,
-the obstruction to a common crepant resolution, and discrepancies.
+consequences: canonical-bundle identities, top self-intersection numbers
+(one coefficient of a ``MultiPoly`` power), the obstruction to a common
+crepant resolution, and discrepancies.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
+from .poly import variables
 from .record import Record
 
 Scalar = Union[int, Fraction]
@@ -102,9 +104,6 @@ class DivisorClass(Record):
         for s, c in other.coefficients:
             merged[s] = merged.get(s, Fraction(0)) + c
         return DivisorClass.make(self.space, merged)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + other.scale(-1)
 
     def scale(self, factor: Scalar) -> "DivisorClass":
         f = _fr(factor)
@@ -314,25 +313,19 @@ def normal_bundle_boundary() -> NormalBundleResult:
 
 
 def _plane_pair_top_intersection(a: Fraction, b: Fraction) -> Fraction:
-    """(a h1 + b h2)^4 evaluated in Q[h1,h2]/(h1^3, h2^3)."""
-    ring: Dict[Tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    base = {(1, 0): a, (0, 1): b}
-    for _ in range(4):
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (i, j), c in ring.items():
-            for (di, dj), d in base.items():
-                ni, nj = i + di, j + dj
-                if ni > 2 or nj > 2:
-                    continue
-                out[(ni, nj)] = out.get((ni, nj), Fraction(0)) + c * d
-        ring = out
-    return ring.get((2, 2), Fraction(0))
+    """(a h1 + b h2)^4 in Q[h1,h2]/(h1^3, h2^3), the Chow ring of two planes.
+
+    The truncation never touches the point class h1^2 h2^2, so its
+    coefficient is read from the untruncated power.
+    """
+    h1, h2 = variables("h1", "h2")
+    return ((a * h1 + b * h2) ** 4).terms.get((2, 2), Fraction(0))
 
 
 class IntersectionNumbers(Record):
-    component_power: Fraction  # T_i^5 on one ordered boundary component
-    ordered_power: Fraction  # T_ord^5
-    unordered_power: Fraction  # T^5
+    component: Fraction  # T_i^5 on one ordered boundary component
+    ordered: Fraction  # T_ord^5
+    unordered: Fraction  # T^5
 
 
 def top_self_intersections(
@@ -367,7 +360,7 @@ def k_equivalence_obstruction(e_candidates: Iterable[int]) -> ObstructionCertifi
     candidates = tuple(sorted(set(int(e) for e in e_candidates)))
     if any(e < 1 for e in candidates):
         raise ValueError("denominator bounds must be positive")
-    toroidal = Fraction(7) ** 5 * top_self_intersections().unordered_power
+    toroidal = Fraction(7) ** 5 * top_self_intersections().unordered
     required = toroidal / Fraction(5) ** 5
     denominator = required.denominator
     valuation = 0

@@ -9,7 +9,8 @@ are immutable, every operation is exact, and printing is byte-stable
 identities can be asserted with ``==`` and golden strings stay fixed.
 
 Besides ring arithmetic the module provides the elimination-theoretic
-tools needed elsewhere: substitution, formal derivatives, extraction of a
+tools needed elsewhere: substitution, restriction to a coordinate
+hyperplane (``specialize``), formal derivatives, extraction of a
 coordinate power (for strict transforms under a blow-up), squarefreeness
 tests, the closed-form discriminant of a depressed quartic, and one
 subresultant pseudo-remainder sequence that gives both the gcd and the
@@ -242,6 +243,18 @@ class MultiPoly:
                     term = term * powers[v, e]
             result = result + term
         return result
+
+    def specialize(self, name: str, value: Scalar) -> "MultiPoly":
+        """Set the variable ``name`` to the scalar ``value``; the result is free of it."""
+        value = _scalar(value)
+        if name not in self._vars:
+            return self
+        i = self._vars.index(name)
+        out: Dict[Exponent, Scalar] = {}
+        for exp, coeff in self._terms.items():
+            rest = exp[:i] + exp[i + 1:]
+            out[rest] = out.get(rest, 0) + coeff * value ** exp[i]
+        return _trusted(self._vars[:i] + self._vars[i + 1:], out)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         return self.substitute(assignment).constant_value

@@ -51,10 +51,10 @@ def test_c02_luna_slice():
 def test_c03_chart_transversality():
     start = time.perf_counter()
     reports = {name: blowup.discriminant_pullback(blowup.chart(name)) for name in "PQR"}
-    assert all(r.multiplicity == 6 for r in reports.values())
+    assert all(r.exceptional_multiplicity == 6 for r in reports.values())
     assert set(reports["P"].offending) == {"u0", "u1"} and not reports["P"].squarefree
     assert set(reports["Q"].offending) == {"u0", "u1"} and not reports["Q"].squarefree
-    assert reports["R"].factors[0].is_constant
+    assert reports["R"].factors[0].constant
     assert reports["R"].factors[0].restriction == MultiPoly.constant(256)
     assert set(reports["R"].offending) == {"u1"} and not reports["R"].squarefree
     elapsed = time.perf_counter() - start
@@ -140,9 +140,9 @@ def test_c09_picard_ledger():
     assert all(c.holds for c in checks)
     assert picard.normal_bundle_boundary().bidegree == (Fraction(-1), Fraction(-1))
     numbers = picard.top_self_intersections()
-    assert numbers.component_power == 6
-    assert numbers.ordered_power == 210
-    assert numbers.unordered_power == Fraction(1, 192)
+    assert numbers.component == 6
+    assert numbers.ordered == 210
+    assert numbers.unordered == Fraction(1, 192)
     cert = picard.k_equivalence_obstruction((1, 2, 4, 8))
     assert not cert.feasible
     assert cert.required_exceptional_power == Fraction(16807, 600000)
@@ -154,7 +154,8 @@ def test_c09_picard_ledger():
 
 def test_c10_cross_module_consistency():
     multiplicities = {
-        name: blowup.discriminant_pullback(blowup.chart(name)).multiplicity for name in "PQR"
+        name: blowup.discriminant_pullback(blowup.chart(name)).exceptional_multiplicity
+        for name in "PQR"
     }
     assert set(multiplicities.values()) == {6}
     assert picard.exceptional_pullback_coefficient() == 6

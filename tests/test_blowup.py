@@ -105,7 +105,7 @@ def test_chart_p_pullback_matches_displayed_factorization():
 def test_exceptional_multiplicity_is_six_in_every_chart():
     for name in "PQR":
         report = discriminant_pullback(chart(name))
-        assert report.multiplicity == 6
+        assert report.exceptional_multiplicity == 6
         assert [f.multiplicity for f in report.factors] == [3, 3]
 
 
@@ -124,9 +124,9 @@ def test_transversality_chart_q():
 
 def test_transversality_chart_r():
     report = discriminant_pullback(chart("R"))
-    assert report.factors[0].is_constant
+    assert report.factors[0].constant
     assert report.factors[0].restriction == MultiPoly.constant(256)
-    assert not report.factors[1].is_constant
+    assert not report.factors[1].constant
     assert set(report.offending) == {"u1"}
 
 

@@ -225,7 +225,7 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch):
     count(stability, "classify")
     fqspace.stabilizer_chain.cache_clear()
     checks.run_report(list(checks.SUITE_NAMES))
-    assert calls == {"orbits_under": 2, "classify": 130}
+    assert calls == {"orbits_under": 3, "classify": 130}
     assert fqspace.stabilizer_chain.cache_info().misses == 1  # one chain build
 
 

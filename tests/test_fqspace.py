@@ -11,11 +11,11 @@ from modpoints.fqspace import (
     census,
     isotropic_vectors,
     nonisotropic_vectors,
-    orbit,
     orbits_under,
     perp_census,
     q,
     reflection,
+    reflections,
     stab_orbit_summary,
     stabilizer_chain,
 )
@@ -91,12 +91,12 @@ def test_perp_census_rejects_bad_input():
 
 def test_reflection_fixes_its_vector():
     for v in nonisotropic_vectors():
-        assert reflection(v)(v) == v
+        assert reflection(v)[v] == v
 
 
 def test_reflection_is_an_involution():
     for v in nonisotropic_vectors():
-        r = reflection(v).perm
+        r = reflection(v)
         assert compose(r, r) == fqspace.IDENTITY
 
 
@@ -105,8 +105,8 @@ def test_reflections_preserve_census_classes():
     non = set(nonisotropic_vectors())
     for v in nonisotropic_vectors():
         r = reflection(v)
-        assert {r(x) for x in iso} == iso
-        assert {r(x) for x in non} == non
+        assert {r[x] for x in iso} == iso
+        assert {r[x] for x in non} == non
 
 
 def test_reflection_rejects_isotropic_vectors():
@@ -128,15 +128,13 @@ def test_group_elements_are_linear_isometries():
 
 
 def test_orbit_sizes_partition_the_nonzero_vectors():
-    iso_orbit = orbit(isotropic_vectors()[0])
-    non_orbit = orbit(nonisotropic_vectors()[0])
-    assert len(iso_orbit) == 35
-    assert len(non_orbit) == 28
-    assert iso_orbit | non_orbit == set(range(1, SIZE))
+    orbits = orbits_under(reflections(), range(1, SIZE))
+    assert orbits == [frozenset(isotropic_vectors()), frozenset(nonisotropic_vectors())]
+    assert list(map(len, orbits)) == [35, 28]
 
 
 def test_group_transitive_on_isotropic_vectors():
-    assert orbit(isotropic_vectors()[0]) == set(isotropic_vectors())
+    assert orbits_under(reflections(), isotropic_vectors()[:1]) == [set(isotropic_vectors())]
 
 
 def test_orbit_stabilizer_relation():
@@ -167,9 +165,9 @@ def test_element_numbering_is_deterministic():
     group = generate_group()
     assert group.elements[0] == fqspace.IDENTITY
     # breadth-first order: the first generator follows the identity
-    assert group.elements[1] == reflection(nonisotropic_vectors()[0]).perm
+    assert group.elements[1] == reflection(nonisotropic_vectors()[0])
     assert group.generators == tuple(
-        reflection(v).perm for v in nonisotropic_vectors()
+        reflection(v) for v in nonisotropic_vectors()
     )
 
 

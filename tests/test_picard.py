@@ -91,7 +91,7 @@ def test_projection_formula_instance():
 def test_exceptional_pullback_coefficient_matches_chart_multiplicity():
     assert exceptional_pullback_coefficient() == 6
     report = blowup.discriminant_pullback(blowup.chart("P"))
-    assert report.multiplicity == exceptional_pullback_coefficient()
+    assert report.exceptional_multiplicity == exceptional_pullback_coefficient()
 
 
 def test_normal_bundle():
@@ -103,9 +103,9 @@ def test_normal_bundle():
 
 def test_top_self_intersections():
     numbers = top_self_intersections()
-    assert numbers.component_power == 6
-    assert numbers.ordered_power == 210
-    assert numbers.unordered_power == Fraction(1, 192)
+    assert numbers.component == 6
+    assert numbers.ordered == 210
+    assert numbers.unordered == Fraction(1, 192)
 
 
 def test_obstruction_certificate():

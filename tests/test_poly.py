@@ -386,6 +386,30 @@ def test_property_accessors_give_fractions(p, q):
         assert type(r.evaluate(point)) is Fraction  # through constant_value
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    small_rational_polys,
+    st.sampled_from(("a", "x", "y", "z")),  # z never occurs
+    st.one_of(
+        st.sampled_from((0, 1, Fraction(-2, 3))),
+        st.integers(-3, 3),
+        st.fractions(-3, 3, max_denominator=5),
+    ),
+)
+@example(MultiPoly(("a", "x", "y"), {(0, 2, 1): 3, (1, 0, 0): Fraction(1, 2)}), "x", 0)
+@example(MultiPoly(("a", "x", "y"), {(0, 2, 1): 3, (0, 0, 1): -3}), "x", 1)
+@example(MultiPoly(("a", "x", "y"), {(2, 1, 0): Fraction(3, 4)}), "a", Fraction(2, 3))
+@example(MultiPoly(("a", "x", "y"), {(0, 1, 1): 5}), "a", 7)
+@example(MultiPoly(("a", "x", "y"), {(0, 1, 1): 5}), "z", 0)
+def test_property_specialize_is_substitution_of_one_variable(p, name, value):
+    images = {v: MultiPoly.variable(v) for v in p.occurring_variables()}
+    images[name] = MultiPoly.constant(value)
+    restricted = p.specialize(name, value)
+    assert restricted == p.substitute(images)
+    assert name not in restricted.variables
+    assert all(type(c) is Fraction for c in restricted.terms.values())
+
+
 # ----------------------------------------------------------------------
 # the subresultant resultant against the Bareiss oracle, over Z[a, x]
 
