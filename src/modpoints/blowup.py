@@ -109,9 +109,11 @@ def _monomial_offenders(p: MultiPoly) -> List[str]:
 
 
 def _offending_factors(p: MultiPoly) -> List[str]:
-    """Repeated factors of p, as strings; pure coordinates come out by name."""
-    if p.is_constant or is_squarefree(p):
-        return []
+    """Repeated factors of p, as strings; pure coordinates come out by name.
+
+    A squarefree p has no coordinate with exponent 2 or more, so it reaches
+    the single squarefreeness test below; a monomial never reaches it.
+    """
     offenders = _monomial_offenders(p)
     residual = p
     for name in offenders:

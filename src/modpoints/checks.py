@@ -6,7 +6,9 @@ pass/fail status and an exact payload.  Rationals are serialized as "p/q"
 strings, never floats, and suite assembly is deterministic so reports are
 byte-stable run to run.  The quantities that both a suite and a CLI
 subcommand report are computed by the named functions below, and
-``encode`` turns every result into JSON-ready values.
+``encode`` turns every result into JSON-ready values.  ``fqspace``,
+``betti`` and ``picard`` are imported by the functions that use them:
+compiling the three is ~12 ms of a cold start, which ``run slice`` skips.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from . import betti, blowup, fqspace, picard, stability
+from . import blowup, stability
 from .poly import MultiPoly, variables
 from .record import Record
 
@@ -76,6 +78,8 @@ def group_summary(stab: Dict[str, int]) -> Dict:
     orbits are those of the 28 reflections on the nonzero vectors, each
     named by the value of q on it.
     """
+    from . import fqspace
+
     orbits = fqspace.orbits_under(fqspace.reflections(), range(1, fqspace.SIZE))
     return {
         "order": fqspace.stabilizer_chain(fqspace.isotropic_vectors()[0]).order,
@@ -95,8 +99,11 @@ def scan_summary(scan: blowup.StabilizerScan) -> Dict:
     }
 
 
-def obstruction() -> picard.ObstructionCertificate:
-    """The K-equivalence obstruction over the divisors of the scan's bound e."""
+def obstruction():
+    """The K-equivalence obstruction, a ``picard.ObstructionCertificate``,
+    over the divisors of the scan's bound e."""
+    from . import picard
+
     e = blowup.scan_stabilizers().e
     return picard.k_equivalence_obstruction(d for d in range(1, e + 1) if e % d == 0)
 
@@ -175,6 +182,8 @@ def suite_stability() -> List[CheckResult]:
 
 
 def suite_fq() -> List[CheckResult]:
+    from . import fqspace
+
     out: List[CheckResult] = []
     counts = fqspace.census()
     out.append(_check("fq.census", "census (1, 35, 28)", counts == (1, 35, 28), counts))
@@ -343,6 +352,8 @@ def suite_slice() -> List[CheckResult]:
 
 
 def suite_betti() -> List[CheckResult]:
+    from . import betti
+
     out: List[CheckResult] = []
 
     order = betti.TRUNCATION_ORDER
@@ -430,6 +441,8 @@ def suite_betti() -> List[CheckResult]:
 
 
 def suite_picard() -> List[CheckResult]:
+    from . import picard
+
     out: List[CheckResult] = []
 
     identities = picard.verify_blowup_identities()
@@ -519,7 +532,7 @@ def _run_suite(name: str) -> List[CheckResult]:
     try:
         return SUITES[name]()
     except Exception as exc:
-        # imported here: with textwrap it is ~2 ms of a ~50 ms cold start
+        # imported here: with textwrap it is ~5 ms of a ~135 ms cold `run slice`
         import traceback
 
         traceback.print_exc()

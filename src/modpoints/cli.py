@@ -9,7 +9,9 @@ quadratic-space censuses and group data, blow-up chart reports, Betti
 tables and the divisor ledger.  Each handler returns its result, reading
 any quantity a suite also checks from the same function in ``checks``;
 ``main`` encodes it with ``checks.encode`` and writes it, as JSON unless
-``run`` asks for text.  All output is exact.
+``run`` asks for text.  All output is exact.  ``fqspace``, ``betti`` and
+``picard`` are imported by the handlers that use them, so that a command
+loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from contextlib import nullcontext
 from typing import Optional, Sequence
 
-from . import betti, blowup, checks, fqspace, picard, stability
+from . import blowup, checks, stability
 
 MAX_TABLE_DEGREE = 40  # 37338 partitions, about 3 MB of output
 
@@ -49,6 +51,8 @@ def _cmd_stability(args) -> dict:
 
 
 def _cmd_fq(args) -> dict:
+    from . import fqspace
+
     if args.action == "census":
         zero, iso, non = fqspace.census()
         return {"zero": zero, "isotropic": iso, "nonisotropic": non}
@@ -75,6 +79,8 @@ def _cmd_slice(args):
 
 
 def _cmd_betti(args) -> dict:
+    from . import betti
+
     if args.action == "kirwan":
         table = betti.kirwan_betti()
     elif args.action == "tor":
@@ -85,6 +91,8 @@ def _cmd_betti(args) -> dict:
 
 
 def _cmd_picard(args):
+    from . import picard
+
     if args.action == "verify":
         return picard.verify_blowup_identities()
     if args.action == "intersections":

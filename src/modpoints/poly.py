@@ -386,6 +386,8 @@ def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPol
     content = MultiPoly.zero()
     for coeff in _univariate_coefficients(p, name).values():
         content = poly_gcd(content, coeff)
+        if content.is_constant:
+            break  # the coefficients are nonzero, so content is 1 and stays 1
     primitive = try_divide(p, content)
     assert primitive is not None
     return content, primitive

@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modpoints import blowup
 from modpoints.blowup import (
@@ -18,7 +20,7 @@ from modpoints.blowup import (
     stabilizer_order,
     unstable_supports,
 )
-from modpoints.poly import MultiPoly, variables
+from modpoints.poly import MultiPoly, is_squarefree, variables
 
 from oracles import parse_poly
 
@@ -134,6 +136,35 @@ def test_report_invariant_squarefree_iff_no_offenders():
     for name in "PQR":
         report = discriminant_pullback(chart(name))
         assert report.squarefree == (not report.offending)
+
+
+U0, U1 = variables("u0", "u1")
+
+
+@pytest.mark.parametrize(
+    "p, offenders",
+    [
+        (U0 ** 2 * (U1 + 1) ** 2, ["u0", "u1 + 1"]),
+        (U0 * (U1 + 1) ** 2, ["u0*u1 + u0"]),
+        (U1 ** 2 * (U0 + U1) ** 3, ["u1", "u0 + u1"]),
+        (U0 * U1, []),
+        (parse_poly("65536*u0^3*u1^3"), ["u0", "u1"]),
+    ],
+)
+def test_offending_factors(p, offenders):
+    # the first three leave a non-constant residual once the coordinate powers are stripped
+    assert blowup._offending_factors(p) == offenders
+
+
+plane_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9), max_size=4
+).map(lambda terms: MultiPoly(("u0", "u1"), terms))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(plane_polys.filter(lambda p: not p.is_constant))
+def test_property_no_offenders_iff_squarefree(p):
+    assert (blowup._offending_factors(p) == []) == is_squarefree(p)
 
 
 def test_factors_are_swap_symmetric_in_charts_p_and_q():

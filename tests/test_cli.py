@@ -80,6 +80,7 @@ def test_golden_fq_report(capsys):
 
 SUBCOMMAND_GOLDEN = {
     "report_all": ("run", "all", "--format", "json"),
+    "report_slice": ("run", "slice", "--format", "json"),
     "stability_config_4_4": ("stability", "--config", "4,4"),
     "stability_table_8": ("stability", "--table", "8"),
     "fq_census": ("fq", "census"),
@@ -199,13 +200,31 @@ def test_malformed_input_leaves_existing_out_file_as_it_was(argv, tmp_path):
     assert target.read_text() == (GOLDEN / "stability_config_4_4.json").read_text()
 
 
-def test_cli_import_needs_no_dataclasses():
-    # -S keeps site, and whatever it imports, out of sys.modules
-    probe = "import modpoints.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def _probe(code):
+    """What ``code`` prints in a fresh interpreter; -S keeps site, and whatever
+    it imports, out of sys.modules."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout.splitlines()[-1]
+
+
+def test_cli_import_needs_no_dataclasses():
+    probe = "import modpoints.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _probe(probe) == "[]"
+
+
+LOADED = "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'modpoints'))"
+
+
+def test_run_slice_loads_only_the_modules_it_runs():
+    probe = "import sys, modpoints.cli; modpoints.cli.main(['run', 'slice', '--format', 'json'])"
+    names = ("blowup", "checks", "cli", "poly", "record", "stability")
+    assert _probe(probe + LOADED) == str(["modpoints"] + [f"modpoints.{n}" for n in names])
+
+
+def test_importing_a_module_loads_no_other():
+    assert _probe("import sys, modpoints.poly" + LOADED) == "['modpoints', 'modpoints.poly']"
 
 
 def test_run_all_computes_each_shared_quantity_once(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from modpoints.poly import (
     EXPONENT_LIMIT,
+    _content_and_primitive,
     ExponentOverflowError,
     MultiPoly,
     discriminant_quartic,
@@ -343,6 +344,22 @@ def test_property_gcd_divides_both(p, q):
     g = poly_gcd(p, q)
     assert try_divide(p, g) is not None
     assert try_divide(q, g) is not None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_polys)
+def test_property_content_is_the_gcd_of_every_coefficient(p):
+    for name in p.occurring_variables():
+        content, primitive = _content_and_primitive(p, name)
+        assert content * primitive == p
+        i = p.variables.index(name)
+        coefficients = {}
+        for exp, c in p.terms.items():
+            coefficients.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = c
+        folded = MultiPoly.zero()
+        for terms in coefficients.values():  # every coefficient, with no early exit
+            folded = poly_gcd(folded, MultiPoly(p.variables, terms))
+        assert content == folded
 
 
 # ----------------------------------------------------------------------
