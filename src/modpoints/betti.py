@@ -1,12 +1,15 @@
-"""Truncated power series and the Betti-number bookkeeping built on them.
+"""Betti-number bookkeeping over power series in t known modulo t^order.
 
-The equivariant Poincare series of the semistable locus of binary octics
-is computed through the torus stratification, the blow-up at the closed
-orbit adds a main correction term, and the extra correction is shown to
-start in degree 6; assembling these and extending by duality yields the
-Betti table of the blown-up quotient.  Independently, a decomposition
-rule combines intersection cohomology of a cusped compactification with
-boundary-fiber tables.  The two routes must agree.
+A truncated series is the tuple of its first ``order`` coefficients;
+every product is a ``MultiPoly`` product in t, read back below the
+truncation order.  The equivariant Poincare series of the semistable
+locus of binary octics is computed through the torus stratification, the
+blow-up at the closed orbit adds a main correction term, and the extra
+correction is shown to start in degree 6; assembling these and extending
+by duality yields the Betti table of the blown-up quotient.
+Independently, a decomposition rule combines intersection cohomology of a
+cusped compactification with boundary-fiber tables.  The two routes must
+agree.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
+from .poly import MultiPoly
 from .record import Record
 from .stability import luna_slice_basis, torus_monomial_weights
 
@@ -22,102 +26,44 @@ COMPLEX_DIMENSION = 5
 STRATIFICATION_BOUND_BASE = 7
 # Modulo t^6 the series fixes b_0, b_2 and b_4, which duality completes.
 TRUNCATION_ORDER = 6
+T = "t"
 
 
 class InsufficientCodimensionError(ValueError):
     """Truncation order exceeds what the stratification bound certifies."""
 
 
-class TruncatedSeries(Record):
-    """Integer power series known modulo t^order."""
+def series(coefficients: Sequence[int]) -> MultiPoly:
+    """The polynomial sum of c_k t^k."""
+    return MultiPoly((T,), {(k,): c for k, c in enumerate(coefficients)})
 
-    coefficients: Tuple[int, ...]
-    order: int
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("truncation order must be positive")
-        if len(self.coefficients) != self.order:
-            raise ValueError("coefficient list must have length = order")
+def truncate(p: MultiPoly, order: int) -> Tuple[int, ...]:
+    """The coefficients of t^0, ..., t^(order-1) in p."""
+    terms = p.terms
+    return tuple(int(terms.get((k,), 0)) for k in range(order))
 
-    @classmethod
-    def from_coefficients(cls, coefficients: Sequence[int], order: int) -> "TruncatedSeries":
-        coeffs = list(coefficients)[:order]
-        coeffs += [0] * (order - len(coeffs))
-        return cls(tuple(int(c) for c in coeffs), order)
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([], order)
+def series_text(coefficients: Sequence[int]) -> str:
+    """A truncated series as ``2 + 3*t + t^3 (mod t^4)``, in rising degree."""
+    pieces = [
+        str(c) if k == 0 else ("" if c == 1 else f"{c}*") + ("t" if k == 1 else f"t^{k}")
+        for k, c in enumerate(coefficients)
+        if c
+    ]
+    return f"{' + '.join(pieces) or '0'} (mod t^{len(coefficients)})"
 
-    @classmethod
-    def monomial(cls, degree: int, order: int, coefficient: int = 1) -> "TruncatedSeries":
-        coeffs = [0] * order
-        if 0 <= degree < order:
-            coeffs[degree] = coefficient
-        return cls(tuple(coeffs), order)
 
-    @classmethod
-    def geometric(cls, m: int, order: int) -> "TruncatedSeries":
-        """1/(1 - t^m)."""
-        if m < 1:
-            raise ValueError("period must be positive")
-        return cls.from_coefficients(
-            [1 if k % m == 0 else 0 for k in range(order)], order
-        )
+def geometric(m: int, order: int) -> Tuple[int, ...]:
+    """1/(1 - t^m) modulo t^order."""
+    if m < 1:
+        raise ValueError("period must be positive")
+    return tuple(int(k % m == 0) for k in range(order))
 
-    @classmethod
-    def projective_space(cls, n: int, order: int) -> "TruncatedSeries":
-        """Poincare series 1 + t^2 + ... + t^(2n)."""
-        return cls.from_coefficients(
-            [1 if k % 2 == 0 and k <= 2 * n else 0 for k in range(order)], order
-        )
 
-    def coefficient(self, degree: int) -> int:
-        if degree >= self.order:
-            raise ValueError(f"degree {degree} not determined modulo t^{self.order}")
-        return self.coefficients[degree]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coefficients[:order], order)
-
-    def _aligned(self, other: "TruncatedSeries") -> Tuple["TruncatedSeries", "TruncatedSeries"]:
-        order = min(self.order, other.order)
-        return self.truncate(order), other.truncate(order)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = self._aligned(other)
-        return TruncatedSeries(
-            tuple(x + y for x, y in zip(a.coefficients, b.coefficients)), a.order
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = self._aligned(other)
-        out = [0] * a.order
-        for i, x in enumerate(a.coefficients):
-            if x == 0:
-                continue
-            for j in range(a.order - i):
-                y = b.coefficients[j]
-                if y:
-                    out[i + j] += x * y
-        return TruncatedSeries(tuple(out), a.order)
-
-    def __str__(self) -> str:
-        pieces = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if k == 0:
-                pieces.append(str(c))
-            elif k == 1:
-                pieces.append(f"{c}*t" if c != 1 else "t")
-            else:
-                pieces.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
-        body = " + ".join(pieces) if pieces else "0"
-        return f"{body} (mod t^{self.order})"
+def projective_space(n: int) -> MultiPoly:
+    """Poincare polynomial 1 + t^2 + ... + t^(2n)."""
+    return series([1 - k % 2 for k in range(2 * n + 1)])
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +101,7 @@ def kirwan_index_set(weights: Sequence[int]) -> Tuple[IndexEntry, ...]:
     return tuple(entries)
 
 
-def semistable_series(n: int = 8, order: int = 6) -> TruncatedSeries:
+def semistable_series(n: int = 8, order: int = 6) -> Tuple[int, ...]:
     """Equivariant Poincare series of the semistable locus modulo t^order.
 
     Valid while every nonzero stratum has real codimension at least the
@@ -168,24 +114,25 @@ def semistable_series(n: int = 8, order: int = 6) -> TruncatedSeries:
             f"truncation t^{order} needs stratum codimension {order}/2, "
             f"but the bound only gives {min_codim}"
         )
-    return TruncatedSeries.projective_space(n, order) * TruncatedSeries.geometric(4, order)
+    return truncate(projective_space(n) * series(geometric(4, order)), order)
 
 
 def main_correction(
-    normalizer_series: TruncatedSeries, codimension: int, order: int
-) -> TruncatedSeries:
-    """Blow-up main correction: invariants series times sum of t^(2i), 0<i<c."""
+    normalizer_series: Sequence[int], codimension: int, order: int
+) -> Tuple[int, ...]:
+    """Blow-up main correction: invariants series times sum of t^(2i), 0<i<c.
+
+    The product is known only as far as the normalizer series is.
+    """
     if codimension < 2:
         raise ValueError("blow-up correction needs codimension at least 2")
-    tail = TruncatedSeries.zero(order)
-    for i in range(1, codimension):
-        tail = tail + TruncatedSeries.monomial(2 * i, order)
-    return normalizer_series.truncate(min(order, normalizer_series.order)) * tail
+    tail = projective_space(codimension - 1) - 1  # t^2 + t^4 + ... + t^(2c-2)
+    return truncate(series(normalizer_series) * tail, min(order, len(normalizer_series)))
 
 
-def normalizer_invariants_series(order: int) -> TruncatedSeries:
+def normalizer_invariants_series(order: int) -> Tuple[int, ...]:
     """Invariants of the normalizer at the closed orbit: a free algebra on c^4."""
-    return TruncatedSeries.geometric(4, order)
+    return geometric(4, order)
 
 
 def slice_normal_weights() -> Tuple[int, ...]:
@@ -194,7 +141,8 @@ def slice_normal_weights() -> Tuple[int, ...]:
     slice_data = luna_slice_basis()
     for w in slice_data.tangent_weights:
         full.remove(w)
-    assert sorted(full) == sorted(slice_data.weights)
+    if sorted(full) != sorted(slice_data.weights):
+        raise AssertionError("slice and orbit tangent do not exhaust the degree-8 weights")
     return tuple(sorted(full))
 
 
@@ -236,53 +184,39 @@ def extend_by_duality(partial: Sequence[int], complex_dim: int) -> BettiTable:
     for j in range(complex_dim + 1):
         out.append(partial[j] if j < len(partial) else partial[complex_dim - j])
     table = BettiTable(tuple(out))
-    assert table.is_palindromic()
+    if not table.is_palindromic():
+        raise AssertionError(f"duality gives the non-palindromic table {table.even}")
     return table
 
 
 def kirwan_betti() -> BettiTable:
     """Betti table of the blown-up quotient via the stratification route."""
     order = TRUNCATION_ORDER
-    series = semistable_series(8, order) + main_correction(
-        normalizer_invariants_series(order), SLICE_CODIMENSION, order
-    )
+    main = main_correction(normalizer_invariants_series(order), SLICE_CODIMENSION, order)
+    total = tuple(a + b for a, b in zip(semistable_series(8, order), main))
     if extra_correction_min_degree() < order:
         raise AssertionError("extra correction interferes below the truncation")
-    partial = [series.coefficient(2 * i) for i in range(order // 2)]
-    for k in range(order):
-        if k % 2 == 1 and series.coefficient(k) != 0:
-            raise AssertionError("odd-degree contribution in an even theory")
-    return extend_by_duality(partial, COMPLEX_DIMENSION)
+    if any(total[1::2]):
+        raise AssertionError("odd-degree contribution in an even theory")
+    return extend_by_duality(total[0::2], COMPLEX_DIMENSION)
 
 
 def invariant_sym_square(dims: Sequence[int]) -> Tuple[int, ...]:
     """Swap-invariant dimensions of the tensor square of an even-graded space.
 
     All degrees are even, so the swap carries no signs and the invariants
-    are the graded symmetric square.
+    are the graded symmetric square (P(u)^2 + P(u^2)) / 2, where P is the
+    Poincare polynomial of the space.
     """
-    a = tuple(int(x) for x in dims)
-    size = 2 * len(a) - 1
-    out = [0] * size
-    for m in range(size):
-        for i in range(len(a)):
-            j = m - i
-            if i < j < len(a):
-                out[m] += a[i] * a[j]
-        if m % 2 == 0:
-            mid = a[m // 2]
-            out[m] += mid * (mid + 1) // 2
-    return tuple(out)
+    p = series(dims)
+    doubled = p * p + p.substitute({T: MultiPoly.variable(T) ** 2})
+    return tuple(c // 2 for c in truncate(doubled, 2 * len(dims) - 1))
 
 
 def kunneth_square(dims: Sequence[int]) -> Tuple[int, ...]:
-    """Even Betti numbers of a product of a space with itself."""
-    a = tuple(int(x) for x in dims)
-    out = [0] * (2 * len(a) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(a):
-            out[i + j] += x * y
-    return tuple(out)
+    """Even Betti numbers of a product of a space with itself: P(u)^2."""
+    p = series(dims)
+    return truncate(p * p, 2 * len(dims) - 1)
 
 
 def decomposition_assembly(

@@ -362,8 +362,8 @@ def suite_betti() -> List[CheckResult]:
         _check(
             "betti.semistable",
             "semistable series 1 + t^2 + 2 t^4 modulo t^6",
-            ss.coefficients == (1, 0, 1, 0, 2, 0),
-            str(ss),
+            ss == (1, 0, 1, 0, 2, 0),
+            betti.series_text(ss),
         )
     )
 
@@ -374,8 +374,8 @@ def suite_betti() -> List[CheckResult]:
         _check(
             "betti.main_correction",
             "main correction t^2 + t^4 modulo t^6",
-            main.coefficients == (0, 0, 1, 0, 1, 0),
-            str(main),
+            main == (0, 0, 1, 0, 1, 0),
+            betti.series_text(main),
         )
     )
 

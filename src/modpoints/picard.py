@@ -302,12 +302,13 @@ class NormalBundleResult(Record):
 def normal_bundle_boundary() -> NormalBundleResult:
     """Solve 3 N = K of the boundary component, a product of two planes.
 
-    Adjunction gives bidegree (-3, -3); restricting -8L + 2T + T_i yields
-    3 T_i on the component (the bundle L dies on the fiber and different
-    boundary components are disjoint), so N has bidegree (-1, -1).
+    Adjunction gives bidegree (-3, -3); restricting -8L + 2T + T_i, with
+    the 2 read from the registry's canonical class, yields 3 T_i on the
+    component (the bundle L dies on the fiber and different boundary
+    components are disjoint), so N has bidegree (-1, -1).
     """
     adjunction = (-3, -3)
-    multiplier = 2 + 1  # the T-coefficient of the canonical class plus one
+    multiplier = int(SPACES[TOR_ORD].canonical["T_ord"]) + 1
     bidegree = (Fraction(adjunction[0], multiplier), Fraction(adjunction[1], multiplier))
     return NormalBundleResult(bidegree, adjunction, multiplier)
 

@@ -15,10 +15,11 @@ another way, or a helper only the tests need:
 - ``q_planes`` and ``plane_census``: the form and its census on the first
   1, 2 or 3 hyperbolic planes, against the table ``modpoints.fqspace.q``
   and ``fqspace.census``;
-- ``invert_unit``: the inverse of a truncated series with constant term
-  +-1, term by term; 1/(1 - t^2) times 1/(1 - t^4) is a second route to
-  the series ``modpoints.betti.semistable_series`` builds from
-  ``projective_space`` and ``geometric``;
+- ``invert_unit``: the inverse of a truncated series (a coefficient
+  tuple, as in ``modpoints.betti``) with constant term +-1, term by term;
+  1/(1 - t^2) times 1/(1 - t^4) is a second route to the series
+  ``modpoints.betti.semistable_series`` builds as a ``MultiPoly`` product
+  of ``projective_space`` and ``geometric``;
 - ``parse_poly``: reads the canonical printing of ``MultiPoly`` back, so
   tests can write polynomials as text and check that printing round-trips.
 """
@@ -28,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from modpoints.betti import TruncatedSeries
 from modpoints.fqspace import IDENTITY, SIZE, _compose, reflections
 from modpoints.poly import MultiPoly, _univariate_coefficients, try_divide
 from modpoints.record import Record
@@ -167,18 +167,18 @@ def plane_census(planes: int) -> Tuple[int, int, int]:
 # ----------------------------------------------------------------------
 # truncated series
 
-def invert_unit(series: TruncatedSeries) -> TruncatedSeries:
+def invert_unit(coefficients: Tuple[int, ...]) -> Tuple[int, ...]:
     """The inverse of a series with constant term +-1, modulo the same power of t."""
-    c0 = series.coefficients[0]
+    c0 = coefficients[0]
     if c0 not in (1, -1):
         raise ValueError("only series with constant term +-1 are invertible here")
-    inv = [c0] + [0] * (series.order - 1)
-    for k in range(1, series.order):
+    inv = [c0] + [0] * (len(coefficients) - 1)
+    for k in range(1, len(coefficients)):
         acc = 0
         for j in range(1, k + 1):
-            acc += series.coefficients[j] * inv[k - j]
+            acc += coefficients[j] * inv[k - j]
         inv[k] = -c0 * acc
-    return TruncatedSeries(tuple(inv), series.order)
+    return tuple(inv)
 
 
 # ----------------------------------------------------------------------

@@ -114,9 +114,9 @@ def test_c06_quadratic_space():
 
 
 def test_c07_kirwan_series():
-    assert betti.semistable_series(8, 6).coefficients == (1, 0, 1, 0, 2, 0)
+    assert betti.semistable_series(8, 6) == (1, 0, 1, 0, 2, 0)
     main = betti.main_correction(betti.normalizer_invariants_series(6), 6, 6)
-    assert main.coefficients == (0, 0, 1, 0, 1, 0)
+    assert main == (0, 0, 1, 0, 1, 0)
     assert betti.extra_correction_min_degree() == 6
     assert betti.kirwan_betti().even == (1, 2, 3, 3, 2, 1)
     _report("C7 equivariant series and Betti table (1,2,3,3,2,1): PASS")

@@ -1,40 +1,50 @@
-"""Truncated series arithmetic and the two Betti-table routes."""
+"""Truncated series (coefficient tuples multiplied as ``MultiPoly`` in t),
+their printing, and the two Betti-table routes."""
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modpoints import betti
 from modpoints.betti import (
     IH_BB_ORDERED,
     IH_BB_UNORDERED,
     BettiTable,
     InsufficientCodimensionError,
-    TruncatedSeries,
     boundary_fiber_ordered,
     boundary_invariants,
     decomposition_assembly,
     extend_by_duality,
     extra_correction_min_degree,
+    geometric,
     invariant_sym_square,
     kirwan_betti,
     kirwan_index_set,
     kunneth_square,
     main_correction,
     normalizer_invariants_series,
+    projective_space,
     semistable_series,
+    series,
+    series_text,
     slice_normal_weights,
     tor_betti_ordered,
     tor_betti_unordered,
+    truncate,
 )
-from modpoints.stability import torus_monomial_weights
+from modpoints.stability import LunaSlice, torus_monomial_weights
 
 from oracles import invert_unit
 
 
 def one(order):
-    return TruncatedSeries.monomial(0, order)
+    return (1,) + (0,) * (order - 1)
 
 
 # ----------------------------------------------------------------------
@@ -42,35 +52,47 @@ def one(order):
 
 def test_geometric_inverts_one_minus_power():
     for order in range(1, 8):
-        one_minus = TruncatedSeries.from_coefficients([1, 0, -1], order)
-        assert one_minus * TruncatedSeries.geometric(2, order) == one(order)
+        p = series((1, 0, -1)) * series(geometric(2, order))
+        assert truncate(p, order) == one(order)
 
 
 def test_invert_unit():
-    s = TruncatedSeries.from_coefficients([1, 0, -1], 6)
-    assert invert_unit(s) == TruncatedSeries.geometric(2, 6)
+    assert invert_unit((1, 0, -1, 0, 0, 0)) == geometric(2, 6)
     with pytest.raises(ValueError):
-        invert_unit(TruncatedSeries.from_coefficients([2], 4))
+        invert_unit((2, 0, 0, 0))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sampled_from((1, -1)), st.lists(st.integers(-9, 9), max_size=11))
 def test_property_invert_unit_inverts(constant, rest):
-    s = TruncatedSeries.from_coefficients([constant, *rest], len(rest) + 1)
-    assert s * invert_unit(s) == one(s.order)
+    s = (constant, *rest)
+    assert truncate(series(s) * series(invert_unit(s)), len(s)) == one(len(s))
 
 
 def test_projective_space_series():
-    assert TruncatedSeries.projective_space(8, 6).coefficients == (1, 0, 1, 0, 1, 0)
-    assert TruncatedSeries.projective_space(2, 8).coefficients == (1, 0, 1, 0, 1, 0, 0, 0)
+    assert truncate(projective_space(8), 6) == (1, 0, 1, 0, 1, 0)
+    assert truncate(projective_space(2), 8) == (1, 0, 1, 0, 1, 0, 0, 0)
 
 
 def test_truncation_discipline():
-    s = TruncatedSeries.projective_space(8, 6)
-    with pytest.raises(ValueError):
-        s.coefficient(6)
-    with pytest.raises(ValueError):
-        s.truncate(8)
+    s = semistable_series(8, 6)
+    with pytest.raises(IndexError):
+        s[6]  # degree 6 is not determined modulo t^6
+    assert len(main_correction(normalizer_invariants_series(4), 6, 8)) == 4
+
+
+@pytest.mark.parametrize(
+    "coefficients, text",
+    [
+        ((0, 0, 0), "0 (mod t^3)"),
+        ((1,), "1 (mod t^1)"),
+        ((0, 1, 0, 0), "t (mod t^4)"),
+        ((2, 3, 0, 1), "2 + 3*t + t^3 (mod t^4)"),
+        ((0, 0, 0, 0, 0, 0, 7), "7*t^6 (mod t^7)"),
+    ],
+)
+def test_series_text(coefficients, text):
+    assert series_text(coefficients) == text
 
 
 # ----------------------------------------------------------------------
@@ -86,15 +108,15 @@ def test_kirwan_index_set_for_octics():
 
 
 def test_semistable_series():
-    assert semistable_series(8, 6).coefficients == (1, 0, 1, 0, 2, 0)
+    assert semistable_series(8, 6) == (1, 0, 1, 0, 2, 0)
     assert semistable_series(8, 2) == one(2)
 
 
 def test_semistable_series_identity_at_every_valid_order():
-    inv2 = invert_unit(TruncatedSeries.from_coefficients([1, 0, -1], 6))
-    inv4 = invert_unit(TruncatedSeries.from_coefficients([1, 0, 0, 0, -1], 6))
+    inv2 = invert_unit((1, 0, -1, 0, 0, 0))
+    inv4 = invert_unit((1, 0, 0, 0, -1, 0))
     for order in range(1, 7):
-        assert semistable_series(8, order) == (inv2 * inv4).truncate(order)
+        assert semistable_series(8, order) == truncate(series(inv2) * series(inv4), order)
 
 
 def test_semistable_series_insufficient_codimension():
@@ -106,16 +128,21 @@ def test_semistable_series_insufficient_codimension():
 # correction terms
 
 def test_main_correction():
-    assert main_correction(normalizer_invariants_series(6), 6, 6).coefficients == (
-        0, 0, 1, 0, 1, 0,
-    )
-    assert main_correction(one(6), 2, 6).coefficients == (0, 0, 1, 0, 0, 0)
+    assert main_correction(normalizer_invariants_series(6), 6, 6) == (0, 0, 1, 0, 1, 0)
+    assert main_correction(one(6), 2, 6) == (0, 0, 1, 0, 0, 0)
     longer = main_correction(normalizer_invariants_series(10), 6, 10)
-    assert longer.coefficients == (0, 0, 1, 0, 1, 0, 2, 0, 2, 0)
+    assert longer == (0, 0, 1, 0, 1, 0, 2, 0, 2, 0)
 
 
 def test_slice_normal_weights():
     assert slice_normal_weights() == (-8, -6, -4, 4, 6, 8)
+
+
+def test_slice_normal_weights_must_exhaust_the_weights(monkeypatch):
+    wrong = LunaSlice(("x0^8",) * 6, (8, -8, 6, -6, 4, 4), (0, 2, -2))
+    monkeypatch.setattr(betti, "luna_slice_basis", lambda: wrong)
+    with pytest.raises(AssertionError):
+        slice_normal_weights()
 
 
 def test_extra_correction_min_degree():
@@ -146,6 +173,20 @@ def test_kirwan_betti_table():
 def test_extend_by_duality_needs_enough_values():
     with pytest.raises(ValueError):
         extend_by_duality((1, 2), 5)
+
+
+def test_duality_check_holds_under_optimize():
+    # python -O strips assert statements; the check must not be one
+    code = (
+        "from modpoints.betti import extend_by_duality\n"
+        "try:\n    print(extend_by_duality((1, 2, 3, 4), 5))\n"
+        "except AssertionError:\n    print('raised')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    argv = [sys.executable, "-O", "-S", "-c", code]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "raised"
 
 
 def brute_force_sym_square(dims):

@@ -81,6 +81,7 @@ def test_golden_fq_report(capsys):
 SUBCOMMAND_GOLDEN = {
     "report_all": ("run", "all", "--format", "json"),
     "report_slice": ("run", "slice", "--format", "json"),
+    "report_betti": ("run", "betti", "--format", "json"),
     "stability_config_4_4": ("stability", "--config", "4,4"),
     "stability_table_8": ("stability", "--table", "8"),
     "fq_census": ("fq", "census"),

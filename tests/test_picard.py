@@ -101,6 +101,16 @@ def test_normal_bundle():
     assert result.multiplier == 3
 
 
+def test_normal_bundle_multiplier_reads_the_canonical_class(monkeypatch):
+    info = picard.SPACES[picard.TOR_ORD]
+    canonical = {**info.canonical, "T_ord": Fraction(5)}
+    patched = picard.SpaceInfo(info.symbols, info.relations, canonical)
+    monkeypatch.setitem(picard.SPACES, picard.TOR_ORD, patched)
+    result = normal_bundle_boundary()
+    assert result.multiplier == 6 and isinstance(result.multiplier, int)
+    assert result.bidegree == (Fraction(-1, 2), Fraction(-1, 2))
+
+
 def test_top_self_intersections():
     numbers = top_self_intersections()
     assert numbers.component == 6
