@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -361,7 +361,20 @@ def normalize(p: MultiPoly) -> MultiPoly:
     _, lead = p.leading()
     if lead < 0:
         scale = -scale
-    return p * scale
+    return p if scale == 1 else p * scale
+
+
+def _is_one(p: MultiPoly) -> bool:
+    return list(p._terms.values()) == [1] and p.is_constant
+
+
+def _exact_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """p/q where q is known to divide p; no division at all when q is 1."""
+    if _is_one(q):
+        return p
+    quotient = try_divide(p, q)
+    assert quotient is not None, "the division must be exact"
+    return quotient
 
 
 def _univariate_coefficients(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
@@ -377,71 +390,123 @@ def _univariate_coefficients(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
     return {d: _trusted(p._vars, terms) for d, terms in buckets.items()}
 
 
-def _leading_coefficient_in(p: MultiPoly, name: str) -> MultiPoly:
-    coeffs = _univariate_coefficients(p, name)
-    return coeffs[max(coeffs)]
+def _coefficient_list(p: MultiPoly, name: str) -> List[MultiPoly]:
+    """[c_0, ..., c_n] with p = sum c_k name^k and c_n != 0; [] for p = 0."""
+    coefficients = _univariate_coefficients(p, name)
+    zero = MultiPoly.zero()
+    return [coefficients.get(k, zero) for k in range(max(coefficients, default=-1) + 1)]
+
+
+def _from_coefficient_list(coefficients: Sequence[MultiPoly], name: str) -> MultiPoly:
+    """sum c_k name^k; the inverse of ``_coefficient_list``."""
+    vs = tuple(sorted({name}.union(*(c._vars for c in coefficients))))
+    i = vs.index(name)
+    terms: Dict[Exponent, Scalar] = {}
+    for k, c in enumerate(coefficients):
+        for exp, coeff in c._embedded(vs).items():
+            terms[exp[:i] + (k,) + exp[i + 1:]] = coeff
+    return _trusted(vs, terms)
 
 
 def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
+    """(content, primitive part) of p as a polynomial in ``name``.
+
+    The content is the gcd of the coefficients in ``name``.  It is 1, with no
+    gcd and no division run, as soon as one coefficient is a nonzero constant;
+    otherwise the gcd is folded over the coefficients with the fewest terms
+    first, and stops once it reaches 1.
+    """
+    coefficients = _univariate_coefficients(p, name).values()
+    if any(c.is_constant for c in coefficients):
+        return MultiPoly.constant(1), p
     content = MultiPoly.zero()
-    for coeff in _univariate_coefficients(p, name).values():
+    for coeff in sorted(coefficients, key=lambda c: len(c._terms)):
         content = poly_gcd(content, coeff)
         if content.is_constant:
             break  # the coefficients are nonzero, so content is 1 and stays 1
-    primitive = try_divide(p, content)
-    assert primitive is not None
-    return content, primitive
+    return content, _exact_quotient(p, content)
 
 
-def _pseudo_remainder(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    n, m = f.degree_in(name), g.degree_in(name)
+def _pseudo_remainder(f: List[MultiPoly], g: List[MultiPoly]) -> List[MultiPoly]:
+    """prem(f, g) = ell(g)^(n-m+1) f mod g on coefficient lists, n >= m > 0.
+
+    ``f`` and ``g`` are [c_0, ..., c_n] and [c_0, ..., c_m], each entry free of
+    the main variable.  The step at degree d rewrites only the m entries
+    d-m .. d-1 that x^(d-m) g reaches; an entry it skips owes one factor
+    ell(g), and ``paid[k]`` records how many steps entry k has been scaled
+    through, so the debt is paid in one product when the entry is next read.
+    Zero entries, zero leading entries and ell(g) = 1 cost no product.  The
+    result has m entries, trailing zeros included.
+    """
+    n, m = len(f) - 1, len(g) - 1
     if n < m:
         raise ValueError("pseudo-remainder needs deg f >= deg g")
-    lead_g = _leading_coefficient_in(g, name)
-    v = MultiPoly.variable(name)
-    r = f
-    steps = n - m + 1
-    while not r.is_zero and r.degree_in(name) >= m:
-        d = r.degree_in(name)
-        r = lead_g * r - _leading_coefficient_in(r, name) * v ** (d - m) * g
-        steps -= 1
-    return lead_g ** steps * r
+    lead = g[m]
+    monic = _is_one(lead)
+    powers = [MultiPoly.constant(1), lead]
+    r = list(f)
+    paid = [0] * len(r)
+
+    def settled(k: int, steps: int) -> MultiPoly:
+        """Entry k of the remainder after ``steps`` steps."""
+        owed = steps - paid[k]
+        if monic or not owed or not r[k]:
+            return r[k]
+        while len(powers) <= owed:
+            powers.append(powers[-1] * lead)
+        return powers[owed] * r[k]
+
+    for step, d in enumerate(range(n, m - 1, -1)):
+        lc = settled(d, step)
+        if not lc:
+            continue
+        for j in range(m):
+            k = d - m + j
+            entry = settled(k, step + 1)
+            r[k] = entry - lc * g[j] if g[j] else entry
+            paid[k] = step + 1
+    return [settled(k, n - m + 1) for k in range(m)]
 
 
-def _subresultant_prs(f: MultiPoly, g: MultiPoly, name: str):
-    """The subresultant remainder sequence of f and g in ``name``.
+def _subresultant_prs(f: List[MultiPoly], g: List[MultiPoly]):
+    """The subresultant remainder sequence of the coefficient lists f and g.
 
-    Needs deg f >= deg g > 0.  Each pseudo-division yields (A, B, h): A is
-    the previous B, B = prem(A, B) / (g h^delta), and the classical g/h
-    divisor bookkeeping keeps every division exact.  The sequence ends
-    after a B that is zero or free of ``name``.
+    Needs deg f >= deg g > 0, i.e. len(f) >= len(g) >= 2.  Each
+    pseudo-division yields (A, B, h): A is the previous B, B = prem(A, B) /
+    (g h^delta) entry by entry, and the classical g/h divisor bookkeeping
+    keeps every division exact; when g h^delta is 1 (always at the first
+    step) no division runs.  B drops its trailing zeros, so deg B is
+    len(B) - 1 and the zero polynomial is [].  The sequence ends after a B
+    that is zero or free of the main variable.
     """
     gg = hh = MultiPoly.constant(1)
     while True:
-        delta = f.degree_in(name) - g.degree_in(name)
-        reduced = try_divide(_pseudo_remainder(f, g, name), gg * hh ** delta)
-        assert reduced is not None, "subresultant division must be exact"
-        f, g = g, reduced
-        gg = _leading_coefficient_in(f, name)
+        delta = len(f) - len(g)
+        reduced = _pseudo_remainder(f, g)
+        while reduced and not reduced[-1]:
+            reduced.pop()
+        divisor = gg * hh ** delta
+        f, g = g, [_exact_quotient(c, divisor) for c in reduced]
+        gg = f[-1]
         if delta > 0:
-            head = try_divide(gg ** delta, hh ** (delta - 1)) if delta > 1 else gg
-            assert head is not None
-            hh = head
+            hh = _exact_quotient(gg ** delta, hh ** (delta - 1))
         yield f, g, hh
-        if g.is_zero or g.degree_in(name) == 0:
+        if len(g) <= 1:
             return
 
 
-def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Last nonzero element of the subresultant remainder sequence.
+def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str) -> List[MultiPoly]:
+    """Last nonzero element of the subresultant remainder sequence, as the
+    coefficient list in ``name``.
 
     Inputs have positive degree in ``name``.
     """
-    if f.degree_in(name) < g.degree_in(name):
+    f, g = _coefficient_list(f, name), _coefficient_list(g, name)
+    if len(f) < len(g):
         f, g = g, f
-    for f, g, _ in _subresultant_prs(f, g, name):
+    for f, g, _ in _subresultant_prs(f, g):
         pass
-    return f if g.is_zero else g
+    return g if g else f
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -468,10 +533,10 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         prim_gcd = MultiPoly.constant(1)
     else:
         tail = _subresultant_tail(prim_p, prim_q, name)
-        if tail.degree_in(name) == 0:
+        if len(tail) == 1:
             prim_gcd = MultiPoly.constant(1)
         else:
-            prim_gcd = _content_and_primitive(tail, name)[1]
+            prim_gcd = _content_and_primitive(_from_coefficient_list(tail, name), name)[1]
     return normalize(content * prim_gcd)
 
 
@@ -550,23 +615,23 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     ell(B)^deg A / h^(deg A - 1), up to the sign (-1)^(deg A * deg B)
     gathered at every step and at the initial swap.
     """
-    n, m = f.degree_in(name), g.degree_in(name)
+    f, g = _coefficient_list(f, name), _coefficient_list(g, name)
+    n, m = len(f) - 1, len(g) - 1
     if n < 0 or m < 0:
         return MultiPoly.zero()
     if n == 0:
-        return f ** m
+        return f[0] ** m
     if m == 0:
-        return g ** n
+        return g[0] ** n
     sign = 1
     if n < m:
         f, g, n, m = g, f, m, n
         sign = -1 if n & m & 1 else 1
-    for f, g, h in _subresultant_prs(f, g, name):
+    for f, g, h in _subresultant_prs(f, g):
         if n & m & 1:
             sign = -sign
-        if g.is_zero:
+        if not g:
             return MultiPoly.zero()
-        n, m = m, g.degree_in(name)
-    value = try_divide(g ** n, h ** (n - 1))
-    assert value is not None, "subresultant division must be exact"
-    return sign * value
+        n, m = m, len(g) - 1
+    value = _exact_quotient(g[0] ** n, h ** (n - 1))
+    return value if sign > 0 else -value

@@ -481,6 +481,60 @@ def test_property_resultant_matches_bareiss(pair):
         assert res.is_zero
 
 
+# ----------------------------------------------------------------------
+# the gcd is the greatest divisor, squarefreeness both ways, and the
+# resultant from planted roots, over Z[a, x]
+
+def test_content_in_the_first_variable_is_a_gcd_of_polynomials_in_x():
+    a, x = variables("a", "x")
+    p, q = (x + 1) * (a * x + 2), (x + 1) * (a * x - 3)
+    # in a, p = (x^2 + x) a + (2x + 2): no coefficient is constant
+    assert _content_and_primitive(p, "a") == (x + 1, a * x + 2)
+    # in a, a*x + 2 has the constant coefficient 2, so its content is 1 at once
+    assert _content_and_primitive(a * x + 2, "a") == (1, a * x + 2)
+    assert poly_gcd(p, q) == x + 1
+
+
+_A, _X = variables("a", "x")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_x_polys(2, min_degree=1), _x_polys(3), _x_polys(3))
+def test_property_gcd_is_the_greatest_common_divisor(h, c, d):
+    assume(not (c.is_zero and d.is_zero))
+    p, q = h * c, h * d
+    g = poly_gcd(p, q)
+    assert try_divide(g, normalize(h)) is not None
+    assert poly_gcd(try_divide(p, g), try_divide(q, g)).is_constant
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_x_polys(2, min_degree=1), _x_polys(3))
+def test_property_squarefree_both_ways(h, c):
+    assume(not c.is_zero)
+    p = h ** 2 * c
+    assert not is_squarefree(p)
+    part = squarefree_part(p)
+    assert is_squarefree(part)
+    assert try_divide(p, part) is not None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=4),
+    _x_polys(5),
+)
+def test_property_resultant_is_the_product_over_planted_roots(roots, g):
+    # Res_x(prod (x - r_i), g) = prod g(r_i) for the roots r_i = c + d*a
+    f = MultiPoly.constant(1)
+    expected = MultiPoly.constant(1)
+    for c, d in roots:
+        root = c + d * _A
+        f = f * (_X - root)
+        expected = expected * g.substitute({"a": _A, "x": root})
+    assert resultant(f, g, "x") == expected
+
+
 def test_squarefree_detection():
     u0, u1 = variables("u0", "u1")
     assert is_squarefree(u0 * u1)
