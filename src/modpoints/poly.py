@@ -1,12 +1,16 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Polynomials are stored sparsely: a sorted tuple of variable names together
-with a map from exponent vectors to nonzero coefficients, each a plain int
-when integral and a Fraction otherwise; the public accessors (``terms``,
-``leading``, ``constant_value``, ``evaluate``) give Fractions.  Values
-are immutable, every operation is exact, and printing is byte-stable
-(graded lexicographic term order over alphabetically sorted variables), so
-identities can be asserted with ``==`` and golden strings stay fixed.
+Polynomials are stored sparsely: a sorted tuple of variable names and a
+map from packed monomials to nonzero coefficients (an int when integral, a
+Fraction otherwise).  A monomial is one int: the total degree in the top
+field, then one ``FIELD``-bit field per variable, first variable highest,
+so integer order is graded lexicographic order and a monomial product is
+one addition.  Exponent tuples appear only at the public boundary (the
+constructor, ``terms`` and ``leading``), and the accessors (``terms``,
+``leading``, ``constant_value``, ``evaluate``) give Fractions.  Values are
+immutable, every operation is exact, and printing is byte-stable (graded
+lexicographic order over alphabetically sorted variables), so identities
+can be asserted with ``==`` and golden strings stay fixed.
 
 Besides ring arithmetic the module provides the elimination-theoretic
 tools needed elsewhere: substitution, restriction to a coordinate
@@ -21,7 +25,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import add, or_
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -30,6 +35,12 @@ Scalar = Union[int, Fraction]
 # Exponents are fixed-width; all computations here live in tiny degrees,
 # so anything past this bound is a bug, never a value to wrap around.
 EXPONENT_LIMIT = 1 << 15
+
+# Bits per variable in a packed monomial: the sum of two exponents within
+# the limit fits, and the top bit of each field stays free as a guard bit
+# for the fieldwise comparisons of ``try_divide``.
+FIELD = 17
+MASK = (1 << FIELD) - 1
 
 
 class ExponentOverflowError(OverflowError):
@@ -49,8 +60,26 @@ def _divide(a: Scalar, b: Scalar) -> Scalar:
     return Fraction(a, b) if r else q
 
 
-def _grlex_key(exponent: Exponent) -> Tuple[int, Exponent]:
-    return (sum(exponent), exponent)
+def _pack(exponent: Exponent) -> int:
+    """The key of a monomial: its total degree, then each exponent in turn."""
+    key = sum(exponent)
+    for e in exponent:
+        key = key << FIELD | e
+    return key
+
+
+def _unpack(key: int, n: int) -> Exponent:
+    return tuple(key >> FIELD * k & MASK for k in range(n - 1, -1, -1))
+
+
+def _unit(i: int, n: int) -> int:
+    """The key of the i-th of n variables; adding it raises that exponent by one."""
+    return 1 << FIELD * n | 1 << FIELD * (n - 1 - i)
+
+
+def _degrees(keys, n: int) -> List[int]:
+    """The largest exponent of each of the n variables over nonempty ``keys``."""
+    return [max(key >> FIELD * k & MASK for key in keys) for k in range(n - 1, -1, -1)]
 
 
 class MultiPoly:
@@ -63,21 +92,23 @@ class MultiPoly:
         vs = tuple(variables)
         if list(vs) != sorted(set(vs)):
             raise ValueError("variables must be sorted and distinct")
-        cleaned: Dict[Exponent, Scalar] = {}
+        cleaned: Dict[int, Scalar] = {}
         for exponent, coefficient in terms.items():
             exponent = tuple(exponent)
             if len(exponent) != len(vs):
                 raise ValueError("exponent arity does not match variable list")
             for e in exponent:
+                if not isinstance(e, int):
+                    raise ValueError(f"exponent {e!r} is not an int")
                 if e < 0:
                     raise ValueError("negative exponent")
                 if e > EXPONENT_LIMIT:
                     raise ExponentOverflowError(f"exponent {e} exceeds {EXPONENT_LIMIT}")
             c = _scalar(coefficient)
             if c:
-                cleaned[exponent] = c
-        object.__setattr__(self, "_vars", vs)
-        object.__setattr__(self, "_terms", cleaned)
+                cleaned[_pack(exponent)] = c
+        _set_vars(self, vs)
+        _set_terms(self, cleaned)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
@@ -91,12 +122,11 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value: Scalar, variables: Sequence[str] = ()) -> "MultiPoly":
-        vs = tuple(sorted(set(variables)))
-        return _trusted(vs, {(0,) * len(vs): _scalar(value)})
+        return _trusted(tuple(sorted(set(variables))), {0: _scalar(value)})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return _trusted((name,), {(1,): 1})
+        return _trusted((name,), {_unit(0, 1): 1})
 
     # ------------------------------------------------------------------
     # basic queries
@@ -107,7 +137,8 @@ class MultiPoly:
 
     @property
     def terms(self) -> Dict[Exponent, Fraction]:
-        return {exp: Fraction(c) for exp, c in self._terms.items()}
+        n = len(self._vars)
+        return {_unpack(key, n): Fraction(c) for key, c in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -115,7 +146,7 @@ class MultiPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(exp) for exp in self._terms)
+        return not any(self._terms)
 
     @property
     def constant_value(self) -> Fraction:
@@ -123,39 +154,50 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return Fraction(next(iter(self._terms.values())))
+        return Fraction(self._terms[0])
 
     def occurring_variables(self) -> Tuple[str, ...]:
-        return tuple(v for v, column in zip(self._vars, zip(*self._terms)) if any(column))
+        seen = reduce(or_, self._terms, 0)
+        n = len(self._vars)
+        return tuple(v for i, v in enumerate(self._vars) if seen >> FIELD * (n - 1 - i) & MASK)
 
     def degree_in(self, name: str) -> int:
         if self.is_zero:
             return -1
         if name not in self._vars:
             return 0
-        i = self._vars.index(name)
-        return max(exp[i] for exp in self._terms)
+        return _degrees(self._terms, len(self._vars))[self._vars.index(name)]
 
     def leading(self) -> Tuple[Exponent, Fraction]:
         """Leading term in graded lexicographic order."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self._terms, key=_grlex_key)
-        return exp, Fraction(self._terms[exp])
+        key = max(self._terms)
+        return _unpack(key, len(self._vars)), Fraction(self._terms[key])
 
     # ------------------------------------------------------------------
     # universe management
 
-    def _embedded(self, variables: Tuple[str, ...]) -> Dict[Exponent, Scalar]:
-        """The terms over ``variables``; a name left out must not occur."""
-        if variables == self._vars:
-            return dict(self._terms)
-        pick = [self._vars.index(v) if v in self._vars else None for v in variables]
-        return {tuple(0 if i is None else exp[i] for i in pick): c
-                for exp, c in self._terms.items()}
+    def _embedded(self, variables: Tuple[str, ...]) -> Dict[int, Scalar]:
+        """The terms over ``variables``, not a copy; a name left out must not occur."""
+        if variables == self._vars or not any(self._terms):
+            return self._terms  # a constant has the key 0 over every variable list
+        n, m = len(self._vars), len(variables)
+        moves = [(FIELD * (n - 1 - i), FIELD * (m - 1 - variables.index(v)))
+                 for i, v in enumerate(self._vars) if v in variables]
+        out = {}
+        for key, c in self._terms.items():
+            moved = key >> FIELD * n << FIELD * m  # the total degree
+            for old, new in moves:
+                moved |= (key >> old & MASK) << new
+            out[moved] = c
+        return out
 
     @staticmethod
     def _merge(p: "MultiPoly", q: "MultiPoly"):
+        """The common variables and both term maps over them, uncopied."""
+        if p._vars == q._vars:
+            return p._vars, p._terms, q._terms
         variables = tuple(sorted(set(p._vars) | set(q._vars)))
         return variables, p._embedded(variables), q._embedded(variables)
 
@@ -165,14 +207,16 @@ class MultiPoly:
     def _coerced(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
             return other
-        return MultiPoly.constant(other, self._vars)
+        return _trusted(self._vars, {0: _scalar(other)})
 
     def __add__(self, other) -> "MultiPoly":
-        other = self._coerced(other)
-        variables, a, b = self._merge(self, other)
-        for exp, coeff in b.items():
-            a[exp] = a.get(exp, 0) + coeff
-        return _trusted(variables, a)
+        variables, a, b = self._merge(self, self._coerced(other))
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for key, c in b.items():
+            out[key] = out.get(key, 0) + c
+        return _trusted(variables, out)
 
     __radd__ = __add__
 
@@ -180,22 +224,38 @@ class MultiPoly:
         return _trusted(self._vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerced(other))
+        variables, a, b = self._merge(self, self._coerced(other))
+        out = dict(a)
+        for key, c in b.items():
+            out[key] = out.get(key, 0) - c
+        return _trusted(variables, out)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerced(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
-        other = self._coerced(other)
+        if not isinstance(other, MultiPoly):
+            scale = _scalar(other)
+            return _trusted(self._vars, {e: c * scale for e, c in self._terms.items()})
         variables, a, b = self._merge(self, other)
-        top = map(add, map(max, zip(*a)), map(max, zip(*b)))  # the top degrees add up
-        if a and b and max(top, default=0) > EXPONENT_LIMIT:
-            raise ExponentOverflowError(f"a product exponent exceeds {EXPONENT_LIMIT}")
-        out: Dict[Exponent, Scalar] = {}
+        if not a or not b:
+            return _trusted(variables, {})
+        n = len(variables)
+        # the top degrees add up; a total degree bounds every exponent
+        if (max(a) >> FIELD * n) + (max(b) >> FIELD * n) > EXPONENT_LIMIT:
+            if max(map(add, _degrees(a, n), _degrees(b, n))) > EXPONENT_LIMIT:
+                raise ExponentOverflowError(f"a product exponent exceeds {EXPONENT_LIMIT}")
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:  # adding one key maps distinct keys to distinct keys
+            (eb, cb), = b.items()
+            return _trusted(variables, {ea + eb: ca * cb for ea, ca in a.items()})
+        out: Dict[int, Scalar] = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                exp = tuple(map(add, ea, eb))
-                out[exp] = out.get(exp, 0) + ca * cb
+                key = ea + eb
+                out[key] = get(key, 0) + ca * cb
         return _trusted(variables, out)
 
     __rmul__ = __mul__
@@ -218,7 +278,7 @@ class MultiPoly:
 
     def __hash__(self):
         occ = self.occurring_variables()
-        return hash((occ, tuple(sorted(self._embedded(occ).items()))))
+        return hash((occ, frozenset(self._embedded(occ).items())))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -233,10 +293,12 @@ class MultiPoly:
             raise ValueError(f"substitution missing variables: {missing}")
         images = {name: value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
                   for name, value in mapping.items()}
-        needed = {(v, e) for exp in self._terms for v, e in zip(self._vars, exp) if e}
+        n = len(self._vars)
+        terms = [(_unpack(key, n), coeff) for key, coeff in self._terms.items()]
+        needed = {(v, e) for exp, _ in terms for v, e in zip(self._vars, exp) if e}
         powers = {(v, e): images[v] ** e for v, e in needed}
         result = MultiPoly.zero()
-        for exp, coeff in self._terms.items():
+        for exp, coeff in terms:
             term = MultiPoly.constant(coeff)
             for v, e in zip(self._vars, exp):
                 if e:
@@ -249,12 +311,12 @@ class MultiPoly:
         value = _scalar(value)
         if name not in self._vars:
             return self
-        i = self._vars.index(name)
-        out: Dict[Exponent, Scalar] = {}
-        for exp, coeff in self._terms.items():
-            rest = exp[:i] + exp[i + 1:]
-            out[rest] = out.get(rest, 0) + coeff * value ** exp[i]
-        return _trusted(self._vars[:i] + self._vars[i + 1:], out)
+        rest = tuple(v for v in self._vars if v != name)
+        out: Dict[int, Scalar] = {}
+        for d, c in _univariate_coefficients(self, name).items():
+            for key, coeff in c._embedded(rest).items():
+                out[key] = out.get(key, 0) + coeff * value ** d
+        return _trusted(rest, out)
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         return self.substitute(assignment).constant_value
@@ -262,14 +324,13 @@ class MultiPoly:
     def partial_derivative(self, name: str) -> "MultiPoly":
         if name not in self._vars:
             raise ValueError(f"unknown variable {name!r}")
-        i = self._vars.index(name)
-        out: Dict[Exponent, Scalar] = {}
-        for exp, coeff in self._terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            out[tuple(new)] = coeff * exp[i]
+        n, i = len(self._vars), self._vars.index(name)
+        shift, unit = FIELD * (n - 1 - i), _unit(i, n)
+        out: Dict[int, Scalar] = {}
+        for key, coeff in self._terms.items():
+            e = key >> shift & MASK
+            if e:
+                out[key - unit] = coeff * e
         return _trusted(self._vars, out)
 
     # ------------------------------------------------------------------
@@ -281,10 +342,10 @@ class MultiPoly:
         occ = self.occurring_variables()
         terms = self._embedded(occ)
         pieces = []
-        for exp in sorted(terms, key=_grlex_key, reverse=True):
-            coeff = terms[exp]
+        for key in sorted(terms, reverse=True):
+            coeff = terms[key]
             factors = []
-            for v, e in zip(occ, exp):
+            for v, e in zip(occ, _unpack(key, len(occ))):
                 if e == 1:
                     factors.append(v)
                 elif e > 1:
@@ -307,14 +368,19 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _trusted(variables: Tuple[str, ...], terms: Mapping[Exponent, Scalar]) -> MultiPoly:
-    """An arithmetic result, unchecked: ``variables`` sorted, exponents in range.
-    Zeros are dropped and an integral Fraction is stored as its int."""
+def _trusted(variables: Tuple[str, ...], terms: Mapping[int, Scalar]) -> MultiPoly:
+    """An arithmetic result, unchecked: ``variables`` sorted, keys packed over
+    them with exponents in range.  Zeros are dropped and an integral Fraction
+    is stored as its int."""
     p = object.__new__(MultiPoly)
-    object.__setattr__(p, "_vars", variables)
-    object.__setattr__(p, "_terms", {e: c if c.denominator != 1 else c.numerator
-                                     for e, c in terms.items() if c})
+    _set_vars(p, variables)
+    _set_terms(p, {e: c if type(c) is int or c.denominator != 1 else c.numerator
+                   for e, c in terms.items() if c})
     return p
+
+
+# the slots' own setters, past the immutability guard of ``__setattr__``
+_set_vars, _set_terms = MultiPoly._vars.__set__, MultiPoly._terms.__set__
 
 
 def variables(*names: str) -> Tuple[MultiPoly, ...]:
@@ -325,29 +391,46 @@ def variables(*names: str) -> Tuple[MultiPoly, ...]:
 # divisibility, gcd, squarefreeness
 
 def try_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
-    """Return p/q when q divides p exactly, else None."""
+    """Return p/q when q divides p exactly, else None.
+
+    Keys are compared field by field: with the guard bit of every field set,
+    a subtraction keeps each guard bit exactly when its field did not go
+    below zero.  No term of an exact quotient has an exponent above
+    deg_v p - deg_v q, so the division stops at one, and every remainder
+    exponent stays within deg_v p.
+    """
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero:
         return MultiPoly.zero()
     vs, rem, qt = MultiPoly._merge(p, q)
-    lq = max(qt, key=_grlex_key)
+    n = len(vs)
+    room = [dp - dq for dp, dq in zip(_degrees(rem, n), _degrees(qt, n))]
+    if min(room, default=0) < 0:
+        return None
+    guards = sum(1 << FIELD * k + FIELD - 1 for k in range(n))
+    bound = _pack(room) | guards
+    rem = dict(rem)
+    lq = max(qt)
     cq = qt[lq]
-    quotient: Dict[Exponent, Scalar] = {}
+    quotient: Dict[int, Scalar] = {}
     while rem:
-        lr = max(rem, key=_grlex_key)
-        diff = tuple(a - b for a, b in zip(lr, lq))
-        if any(d < 0 for d in diff):
-            return None
+        lr = max(rem)
+        diff = (lr | guards) - lq
+        if diff & guards != guards:
+            return None  # lq does not divide lr
+        diff -= guards
+        if (bound - diff) & guards != guards:
+            return None  # an exponent of diff exceeds its room
         c = _divide(rem[lr], cq)
-        quotient[diff] = quotient.get(diff, 0) + c
+        quotient[diff] = c
         for eq, cq2 in qt.items():
-            exp = tuple(map(add, diff, eq))
-            nxt = rem.get(exp, 0) - c * cq2
+            key = diff + eq
+            nxt = rem.get(key, 0) - c * cq2
             if nxt:
-                rem[exp] = nxt
+                rem[key] = nxt
             else:
-                rem.pop(exp, None)
+                del rem[key]
     return _trusted(vs, quotient)
 
 
@@ -358,14 +441,13 @@ def normalize(p: MultiPoly) -> MultiPoly:
     denom_lcm = math.lcm(*(c.denominator for c in p._terms.values()))
     num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator) for c in p._terms.values()))
     scale = _divide(denom_lcm, num_gcd)
-    _, lead = p.leading()
-    if lead < 0:
+    if p.leading()[1] < 0:
         scale = -scale
     return p if scale == 1 else p * scale
 
 
 def _is_one(p: MultiPoly) -> bool:
-    return list(p._terms.values()) == [1] and p.is_constant
+    return p._terms == {0: 1}
 
 
 def _exact_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -373,7 +455,8 @@ def _exact_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if _is_one(q):
         return p
     quotient = try_divide(p, q)
-    assert quotient is not None, "the division must be exact"
+    if quotient is None:
+        raise ArithmeticError("the division must be exact")
     return quotient
 
 
@@ -381,12 +464,12 @@ def _univariate_coefficients(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
     """View p as a polynomial in ``name``; values are free of ``name``."""
     if name not in p._vars:
         return {0: p} if not p.is_zero else {}
-    i = p._vars.index(name)
-    buckets: Dict[int, Dict[Exponent, Scalar]] = {}
-    for exp, coeff in p._terms.items():
-        d = exp[i]
-        stripped = exp[:i] + (0,) + exp[i + 1:]
-        buckets.setdefault(d, {})[stripped] = coeff
+    n, i = len(p._vars), p._vars.index(name)
+    shift, unit = FIELD * (n - 1 - i), _unit(i, n)
+    buckets: Dict[int, Dict[int, Scalar]] = {}
+    for key, coeff in p._terms.items():
+        d = key >> shift & MASK
+        buckets.setdefault(d, {})[key - d * unit] = coeff
     return {d: _trusted(p._vars, terms) for d, terms in buckets.items()}
 
 
@@ -400,11 +483,11 @@ def _coefficient_list(p: MultiPoly, name: str) -> List[MultiPoly]:
 def _from_coefficient_list(coefficients: Sequence[MultiPoly], name: str) -> MultiPoly:
     """sum c_k name^k; the inverse of ``_coefficient_list``."""
     vs = tuple(sorted({name}.union(*(c._vars for c in coefficients))))
-    i = vs.index(name)
-    terms: Dict[Exponent, Scalar] = {}
+    unit = _unit(vs.index(name), len(vs))
+    terms: Dict[int, Scalar] = {}
     for k, c in enumerate(coefficients):
-        for exp, coeff in c._embedded(vs).items():
-            terms[exp[:i] + (k,) + exp[i + 1:]] = coeff
+        for key, coeff in c._embedded(vs).items():
+            terms[key + k * unit] = coeff
     return _trusted(vs, terms)
 
 
@@ -566,9 +649,7 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     rep = _repeated_part(p)
     if rep.is_constant:
         return normalize(p)
-    reduced = try_divide(p, rep)
-    assert reduced is not None
-    return normalize(reduced)
+    return normalize(_exact_quotient(p, rep))
 
 
 def extract_exceptional(p: MultiPoly, name: str) -> Tuple[int, MultiPoly]:
@@ -577,16 +658,13 @@ def extract_exceptional(p: MultiPoly, name: str) -> Tuple[int, MultiPoly]:
         raise ValueError("cannot extract a coordinate power from 0")
     if name not in p._vars:
         return 0, p
-    i = p._vars.index(name)
-    k = min(exp[i] for exp in p._terms)
+    n, i = len(p._vars), p._vars.index(name)
+    shift = FIELD * (n - 1 - i)
+    k = min(key >> shift & MASK for key in p._terms)
     if k == 0:
         return 0, p
-    terms = {}
-    for exp, coeff in p._terms.items():
-        new = list(exp)
-        new[i] -= k
-        terms[tuple(new)] = coeff
-    return k, _trusted(p._vars, terms)
+    lowered = k * _unit(i, n)
+    return k, _trusted(p._vars, {key - lowered: c for key, c in p._terms.items()})
 
 
 # ----------------------------------------------------------------------

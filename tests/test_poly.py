@@ -1,7 +1,11 @@
 """Polynomial engine tests: ring axioms, oracles, and frozen identities."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from itertools import groupby, product
 
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from modpoints.poly import (
     EXPONENT_LIMIT,
     _content_and_primitive,
+    _exact_quotient,
     ExponentOverflowError,
     MultiPoly,
     discriminant_quartic,
@@ -117,6 +122,95 @@ def test_exponent_overflow_is_hard_error():
     at_limit = (x ** (EXPONENT_LIMIT - 3) * y) * (x ** 3 + y ** (EXPONENT_LIMIT - 1))
     assert at_limit.degree_in("x") == at_limit.degree_in("y") == EXPONENT_LIMIT
     assert (x ** EXPONENT_LIMIT).degree_in("x") == EXPONENT_LIMIT
+
+
+def test_constructor_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        MultiPoly(("x",), {(1.5,): 1})  # not x^1.5
+    with pytest.raises(ValueError):
+        MultiPoly(("x",), {("2",): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(("x",), {(-1,): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(("x", "y"), {(1,): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(("y", "x"), {(1, 0): 1})
+
+
+def test_a_product_may_reach_the_limit_in_every_variable():
+    x, y, z = variables("x", "y", "z")
+    limit = EXPONENT_LIMIT
+    p = x ** (limit - 1) * y * z ** (limit - 5)
+    q = x * y ** (limit - 1) * z ** 5
+    assert (p * q).leading() == ((limit, limit, limit), 1)
+    assert ((p + 1) * (q + 1)).terms == {
+        (limit, limit, limit): 1, p.leading()[0]: 1, q.leading()[0]: 1, (0, 0, 0): 1
+    }
+    for past in (p * x, p + y ** 2, p + z ** (limit - 4)):
+        with pytest.raises(ExponentOverflowError):
+            _ = past * q
+
+
+def test_try_divide_near_the_limit():
+    # each q has a non-leading term with a larger exponent than its leading term
+    limit = EXPONENT_LIMIT
+    x, y = variables("x", "y")
+    assert try_divide(x ** limit * y ** limit, x ** limit + x * y ** limit) is None
+    q = x ** (limit - 1) + y ** limit
+    assert try_divide(q * x, q) == x
+    v, w, x, y, z = variables("v", "w", "x", "y", "z")
+    top = v ** limit * w ** limit * x ** limit * y ** limit * z ** limit
+    assert try_divide(top, v ** limit + v * w ** limit * x ** limit * y ** limit * z ** limit) is None
+    q = v ** (limit - 1) * x + w ** limit * y * z
+    assert try_divide(q * (v + z), q) == v + z
+    assert try_divide(q * (v + z) + 1, q) is None
+
+
+def test_padding_with_unused_variables_changes_nothing():
+    x, y = variables("x", "y")
+    p = 3 * x ** 2 * y - y + 7
+    padded = p + MultiPoly.zero(("w", "x", "y", "z"))
+    assert padded.variables == ("w", "x", "y", "z")
+    assert padded == p and p == padded
+    assert hash(padded) == hash(p)
+    assert str(padded) == str(p)
+    assert padded.leading() == ((0, 2, 1, 0), 3)
+
+
+@st.composite
+def _polys_in_one_to_four_variables(draw):
+    names = ("w", "x", "y", "z")[:draw(st.integers(1, 4))]
+    exponent = st.one_of(st.integers(0, 3), st.integers(EXPONENT_LIMIT - 2, EXPONENT_LIMIT))
+    terms = draw(st.dictionaries(
+        st.tuples(*[exponent] * len(names)), st.integers(-9, 9).filter(bool), min_size=1, max_size=6
+    ))
+    return MultiPoly(names, terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_polys_in_one_to_four_variables())
+def test_property_leading_is_the_largest_total_degree_then_exponent(p):
+    terms = p.terms
+    top = max(terms, key=lambda exponent: (sum(exponent), exponent))
+    assert p.leading() == (top, terms[top])
+
+
+def test_exact_quotient_raises_under_optimize():
+    # python -O strips assert statements; a failed exact division must still raise
+    code = (
+        "from modpoints.poly import _exact_quotient, variables\n"
+        "x, y = variables('x', 'y')\n"
+        "try:\n    print(_exact_quotient(x, y))\n"
+        "except ArithmeticError:\n    print('raised')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-O", "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "raised"
+    x, y = variables("x", "y")
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(x, y)
 
 
 def test_try_divide_of_integer_polynomials_can_be_a_fraction():
