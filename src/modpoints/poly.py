@@ -107,8 +107,8 @@ class MultiPoly:
             c = _scalar(coefficient)
             if c:
                 cleaned[_pack(exponent)] = c
-        _set_vars(self, vs)
-        _set_terms(self, cleaned)
+        object.__setattr__(self, "_vars", vs)
+        object.__setattr__(self, "_terms", cleaned)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
@@ -211,8 +211,6 @@ class MultiPoly:
 
     def __add__(self, other) -> "MultiPoly":
         variables, a, b = self._merge(self, self._coerced(other))
-        if len(a) < len(b):
-            a, b = b, a
         out = dict(a)
         for key, c in b.items():
             out[key] = out.get(key, 0) + c
@@ -245,11 +243,6 @@ class MultiPoly:
         if (max(a) >> FIELD * n) + (max(b) >> FIELD * n) > EXPONENT_LIMIT:
             if max(map(add, _degrees(a, n), _degrees(b, n))) > EXPONENT_LIMIT:
                 raise ExponentOverflowError(f"a product exponent exceeds {EXPONENT_LIMIT}")
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:  # adding one key maps distinct keys to distinct keys
-            (eb, cb), = b.items()
-            return _trusted(variables, {ea + eb: ca * cb for ea, ca in a.items()})
         out: Dict[int, Scalar] = {}
         get = out.get
         for ea, ca in a.items():
@@ -373,14 +366,10 @@ def _trusted(variables: Tuple[str, ...], terms: Mapping[int, Scalar]) -> MultiPo
     them with exponents in range.  Zeros are dropped and an integral Fraction
     is stored as its int."""
     p = object.__new__(MultiPoly)
-    _set_vars(p, variables)
-    _set_terms(p, {e: c if type(c) is int or c.denominator != 1 else c.numerator
-                   for e, c in terms.items() if c})
+    object.__setattr__(p, "_vars", variables)
+    object.__setattr__(p, "_terms", {e: c if c.denominator != 1 else c.numerator
+                                     for e, c in terms.items() if c})
     return p
-
-
-# the slots' own setters, past the immutability guard of ``__setattr__``
-_set_vars, _set_terms = MultiPoly._vars.__set__, MultiPoly._terms.__set__
 
 
 def variables(*names: str) -> Tuple[MultiPoly, ...]:
@@ -441,7 +430,8 @@ def normalize(p: MultiPoly) -> MultiPoly:
     denom_lcm = math.lcm(*(c.denominator for c in p._terms.values()))
     num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator) for c in p._terms.values()))
     scale = _divide(denom_lcm, num_gcd)
-    if p.leading()[1] < 0:
+    _, lead = p.leading()
+    if lead < 0:
         scale = -scale
     return p if scale == 1 else p * scale
 

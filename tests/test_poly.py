@@ -166,6 +166,26 @@ def test_try_divide_near_the_limit():
     assert try_divide(q * (v + z) + 1, q) is None
 
 
+def test_try_divide_stops_before_a_remainder_exponent_reaches_the_guard_bit():
+    # With s = v*w*x*y and L = EXPONENT_LIMIT, the first step of dividing
+    # s^L z^L by s^(L/2) + s^(L/4) z^L leaves -s^(3L/4) z^(2L): its z field
+    # holds 2^16 and so sets its own guard bit, the key test then reads the
+    # wrong quotient exponent, and the leading term is never cancelled.  The
+    # room bound (deg_z of the quotient at most deg_z p - deg_z q = 0) stops
+    # the division before that step; a subprocess turns a hang into a failure.
+    code = (
+        "from modpoints.poly import EXPONENT_LIMIT as L, try_divide, variables\n"
+        "v, w, x, y, z = variables('v', 'w', 'x', 'y', 'z')\n"
+        "s = v * w * x * y\n"
+        "print(try_divide(s ** L * z ** L, s ** (L // 2) + s ** (L // 4) * z ** L))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "None"
+
+
 def test_padding_with_unused_variables_changes_nothing():
     x, y = variables("x", "y")
     p = 3 * x ** 2 * y - y + 7
