@@ -17,8 +17,11 @@ tools needed elsewhere: substitution, restriction to a coordinate
 hyperplane (``specialize``), formal derivatives, extraction of a
 coordinate power (for strict transforms under a blow-up), squarefreeness
 tests, the closed-form discriminant of a depressed quartic, and one
-subresultant pseudo-remainder sequence that gives both the gcd and the
-resultant.
+subresultant pseudo-remainder sequence that gives the gcd, the resultant
+and the squarefreeness test.  The sequence runs on coefficient lists in the
+eliminated variable whose constant entries stay plain ints and Fractions,
+so over Q[x] it builds no MultiPoly at all; every public function still
+returns a MultiPoly.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
+# an entry of a coefficient list: a constant is kept as its scalar
+Coefficient = Union["MultiPoly", Scalar]
 
 # Exponents are fixed-width; all computations here live in tiny degrees,
 # so anything past this bound is a bug, never a value to wrap around.
@@ -270,6 +275,8 @@ class MultiPoly:
         return a == b
 
     def __hash__(self):
+        if self.is_constant:  # as its scalar, which it equals
+            return hash(self._terms.get(0, 0))
         occ = self.occurring_variables()
         return hash((occ, frozenset(self._embedded(occ).items())))
 
@@ -284,8 +291,7 @@ class MultiPoly:
         missing = [v for v in self.occurring_variables() if v not in mapping]
         if missing:
             raise ValueError(f"substitution missing variables: {missing}")
-        images = {name: value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
-                  for name, value in mapping.items()}
+        images = {name: _as_poly(value) for name, value in mapping.items()}
         n = len(self._vars)
         terms = [(_unpack(key, n), coeff) for key, coeff in self._terms.items()]
         needed = {(v, e) for exp, _ in terms for v, e in zip(self._vars, exp) if e}
@@ -372,6 +378,11 @@ def _trusted(variables: Tuple[str, ...], terms: Mapping[int, Scalar]) -> MultiPo
     return p
 
 
+def _as_poly(value: Coefficient) -> MultiPoly:
+    """``value`` as a MultiPoly; a scalar becomes a constant."""
+    return value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
+
+
 def variables(*names: str) -> Tuple[MultiPoly, ...]:
     return tuple(MultiPoly.variable(n) for n in names)
 
@@ -436,15 +447,20 @@ def normalize(p: MultiPoly) -> MultiPoly:
     return p if scale == 1 else p * scale
 
 
-def _is_one(p: MultiPoly) -> bool:
-    return p._terms == {0: 1}
+def _is_one(p: Coefficient) -> bool:
+    return p._terms == {0: 1} if isinstance(p, MultiPoly) else p == 1
 
 
-def _exact_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """p/q where q is known to divide p; no division at all when q is 1."""
+def _exact_quotient(p: Coefficient, q: Coefficient) -> Coefficient:
+    """p/q where q is known to divide p; no division at all when q is 1.  Either
+    may be a scalar; a scalar q divides term by term, and two scalars give one."""
     if _is_one(q):
         return p
-    quotient = try_divide(p, q)
+    if not isinstance(q, MultiPoly):
+        if not isinstance(p, MultiPoly):
+            return _divide(p, q)
+        return _trusted(p._vars, {key: _divide(c, q) for key, c in p._terms.items()})
+    quotient = try_divide(_as_poly(p), q)
     if quotient is None:
         raise ArithmeticError("the division must be exact")
     return quotient
@@ -463,15 +479,20 @@ def _univariate_coefficients(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
     return {d: _trusted(p._vars, terms) for d, terms in buckets.items()}
 
 
-def _coefficient_list(p: MultiPoly, name: str) -> List[MultiPoly]:
-    """[c_0, ..., c_n] with p = sum c_k name^k and c_n != 0; [] for p = 0."""
+def _coefficient_list(p: MultiPoly, name: str) -> List[Coefficient]:
+    """[c_0, ..., c_n] with p = sum c_k name^k and c_n != 0; [] for p = 0.  A
+    constant c_k is its int or Fraction and a missing one is 0, so a sequence
+    in a univariate p runs on scalars alone."""
     coefficients = _univariate_coefficients(p, name)
-    zero = MultiPoly.zero()
-    return [coefficients.get(k, zero) for k in range(max(coefficients, default=-1) + 1)]
+    out: List[Coefficient] = [0] * (max(coefficients, default=-1) + 1)
+    for k, c in coefficients.items():
+        out[k] = c if any(c._terms) else c._terms[0]
+    return out
 
 
-def _from_coefficient_list(coefficients: Sequence[MultiPoly], name: str) -> MultiPoly:
+def _from_coefficient_list(coefficients: Sequence[Coefficient], name: str) -> MultiPoly:
     """sum c_k name^k; the inverse of ``_coefficient_list``."""
+    coefficients = [_as_poly(c) for c in coefficients]
     vs = tuple(sorted({name}.union(*(c._vars for c in coefficients))))
     unit = _unit(vs.index(name), len(vs))
     terms: Dict[int, Scalar] = {}
@@ -500,12 +521,14 @@ def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPol
     return content, _exact_quotient(p, content)
 
 
-def _pseudo_remainder(f: List[MultiPoly], g: List[MultiPoly]) -> List[MultiPoly]:
+def _pseudo_remainder(f: List[Coefficient], g: List[Coefficient]) -> List[Coefficient]:
     """prem(f, g) = ell(g)^(n-m+1) f mod g on coefficient lists, n >= m > 0.
 
     ``f`` and ``g`` are [c_0, ..., c_n] and [c_0, ..., c_m], each entry free of
-    the main variable.  The step at degree d rewrites only the m entries
-    d-m .. d-1 that x^(d-m) g reaches; an entry it skips owes one factor
+    the main variable and a constant entry a scalar (see ``_coefficient_list``),
+    so two constant entries combine in scalar arithmetic.  The step at degree
+    d rewrites only the m entries d-m .. d-1 that x^(d-m) g reaches; an entry
+    it skips owes one factor
     ell(g), and ``paid[k]`` records how many steps entry k has been scaled
     through, so the debt is paid in one product when the entry is next read.
     Zero entries, zero leading entries and ell(g) = 1 cost no product.  The
@@ -516,11 +539,11 @@ def _pseudo_remainder(f: List[MultiPoly], g: List[MultiPoly]) -> List[MultiPoly]
         raise ValueError("pseudo-remainder needs deg f >= deg g")
     lead = g[m]
     monic = _is_one(lead)
-    powers = [MultiPoly.constant(1), lead]
+    powers = [1, lead]
     r = list(f)
     paid = [0] * len(r)
 
-    def settled(k: int, steps: int) -> MultiPoly:
+    def settled(k: int, steps: int) -> Coefficient:
         """Entry k of the remainder after ``steps`` steps."""
         owed = steps - paid[k]
         if monic or not owed or not r[k]:
@@ -541,18 +564,20 @@ def _pseudo_remainder(f: List[MultiPoly], g: List[MultiPoly]) -> List[MultiPoly]
     return [settled(k, n - m + 1) for k in range(m)]
 
 
-def _subresultant_prs(f: List[MultiPoly], g: List[MultiPoly]):
+def _subresultant_prs(f: List[Coefficient], g: List[Coefficient]):
     """The subresultant remainder sequence of the coefficient lists f and g.
 
     Needs deg f >= deg g > 0, i.e. len(f) >= len(g) >= 2.  Each
     pseudo-division yields (A, B, h): A is the previous B, B = prem(A, B) /
     (g h^delta) entry by entry, and the classical g/h divisor bookkeeping
     keeps every division exact; when g h^delta is 1 (always at the first
-    step) no division runs.  B drops its trailing zeros, so deg B is
-    len(B) - 1 and the zero polynomial is [].  The sequence ends after a B
-    that is zero or free of the main variable.
+    step) no division runs.  g and h start as the int 1 and, like every
+    entry, stay scalars for as long as the leading coefficients are constant.
+    B drops its trailing zeros, so deg B is len(B) - 1 and the zero
+    polynomial is [].  The sequence ends after a B that is zero or free of
+    the main variable.
     """
-    gg = hh = MultiPoly.constant(1)
+    gg = hh = 1
     while True:
         delta = len(f) - len(g)
         reduced = _pseudo_remainder(f, g)
@@ -568,7 +593,7 @@ def _subresultant_prs(f: List[MultiPoly], g: List[MultiPoly]):
             return
 
 
-def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str) -> List[MultiPoly]:
+def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str) -> List[Coefficient]:
     """Last nonzero element of the subresultant remainder sequence, as the
     coefficient list in ``name``.
 
@@ -624,12 +649,27 @@ def _repeated_part(p: MultiPoly) -> MultiPoly:
 
 
 def is_squarefree(p: MultiPoly) -> bool:
-    """True iff no irreducible factor repeats (characteristic zero)."""
+    """True iff no irreducible factor repeats (characteristic zero).
+
+    With v the first occurring variable, p = content * primitive in v, and
+    no factor of the content (free of v) divides the primitive part.  So p is
+    squarefree iff the content is, checked recursively, and the primitive
+    part shares no factor with its derivative in v, that is, the last nonzero
+    subresultant of the two has degree 0 in v (Geddes, Czapor and Labahn,
+    *Algorithms for Computer Algebra*, 8.2).  A primitive part of degree 1 in
+    v is irreducible, so it is squarefree at once.
+    """
     if p.is_zero:
         raise ValueError("squarefreeness is undefined for 0")
     if p.is_constant:
         raise ValueError("squarefreeness is undefined for constants")
-    return _repeated_part(p).is_constant
+    name = p.occurring_variables()[0]
+    content, primitive = _content_and_primitive(p, name)
+    if not (content.is_constant or is_squarefree(content)):
+        return False
+    if primitive.degree_in(name) == 1:
+        return True
+    return len(_subresultant_tail(primitive, primitive.partial_derivative(name), name)) == 1
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -662,9 +702,7 @@ def extract_exceptional(p: MultiPoly, name: str) -> Tuple[int, MultiPoly]:
 
 def discriminant_quartic(alpha, beta, gamma) -> MultiPoly:
     """Discriminant of x^4 + alpha*x^2 + beta*x + gamma."""
-    a = alpha if isinstance(alpha, MultiPoly) else MultiPoly.constant(alpha)
-    b = beta if isinstance(beta, MultiPoly) else MultiPoly.constant(beta)
-    g = gamma if isinstance(gamma, MultiPoly) else MultiPoly.constant(gamma)
+    a, b, g = map(_as_poly, (alpha, beta, gamma))
     return (
         256 * g ** 3
         - 128 * a ** 2 * g ** 2
@@ -688,9 +726,9 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     if n < 0 or m < 0:
         return MultiPoly.zero()
     if n == 0:
-        return f[0] ** m
+        return _as_poly(f[0] ** m)
     if m == 0:
-        return g[0] ** n
+        return _as_poly(g[0] ** n)
     sign = 1
     if n < m:
         f, g, n, m = g, f, m, n
@@ -702,4 +740,4 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
             return MultiPoly.zero()
         n, m = m, len(g) - 1
     value = _exact_quotient(g[0] ** n, h ** (n - 1))
-    return value if sign > 0 else -value
+    return _as_poly(value if sign > 0 else -value)

@@ -16,6 +16,7 @@ from modpoints.poly import (
     EXPONENT_LIMIT,
     _content_and_primitive,
     _exact_quotient,
+    _repeated_part,
     ExponentOverflowError,
     MultiPoly,
     discriminant_quartic,
@@ -195,6 +196,16 @@ def test_padding_with_unused_variables_changes_nothing():
     assert hash(padded) == hash(p)
     assert str(padded) == str(p)
     assert padded.leading() == ((0, 2, 1, 0), 3)
+
+
+def test_a_constant_hashes_as_the_scalar_it_equals():
+    x, y = variables("x", "y")
+    for value in (0, 3, -7, Fraction(2, 3), Fraction(6, 2)):
+        for p in (MultiPoly.constant(value), MultiPoly.constant(value, ("x", "y")),
+                  x * y - y * x + value):
+            assert p == value
+            assert hash(p) == hash(value)
+            assert len({p, value}) == 1
 
 
 @st.composite
@@ -553,13 +564,14 @@ def _from_coefficients(coefficients):
     return MultiPoly(("a", "x"), terms)
 
 
-def _x_polys(max_degree, min_degree=0):
+def _x_polys(max_degree, min_degree=0, numbers=st.integers(-4, 4)):
     # about a third of the coefficients are gaps, so that degrees drop by more
-    # than one along the remainder sequence (non-normal, delta > 1)
+    # than one along the remainder sequence (non-normal, delta > 1), and a
+    # third are constants, which the sequence keeps as ints or Fractions
     entry = st.one_of(
         st.just((0, 0)),
-        st.tuples(st.integers(-4, 4), st.just(0)),
-        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        st.tuples(numbers, st.just(0)),
+        st.tuples(numbers, numbers),
     )
     coefficients = st.lists(entry, min_size=min_degree + 1, max_size=max_degree + 1)
     if min_degree:
@@ -593,6 +605,35 @@ def test_property_resultant_matches_bareiss(pair):
     assert resultant(g, f, "x") == (-1) ** (n * m % 2) * res
     if planted:
         assert res.is_zero
+
+
+_FRACTIONS = st.fractions(-4, 4, max_denominator=5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_x_polys(5, numbers=_FRACTIONS), _x_polys(5, numbers=_FRACTIONS))
+def test_property_rational_resultant_matches_bareiss(f, g):
+    res = resultant(f, g, "x")
+    assert type(res) is MultiPoly
+    assert res == bareiss_resultant(f, g, "x")
+
+
+def test_sequences_on_scalar_entries_return_polynomials():
+    # every coefficient in x is constant, so the remainder sequence runs on
+    # ints and Fractions alone; the public results are still MultiPolys
+    x, = variables("x")
+    cases = [
+        (resultant(x ** 2 - 2, x - 1, "x"), -1),
+        (resultant(x - 1, x ** 2 - 1, "x"), 0),
+        (resultant(MultiPoly.constant(3), x ** 2 + 1, "x"), 9),
+        (resultant(x ** 2 - 2, 2 * x - 1, "x"), -7),  # 2^2 * ((1/2)^2 - 2)
+        (resultant(Fraction(1, 2) * x ** 2 - 2, x - Fraction(1, 3), "x"), Fraction(-35, 18)),
+        (poly_gcd(x ** 2 - 1, x ** 2 + 2 * x + 1), x + 1),
+        (poly_gcd(x ** 2 - 2, x - 1), 1),
+    ]
+    for result, expected in cases:
+        assert type(result) is MultiPoly
+        assert result == expected
 
 
 # ----------------------------------------------------------------------
@@ -647,6 +688,38 @@ def test_property_resultant_is_the_product_over_planted_roots(roots, g):
         f = f * (_X - root)
         expected = expected * g.substitute({"a": _A, "x": root})
     assert resultant(f, g, "x") == expected
+
+
+@st.composite
+def _products_in_one_to_three_variables(draw):
+    """A product of one to three small factors, each to the power 1 or 2."""
+    names = draw(st.sampled_from((("x",), ("a", "x"), ("a", "x", "y"))))
+    factor = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(names)), st.integers(-3, 3), min_size=1, max_size=3
+    ).map(lambda terms: MultiPoly(names, terms))
+    p = MultiPoly.constant(1)
+    for f, k in draw(st.lists(st.tuples(factor, st.integers(1, 2)), min_size=1, max_size=3)):
+        p = p * f ** k
+    return p
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_products_in_one_to_three_variables())
+def test_property_squarefree_two_routes(p):
+    # the content split and the last subresultant against the gcd of p with
+    # all its partial derivatives
+    assume(not p.is_constant)
+    assert is_squarefree(p) == _repeated_part(p).is_constant
+
+
+@pytest.mark.parametrize("p, squarefree", [
+    ((_X + 1) ** 2 * (_A + _X), False),  # the repeated factor is free of a, the first variable
+    ((_X + 1) * (_X + 2) * (_A * _X + 1), True),
+    (_A * _X + 1, True),  # degree 1 in a
+])
+def test_squarefree_pinned_cases_by_both_routes(p, squarefree):
+    assert is_squarefree(p) is squarefree
+    assert _repeated_part(p).is_constant is squarefree
 
 
 def test_squarefree_detection():
