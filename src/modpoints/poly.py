@@ -18,10 +18,12 @@ hyperplane (``specialize``), formal derivatives, extraction of a
 coordinate power (for strict transforms under a blow-up), squarefreeness
 tests, the closed-form discriminant of a depressed quartic, and one
 subresultant pseudo-remainder sequence that gives the gcd, the resultant
-and the squarefreeness test.  The sequence runs on coefficient lists in the
-eliminated variable whose constant entries stay plain ints and Fractions,
-so over Q[x] it builds no MultiPoly at all; every public function still
-returns a MultiPoly.
+and the squarefreeness test.  The sequence runs on lists of the
+coefficients in the eliminated variable, a constant one kept as its int or
+Fraction and any other as a bare term map, and shares its one product loop
+(``_mul_terms``) and its one exact-division loop (``_divide_terms``) with
+MultiPoly; a MultiPoly is built only for a public result and for the gcd
+tail that the content step reads.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
-# an entry of a coefficient list: a constant is kept as its scalar
-Coefficient = Union["MultiPoly", Scalar]
+Terms = Dict[int, Scalar]  # packed monomial -> nonzero coefficient
+# An entry of a coefficient list in the remainder sequence is a constant's
+# scalar, or else a term map over the variables of both inputs with a
+# non-constant key and no zero coefficient.
+Entry = Union[Terms, Scalar]
 
 # Exponents are fixed-width; all computations here live in tiny degrees,
 # so anything past this bound is a bug, never a value to wrap around.
@@ -241,20 +246,7 @@ class MultiPoly:
             scale = _scalar(other)
             return _trusted(self._vars, {e: c * scale for e, c in self._terms.items()})
         variables, a, b = self._merge(self, other)
-        if not a or not b:
-            return _trusted(variables, {})
-        n = len(variables)
-        # the top degrees add up; a total degree bounds every exponent
-        if (max(a) >> FIELD * n) + (max(b) >> FIELD * n) > EXPONENT_LIMIT:
-            if max(map(add, _degrees(a, n), _degrees(b, n))) > EXPONENT_LIMIT:
-                raise ExponentOverflowError(f"a product exponent exceeds {EXPONENT_LIMIT}")
-        out: Dict[int, Scalar] = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = ea + eb
-                out[key] = get(key, 0) + ca * cb
-        return _trusted(variables, out)
+        return _trusted(variables, _mul_terms(a, b, len(variables)) if a and b else {})
 
     __rmul__ = __mul__
 
@@ -378,7 +370,7 @@ def _trusted(variables: Tuple[str, ...], terms: Mapping[int, Scalar]) -> MultiPo
     return p
 
 
-def _as_poly(value: Coefficient) -> MultiPoly:
+def _as_poly(value: Union["MultiPoly", Scalar]) -> MultiPoly:
     """``value`` as a MultiPoly; a scalar becomes a constant."""
     return value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
 
@@ -390,21 +382,32 @@ def variables(*names: str) -> Tuple[MultiPoly, ...]:
 # ----------------------------------------------------------------------
 # divisibility, gcd, squarefreeness
 
-def try_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
-    """Return p/q when q divides p exactly, else None.
+def _mul_terms(a: Terms, b: Terms, n: int) -> Terms:
+    """The product of two nonempty term maps over n variables; a coefficient
+    that cancels is left as a zero."""
+    # the top degrees add up; a total degree bounds every exponent
+    if (max(a) >> FIELD * n) + (max(b) >> FIELD * n) > EXPONENT_LIMIT:
+        if max(map(add, _degrees(a, n), _degrees(b, n))) > EXPONENT_LIMIT:
+            raise ExponentOverflowError(f"a product exponent exceeds {EXPONENT_LIMIT}")
+    out: Terms = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = ea + eb
+            out[key] = get(key, 0) + ca * cb
+    return out
+
+
+def _divide_terms(rem: Terms, qt: Terms, n: int) -> Terms | None:
+    """The quotient rem/qt of two nonempty term maps over n variables when
+    it is exact, else None; ``rem`` is not changed.
 
     Keys are compared field by field: with the guard bit of every field set,
     a subtraction keeps each guard bit exactly when its field did not go
     below zero.  No term of an exact quotient has an exponent above
-    deg_v p - deg_v q, so the division stops at one, and every remainder
-    exponent stays within deg_v p.
+    deg_v rem - deg_v qt, so the division stops at one, and every remainder
+    exponent stays within deg_v rem.
     """
-    if q.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero:
-        return MultiPoly.zero()
-    vs, rem, qt = MultiPoly._merge(p, q)
-    n = len(vs)
     room = [dp - dq for dp, dq in zip(_degrees(rem, n), _degrees(qt, n))]
     if min(room, default=0) < 0:
         return None
@@ -413,7 +416,7 @@ def try_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
     rem = dict(rem)
     lq = max(qt)
     cq = qt[lq]
-    quotient: Dict[int, Scalar] = {}
+    quotient: Terms = {}
     while rem:
         lr = max(rem)
         diff = (lr | guards) - lq
@@ -431,7 +434,18 @@ def try_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
                 rem[key] = nxt
             else:
                 del rem[key]
-    return _trusted(vs, quotient)
+    return quotient
+
+
+def try_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
+    """Return p/q when q divides p exactly, else None."""
+    if q.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero:
+        return MultiPoly.zero()
+    vs, rem, qt = MultiPoly._merge(p, q)
+    quotient = _divide_terms(rem, qt, len(vs))
+    return None if quotient is None else _trusted(vs, quotient)
 
 
 def normalize(p: MultiPoly) -> MultiPoly:
@@ -447,59 +461,33 @@ def normalize(p: MultiPoly) -> MultiPoly:
     return p if scale == 1 else p * scale
 
 
-def _is_one(p: Coefficient) -> bool:
-    return p._terms == {0: 1} if isinstance(p, MultiPoly) else p == 1
-
-
-def _exact_quotient(p: Coefficient, q: Coefficient) -> Coefficient:
-    """p/q where q is known to divide p; no division at all when q is 1.  Either
-    may be a scalar; a scalar q divides term by term, and two scalars give one."""
-    if _is_one(q):
+def _exact_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """p/q where q is known to divide p; no division at all when q is 1."""
+    if q._terms == {0: 1}:
         return p
-    if not isinstance(q, MultiPoly):
-        if not isinstance(p, MultiPoly):
-            return _divide(p, q)
-        return _trusted(p._vars, {key: _divide(c, q) for key, c in p._terms.items()})
-    quotient = try_divide(_as_poly(p), q)
+    quotient = try_divide(p, q)
     if quotient is None:
         raise ArithmeticError("the division must be exact")
     return quotient
+
+
+def _buckets(terms: Terms, n: int, i: int) -> Dict[int, Terms]:
+    """The terms over n variables grouped by the exponent d of the i-th,
+    each with that exponent removed: the coefficients in it, by degree."""
+    shift, unit = FIELD * (n - 1 - i), _unit(i, n)
+    out: Dict[int, Terms] = {}
+    for key, coeff in terms.items():
+        d = key >> shift & MASK
+        out.setdefault(d, {})[key - d * unit] = coeff
+    return out
 
 
 def _univariate_coefficients(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
     """View p as a polynomial in ``name``; values are free of ``name``."""
     if name not in p._vars:
         return {0: p} if not p.is_zero else {}
-    n, i = len(p._vars), p._vars.index(name)
-    shift, unit = FIELD * (n - 1 - i), _unit(i, n)
-    buckets: Dict[int, Dict[int, Scalar]] = {}
-    for key, coeff in p._terms.items():
-        d = key >> shift & MASK
-        buckets.setdefault(d, {})[key - d * unit] = coeff
+    buckets = _buckets(p._terms, len(p._vars), p._vars.index(name))
     return {d: _trusted(p._vars, terms) for d, terms in buckets.items()}
-
-
-def _coefficient_list(p: MultiPoly, name: str) -> List[Coefficient]:
-    """[c_0, ..., c_n] with p = sum c_k name^k and c_n != 0; [] for p = 0.  A
-    constant c_k is its int or Fraction and a missing one is 0, so a sequence
-    in a univariate p runs on scalars alone."""
-    coefficients = _univariate_coefficients(p, name)
-    out: List[Coefficient] = [0] * (max(coefficients, default=-1) + 1)
-    for k, c in coefficients.items():
-        out[k] = c if any(c._terms) else c._terms[0]
-    return out
-
-
-def _from_coefficient_list(coefficients: Sequence[Coefficient], name: str) -> MultiPoly:
-    """sum c_k name^k; the inverse of ``_coefficient_list``."""
-    coefficients = [_as_poly(c) for c in coefficients]
-    vs = tuple(sorted({name}.union(*(c._vars for c in coefficients))))
-    unit = _unit(vs.index(name), len(vs))
-    terms: Dict[int, Scalar] = {}
-    for k, c in enumerate(coefficients):
-        for key, coeff in c._embedded(vs).items():
-            terms[key + k * unit] = coeff
-    return _trusted(vs, terms)
 
 
 def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
@@ -521,36 +509,103 @@ def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPol
     return content, _exact_quotient(p, content)
 
 
-def _pseudo_remainder(f: List[Coefficient], g: List[Coefficient]) -> List[Coefficient]:
-    """prem(f, g) = ell(g)^(n-m+1) f mod g on coefficient lists, n >= m > 0.
+# ----------------------------------------------------------------------
+# the subresultant remainder sequence, on lists of entries
+
+def _coefficient_lists(f: MultiPoly, g: MultiPoly, name: str):
+    """(vs, [f_0, ..., f_n], [g_0, ..., g_m]): f = sum f_k name^k with
+    f_n != 0, as entries over vs, the variables of f, g and ``name``; [] is 0."""
+    vs = tuple(sorted({name, *f._vars, *g._vars}))
+    lists = []
+    for p in (f, g):
+        buckets = _buckets(p._embedded(vs), len(vs), vs.index(name))
+        entries: List[Entry] = [0] * (max(buckets, default=-1) + 1)
+        for d, terms in buckets.items():
+            entries[d] = terms if any(terms) else terms[0]
+        lists.append(entries)
+    return (vs, *lists)
+
+
+def _terms_of(a: Entry) -> Terms:
+    return a if isinstance(a, dict) else {0: a} if a else {}
+
+
+def _mul(a: Entry, b: Entry, n: int) -> Entry:
+    """The product of two nonzero entries over n variables."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return {key: c for key, c in _mul_terms(a, b, n).items() if c}
+    if isinstance(b, dict):
+        a, b = b, a
+    if isinstance(a, dict):
+        return {key: c * b for key, c in a.items()}
+    return a * b
+
+
+def _sub(a: Entry, b: Entry) -> Entry:
+    if not isinstance(a, dict) and not isinstance(b, dict):
+        return a - b
+    out = dict(_terms_of(a))
+    for key, c in _terms_of(b).items():
+        c = out.get(key, 0) - c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out if any(out) else out.get(0, 0)
+
+
+def _pow(a: Entry, k: int, n: int) -> Entry:
+    if not isinstance(a, dict):
+        return a ** k
+    out = a if k else 1
+    for _ in range(k - 1):
+        out = _mul(out, a, n)
+    return out
+
+
+def _quo(a: Entry, b: Entry, n: int) -> Entry:
+    """a/b where b is known to divide a; no division at all when b is 1."""
+    if b == 1 or not a:
+        return a
+    if not isinstance(b, dict):
+        return {key: _divide(c, b) for key, c in a.items()} if isinstance(a, dict) else _divide(a, b)
+    quotient = _divide_terms(a, b, n) if isinstance(a, dict) else None
+    if quotient is None:
+        raise ArithmeticError("the division must be exact")
+    return quotient if any(quotient) else quotient[0]
+
+
+def _pseudo_remainder(f: List[Entry], g: List[Entry], nv: int) -> List[Entry]:
+    """prem(f, g) = ell(g)^(n-m+1) f mod g on lists of entries over nv
+    variables, n >= m > 0.
 
     ``f`` and ``g`` are [c_0, ..., c_n] and [c_0, ..., c_m], each entry free of
-    the main variable and a constant entry a scalar (see ``_coefficient_list``),
-    so two constant entries combine in scalar arithmetic.  The step at degree
-    d rewrites only the m entries d-m .. d-1 that x^(d-m) g reaches; an entry
-    it skips owes one factor
-    ell(g), and ``paid[k]`` records how many steps entry k has been scaled
-    through, so the debt is paid in one product when the entry is next read.
-    Zero entries, zero leading entries and ell(g) = 1 cost no product.  The
-    result has m entries, trailing zeros included.
+    the main variable, so two constant entries combine in scalar arithmetic
+    and a product or difference that cancels to a constant becomes one.  The
+    step at degree d rewrites only the m entries d-m .. d-1 that x^(d-m) g
+    reaches; an entry it skips owes one factor ell(g), and ``paid[k]``
+    records how many steps entry k has been scaled through, so the debt is
+    paid in one product when the entry is next read.  Zero entries, zero
+    leading entries and ell(g) = 1 cost no product.  The result has m
+    entries, trailing zeros included.
     """
     n, m = len(f) - 1, len(g) - 1
     if n < m:
         raise ValueError("pseudo-remainder needs deg f >= deg g")
     lead = g[m]
-    monic = _is_one(lead)
+    monic = lead == 1
     powers = [1, lead]
     r = list(f)
     paid = [0] * len(r)
 
-    def settled(k: int, steps: int) -> Coefficient:
+    def settled(k: int, steps: int) -> Entry:
         """Entry k of the remainder after ``steps`` steps."""
         owed = steps - paid[k]
         if monic or not owed or not r[k]:
             return r[k]
         while len(powers) <= owed:
-            powers.append(powers[-1] * lead)
-        return powers[owed] * r[k]
+            powers.append(_mul(powers[-1], lead, nv))
+        return _mul(powers[owed], r[k], nv)
 
     for step, d in enumerate(range(n, m - 1, -1)):
         lc = settled(d, step)
@@ -559,13 +614,14 @@ def _pseudo_remainder(f: List[Coefficient], g: List[Coefficient]) -> List[Coeffi
         for j in range(m):
             k = d - m + j
             entry = settled(k, step + 1)
-            r[k] = entry - lc * g[j] if g[j] else entry
+            r[k] = _sub(entry, _mul(lc, g[j], nv)) if g[j] else entry
             paid[k] = step + 1
     return [settled(k, n - m + 1) for k in range(m)]
 
 
-def _subresultant_prs(f: List[Coefficient], g: List[Coefficient]):
-    """The subresultant remainder sequence of the coefficient lists f and g.
+def _subresultant_prs(f: List[Entry], g: List[Entry], nv: int):
+    """The subresultant remainder sequence of the lists of entries f and g
+    over nv variables.
 
     Needs deg f >= deg g > 0, i.e. len(f) >= len(g) >= 2.  Each
     pseudo-division yields (A, B, h): A is the previous B, B = prem(A, B) /
@@ -580,31 +636,31 @@ def _subresultant_prs(f: List[Coefficient], g: List[Coefficient]):
     gg = hh = 1
     while True:
         delta = len(f) - len(g)
-        reduced = _pseudo_remainder(f, g)
+        reduced = _pseudo_remainder(f, g, nv)
         while reduced and not reduced[-1]:
             reduced.pop()
-        divisor = gg * hh ** delta
-        f, g = g, [_exact_quotient(c, divisor) for c in reduced]
+        divisor = _mul(gg, _pow(hh, delta, nv), nv)
+        f, g = g, [_quo(c, divisor, nv) for c in reduced]
         gg = f[-1]
         if delta > 0:
-            hh = _exact_quotient(gg ** delta, hh ** (delta - 1))
+            hh = _quo(_pow(gg, delta, nv), _pow(hh, delta - 1, nv), nv)
         yield f, g, hh
         if len(g) <= 1:
             return
 
 
-def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str) -> List[Coefficient]:
-    """Last nonzero element of the subresultant remainder sequence, as the
-    coefficient list in ``name``.
+def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str):
+    """(vs, the last nonzero element of the subresultant remainder sequence
+    as a list of entries in ``name`` over vs).
 
     Inputs have positive degree in ``name``.
     """
-    f, g = _coefficient_list(f, name), _coefficient_list(g, name)
+    vs, f, g = _coefficient_lists(f, g, name)
     if len(f) < len(g):
         f, g = g, f
-    for f, g, _ in _subresultant_prs(f, g):
+    for f, g, _ in _subresultant_prs(f, g, len(vs)):
         pass
-    return g if g else f
+    return vs, g if g else f
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -630,11 +686,14 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if prim_p.degree_in(name) == 0 or prim_q.degree_in(name) == 0:
         prim_gcd = MultiPoly.constant(1)
     else:
-        tail = _subresultant_tail(prim_p, prim_q, name)
+        vs, tail = _subresultant_tail(prim_p, prim_q, name)
         if len(tail) == 1:
             prim_gcd = MultiPoly.constant(1)
         else:
-            prim_gcd = _content_and_primitive(_from_coefficient_list(tail, name), name)[1]
+            unit = _unit(vs.index(name), len(vs))
+            prim = _trusted(vs, {key + k * unit: c for k, entry in enumerate(tail)
+                                 for key, c in _terms_of(entry).items()})
+            prim_gcd = _content_and_primitive(prim, name)[1]
     return normalize(content * prim_gcd)
 
 
@@ -669,7 +728,7 @@ def is_squarefree(p: MultiPoly) -> bool:
         return False
     if primitive.degree_in(name) == 1:
         return True
-    return len(_subresultant_tail(primitive, primitive.partial_derivative(name), name)) == 1
+    return len(_subresultant_tail(primitive, primitive.partial_derivative(name), name)[1]) == 1
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -721,23 +780,23 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     ell(B)^deg A / h^(deg A - 1), up to the sign (-1)^(deg A * deg B)
     gathered at every step and at the initial swap.
     """
-    f, g = _coefficient_list(f, name), _coefficient_list(g, name)
-    n, m = len(f) - 1, len(g) - 1
+    vs, f, g = _coefficient_lists(f, g, name)
+    nv, n, m = len(vs), len(f) - 1, len(g) - 1
     if n < 0 or m < 0:
         return MultiPoly.zero()
     if n == 0:
-        return _as_poly(f[0] ** m)
+        return _trusted(vs, _terms_of(_pow(f[0], m, nv)))
     if m == 0:
-        return _as_poly(g[0] ** n)
+        return _trusted(vs, _terms_of(_pow(g[0], n, nv)))
     sign = 1
     if n < m:
         f, g, n, m = g, f, m, n
         sign = -1 if n & m & 1 else 1
-    for f, g, h in _subresultant_prs(f, g):
+    for f, g, h in _subresultant_prs(f, g, nv):
         if n & m & 1:
             sign = -sign
         if not g:
             return MultiPoly.zero()
         n, m = m, len(g) - 1
-    value = _exact_quotient(g[0] ** n, h ** (n - 1))
-    return _as_poly(value if sign > 0 else -value)
+    value = _trusted(vs, _terms_of(_quo(_pow(g[0], n, nv), _pow(h, n - 1, nv), nv)))
+    return value if sign > 0 else -value

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from modpoints.poly import (
     EXPONENT_LIMIT,
+    _coefficient_lists,
     _content_and_primitive,
     _exact_quotient,
+    _quo,
     _repeated_part,
+    _subresultant_prs,
     ExponentOverflowError,
     MultiPoly,
     discriminant_quartic,
@@ -123,6 +126,15 @@ def test_exponent_overflow_is_hard_error():
     at_limit = (x ** (EXPONENT_LIMIT - 3) * y) * (x ** 3 + y ** (EXPONENT_LIMIT - 1))
     assert at_limit.degree_in("x") == at_limit.degree_in("y") == EXPONENT_LIMIT
     assert (x ** EXPONENT_LIMIT).degree_in("x") == EXPONENT_LIMIT
+    # the remainder sequence multiplies term maps with the same guard: here
+    # prem(x^2 + 1, a^k x + 1) = a^2k + 1 is the resultant
+    a, = variables("a")
+    f, g = a ** (EXPONENT_LIMIT // 2) * x + 1, x ** 2 + 1
+    assert resultant(f, g, "x") == resultant(g, f, "x") == a ** EXPONENT_LIMIT + 1
+    f = a ** (EXPONENT_LIMIT // 2 + 1) * x + 1
+    for pair in ((f, g), (g, f)):
+        with pytest.raises(ExponentOverflowError):
+            resultant(*pair, "x")
 
 
 def test_constructor_rejects_malformed_input():
@@ -242,6 +254,9 @@ def test_exact_quotient_raises_under_optimize():
     x, y = variables("x", "y")
     with pytest.raises(ArithmeticError):
         _exact_quotient(x, y)
+    _, (_, x_entry), _ = _coefficient_lists(x * y, x, "y")
+    with pytest.raises(ArithmeticError):
+        _quo(1, x_entry, 2)  # a nonzero constant over a non-constant entry
 
 
 def test_try_divide_of_integer_polynomials_can_be_a_fraction():
@@ -634,6 +649,35 @@ def test_sequences_on_scalar_entries_return_polynomials():
     for result, expected in cases:
         assert type(result) is MultiPoly
         assert result == expected
+
+
+@st.composite
+def _pairs_in_two_or_three_variables(draw):
+    names = draw(st.sampled_from((("a", "x"), ("a", "x", "y"))))
+    number = st.one_of(st.integers(-3, 3),
+                       st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(names)), number,
+                            min_size=1, max_size=6)
+    return MultiPoly(names, draw(terms)), MultiPoly(names, draw(terms))
+
+
+def _is_entry(entry):
+    if isinstance(entry, dict):
+        return any(entry) and all(entry.values())
+    return isinstance(entry, (int, Fraction))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs_in_two_or_three_variables())
+def test_property_sequence_entries_are_scalars_or_non_constant_term_maps(pair):
+    # a product that cancels must drop its zero coefficients, and a
+    # difference that cancels must become 0 or a scalar
+    vs, f, g = _coefficient_lists(*pair, "x")
+    if len(f) < len(g):
+        f, g = g, f
+    assume(len(g) >= 2)
+    for a, b, h in _subresultant_prs(f, g, len(vs)):
+        assert all(map(_is_entry, a + b + [h])), (a, b, h)
 
 
 # ----------------------------------------------------------------------
