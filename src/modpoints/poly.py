@@ -17,13 +17,20 @@ tools needed elsewhere: substitution, restriction to a coordinate
 hyperplane (``specialize``), formal derivatives, extraction of a
 coordinate power (for strict transforms under a blow-up), squarefreeness
 tests, the closed-form discriminant of a depressed quartic, and one
-subresultant pseudo-remainder sequence that gives the gcd, the resultant
-and the squarefreeness test.  The sequence runs on lists of the
-coefficients in the eliminated variable, a constant one kept as its int or
-Fraction and any other as a bare term map, and shares its one product loop
-(``_mul_terms``) and its one exact-division loop (``_divide_terms``) with
-MultiPoly; a MultiPoly is built only for a public result and for the gcd
-tail that the content step reads.
+subresultant pseudo-remainder sequence that gives the resultant and the
+squarefreeness test.  The sequence runs on lists of the coefficients in the
+eliminated variable, a constant one kept as its int or Fraction and any
+other as a bare term map, and shares its one product loop (``_mul_terms``)
+and its one exact-division loop (``_divide_terms``) with MultiPoly; a
+MultiPoly is built only for a public result and for the gcd tail that the
+content step reads.
+
+The gcd is the heuristic gcd of Char, Geddes and Gonnet: evaluate at large
+integers, take one integer gcd, lift it back by a symmetric xi-adic
+expansion, and accept the candidate only when ``_divide_terms`` divides both
+sides exactly.  It gives up after a few evaluation points, or at once when
+an integer would grow past a fixed bit length, and only then does the
+subresultant sequence give the gcd.
 """
 
 from __future__ import annotations
@@ -51,6 +58,11 @@ EXPONENT_LIMIT = 1 << 15
 # for the fieldwise comparisons of ``try_divide``.
 FIELD = 17
 MASK = (1 << FIELD) - 1
+
+# The heuristic gcd tries at most this many evaluation points, and gives up
+# before a power xi^deg would pass this many bits (about 5000 decimal digits).
+HEURISTIC_TRIES = 6
+HEURISTIC_BITS = 1 << 14
 
 
 class ExponentOverflowError(OverflowError):
@@ -663,11 +675,104 @@ def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str):
     return vs, g if g else f
 
 
+def _evaluate(buckets: Dict[int, Terms], xi: int) -> Terms:
+    """The sum of bucket_d * xi^d over the coefficients by degree from
+    ``_buckets``, without zero coefficients: a variable set to ``xi``."""
+    out: Terms = {}
+    for d, bucket in buckets.items():
+        power = xi ** d
+        for key, c in bucket.items():
+            out[key] = out.get(key, 0) + c * power
+    return {key: c for key, c in out.items() if c}
+
+
+def _interpolate(h: Terms, xi: int, unit: int) -> Terms:
+    """The symmetric xi-adic expansion of h: the term map sum_e g_e v^e, with
+    v the variable whose key is ``unit`` and every coefficient of g_e in
+    (-xi/2, xi/2], that takes the value h at v = xi."""
+    out: Terms = {}
+    half, shift = xi // 2, 0
+    while h:
+        rest = {}
+        for key, c in h.items():
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[key + shift] = digit
+            if c != digit:
+                rest[key] = (c - digit) // xi
+        h, shift = rest, shift + unit
+    return out
+
+
+def _primitive(terms: Terms) -> Tuple[int, Terms]:
+    """(integer content, primitive part) of a nonzero term map with int
+    coefficients; the content is positive."""
+    content = math.gcd(*terms.values())
+    return content, terms if content == 1 else {key: c // content for key, c in terms.items()}
+
+
+def _heuristic_gcd(a: Terms, b: Terms, n: int) -> Terms | None:
+    """gcd(a, b) of two nonzero term maps over n variables with int
+    coefficients by the heuristic gcd that ``poly_gcd`` describes, or None
+    when the heuristic gives up.  An image that evaluates to zero counts as
+    a failed candidate."""
+    ca, a = _primitive(a)
+    cb, b = _primitive(b)
+    gamma = math.gcd(ca, cb)
+    if not any(a) or not any(b):  # a side is constant: the gcd is an integer
+        return {0: gamma}
+    seen = reduce(or_, a, 0) | reduce(or_, b, 0)
+    i = next(i for i in range(n) if seen >> FIELD * (n - 1 - i) & MASK)
+    ba, bb = _buckets(a, n, i), _buckets(b, n, i)
+    degree = max(max(ba), max(bb))
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    for _ in range(HEURISTIC_TRIES):
+        if xi.bit_length() * degree > HEURISTIC_BITS:
+            return None
+        ea, eb = _evaluate(ba, xi), _evaluate(bb, xi)
+        h = _heuristic_gcd(ea, eb, n) if ea and eb else None
+        if h is not None:
+            g = _primitive(_interpolate(h, xi, _unit(i, n)))[1]
+            if _divide_terms(a, g, n) is not None and _divide_terms(b, g, n) is not None:
+                return {key: c * gamma for key, c in g.items()}
+        xi = xi * 73794 // 27011
+    return None
+
+
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """A gcd, primitive with positive leading coefficient.
 
-    Recursive content/primitive-part reduction over the first occurring
-    variable with a subresultant pseudo-remainder sequence on the
+    The heuristic gcd GCDHEU of Char, Geddes and Gonnet (J. Symbolic
+    Computation 7, 1989; Geddes, Czapor and Labahn, *Algorithms for Computer
+    Algebra*, 7.7), on packed term maps.  Both sides are scaled to primitive
+    integer polynomials A and B.  The first occurring variable v is set to an
+    integer xi >= 2 min(|A|, |B|) + 2, |.| the largest absolute coefficient,
+    and the images are handled the same way, variable by variable, until one
+    ``math.gcd`` of two integers is left.  Its symmetric xi-adic expansion,
+    every coefficient in (-xi/2, xi/2], lifts each gcd back to a polynomial
+    in v, and the candidate is that polynomial's integer primitive part.
+
+    A candidate is accepted only when it divides A and B exactly; given the
+    bound on xi, it is then the gcd.  A rejected candidate grows xi by
+    73794/27011, at most ``HEURISTIC_TRIES`` times, and the heuristic gives
+    up at once on a xi whose power xi^deg_v would pass ``HEURISTIC_BITS``
+    bits.  Only then does the subresultant route (``_subresultant_gcd``)
+    answer.
+    """
+    if not (p.is_zero or q.is_zero):
+        vs, a, b = MultiPoly._merge(normalize(p), normalize(q))
+        g = _heuristic_gcd(a, b, len(vs))
+        if g is not None:
+            return normalize(_trusted(vs, g))
+    return _subresultant_gcd(p, q)
+
+
+def _subresultant_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """A gcd, primitive with positive leading coefficient, by the subresultant
+    route: recursive content/primitive-part reduction over the first
+    occurring variable with a subresultant pseudo-remainder sequence on the
     primitive parts.
     """
     if p.is_zero and q.is_zero:

@@ -6,6 +6,11 @@ another way, or a helper only the tests need:
 - ``bareiss_resultant``: the determinant of the Sylvester matrix by
   fraction-free Bareiss elimination, against the subresultant remainder
   sequence that ``modpoints.poly.resultant`` follows;
+- ``modpoints.poly._subresultant_gcd``, not a test helper but the fallback
+  of ``poly_gcd``: the content recursion with a subresultant remainder
+  sequence, which the tests run with the heuristic gcd switched off as the
+  second route to the gcd that ``poly_gcd`` takes by evaluation at large
+  integers;
 - ``generate_group`` and ``stabilizer``: the breadth-first closure of the
   28 reflections, all 40320 elements, and Stab(h) filtered from it, against
   the Schreier-Sims chain of ``modpoints.fqspace.stabilizer_chain`` and the

@@ -7,18 +7,23 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from itertools import groupby, product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from modpoints import poly as poly_module
+from modpoints.blowup import antidiag_fixed_constraint
 from modpoints.poly import (
     EXPONENT_LIMIT,
+    HEURISTIC_BITS,
     _coefficient_lists,
     _content_and_primitive,
     _exact_quotient,
     _quo,
     _repeated_part,
+    _subresultant_gcd,
     _subresultant_prs,
     ExponentOverflowError,
     MultiPoly,
@@ -477,11 +482,45 @@ def test_property_ring_laws(p, q, r):
     assert (p - p).is_zero
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(small_polys, small_polys)
-def test_property_gcd_divides_both(p, q):
+@st.composite
+def _gcd_pairs(draw):
+    """(p, q) in one to three variables with int and Fraction coefficients;
+    in half the pairs both sides are multiples of one planted factor, in the
+    others they are drawn apart, so mostly coprime."""
+    names = draw(st.sampled_from((("x",), ("a", "x"), ("a", "x", "y"))))
+    number = st.one_of(st.integers(-9, 9), st.fractions(-4, 4, max_denominator=6))
+
+    def polys(max_exponent, max_terms):
+        exponents = st.tuples(*[st.integers(0, max_exponent)] * len(names))
+        return st.dictionaries(exponents, number, max_size=max_terms).map(
+            lambda terms: MultiPoly(names, terms))
+
+    p, q = draw(polys(3, 5)), draw(polys(3, 5))
+    if draw(st.booleans()):
+        h = draw(polys(2, 3).filter(bool))
+        p, q = h * p, h * q
+    return p, q
+
+
+def _subresultant_route(p, q):
+    """The gcd by the subresultant route alone: the heuristic is switched off
+    for the content gcds inside it as well."""
+    with mock.patch.object(poly_module, "_heuristic_gcd", lambda a, b, n: None):
+        return _subresultant_gcd(p, q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_gcd_pairs())
+# at xi = 4, below the bound 6, the primitive sides x^2 - 2x and x - 2 are 8 and
+# 2, and the lift of their gcd 2 is the constant 2, which divides both: x - 2 is missed
+@example((parse_poly("-2*x^2 + 4*x"), parse_poly("3*x - 6")))
+def test_property_gcd_divides_both(pair):
+    # the heuristic route of poly_gcd and the subresultant route give one
+    # normalized gcd, and it divides both sides
+    p, q = pair
     assume(not (p.is_zero and q.is_zero))
     g = poly_gcd(p, q)
+    assert g == _subresultant_route(p, q)
     assert try_divide(p, g) is not None
     assert try_divide(q, g) is not None
 
@@ -705,6 +744,65 @@ def test_property_gcd_is_the_greatest_common_divisor(h, c, d):
     g = poly_gcd(p, q)
     assert try_divide(g, normalize(h)) is not None
     assert poly_gcd(try_divide(p, g), try_divide(q, g)).is_constant
+
+
+def _linear_factors(seed, count):
+    """``count`` distinct factors x - c - d*a with |c|, d <= 9, d != 0, as
+    the elim ladder of the benchmark draws them."""
+    rng, roots = random.Random(seed), []
+    while len(roots) < count:
+        root = (rng.randint(-9, 9), rng.randint(1, 9))
+        if root not in roots:
+            roots.append(root)
+    return [_X - c - d * _A for c, d in roots]
+
+
+@pytest.mark.parametrize("planted_degree", [1, 3])
+def test_gcd_of_degree_10_products_in_two_variables(planted_degree, monkeypatch):
+    # the heuristic answers alone: the subresultant route, whose content
+    # recursion in a grows steeply with the degree, is not reached
+    factors = _linear_factors(planted_degree, 20 - planted_degree)
+    h = MultiPoly.constant(1)
+    for f in factors[:planted_degree]:
+        h = h * f
+    p, q = h, h
+    for f in factors[planted_degree:10]:
+        p = p * f
+    for f in factors[10:]:
+        q = q * f
+
+    def unreachable(p, q):
+        raise AssertionError("the heuristic gave up")
+
+    monkeypatch.setattr(poly_module, "_subresultant_gcd", unreachable)
+    assert poly_gcd(p, q) == normalize(h)
+
+
+def test_the_subresultant_route_gives_the_same_answers(monkeypatch):
+    a, x, y = variables("a", "x", "y")
+    p = (x + y) ** 2 * (a * x - 3) * (x - a)
+    q = (x + y) * (x - a) ** 2 * (2 * y + 1)
+
+    def answers():
+        return poly_gcd(p, q), squarefree_part(p * q), antidiag_fixed_constraint()
+
+    expected = answers()
+    assert expected[0] == normalize((x + y) * (x - a))
+    monkeypatch.setattr(poly_module, "_heuristic_gcd", lambda a, b, n: None)
+    assert answers() == expected
+
+
+def test_the_heuristic_gives_up_past_the_bit_guard(monkeypatch):
+    # both sides have max-norm 3, so xi = 8 (4 bits), and 8^5001 would pass the guard
+    p = (_A - 1) * (_A ** 5000 + 3)
+    q = (_A - 1) * (_A + 3)
+    assert 4 * 5001 > HEURISTIC_BITS
+
+    def no_evaluation(buckets, xi):
+        raise AssertionError(f"evaluated at a {xi.bit_length()}-bit point")
+
+    monkeypatch.setattr(poly_module, "_evaluate", no_evaluation)
+    assert poly_gcd(p, q) == _A - 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
