@@ -6,8 +6,8 @@ Fraction otherwise).  A monomial is one int: the total degree in the top
 field, then one ``FIELD``-bit field per variable, first variable highest,
 so integer order is graded lexicographic order and a monomial product is
 one addition.  Exponent tuples appear only at the public boundary (the
-constructor, ``terms`` and ``leading``), and the accessors (``terms``,
-``leading``, ``constant_value``, ``evaluate``) give Fractions.  Values are
+constructor and ``terms``), and the accessors (``terms``,
+``constant_value``, ``evaluate``) give Fractions.  Values are
 immutable, every operation is exact, and printing is byte-stable (graded
 lexicographic order over alphabetically sorted variables), so identities
 can be asserted with ``==`` and golden strings stay fixed.
@@ -17,20 +17,22 @@ tools needed elsewhere: substitution, restriction to a coordinate
 hyperplane (``specialize``), formal derivatives, extraction of a
 coordinate power (for strict transforms under a blow-up), squarefreeness
 tests, the closed-form discriminant of a depressed quartic, and one
-subresultant pseudo-remainder sequence that gives the resultant and the
-squarefreeness test.  The sequence runs on lists of the coefficients in the
-eliminated variable, a constant one kept as its int or Fraction and any
-other as a bare term map, and shares its one product loop (``_mul_terms``)
-and its one exact-division loop (``_divide_terms``) with MultiPoly; a
-MultiPoly is built only for a public result and for the gcd tail that the
-content step reads.
+subresultant pseudo-remainder sequence.  The sequence runs on lists of the
+coefficients in the eliminated variable, a constant one kept as its int or
+Fraction and any other as a bare term map, and shares its one product loop
+(``_mul_terms``) and its one exact-division loop (``_divide_terms``) with
+MultiPoly; a MultiPoly is built only for a public result and for the gcd
+tail that the content step reads.
 
-The gcd is the heuristic gcd of Char, Geddes and Gonnet: evaluate at large
-integers, take one integer gcd, lift it back by a symmetric xi-adic
-expansion, and accept the candidate only when ``_divide_terms`` divides both
-sides exactly.  It gives up after a few evaluation points, or at once when
-an integer would grow past a fixed bit length, and only then does the
-subresultant sequence give the gcd.
+Both the gcd and the resultant evaluate at large integers first.  The gcd
+is the heuristic gcd of Char, Geddes and Gonnet: one integer gcd, lifted
+back by a symmetric xi-adic expansion and accepted only when
+``_divide_terms`` divides both sides.  The resultant sets the other
+variables to powers of one integer past a Hadamard-type bound (Collins,
+with a Kronecker substitution), runs the sequence on ints and lifts the
+one integer back; ``is_squarefree`` reads that integer alone.  Past a fixed
+bit length (for the gcd also after a few evaluation points) the sequence
+runs on term maps.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ EXPONENT_LIMIT = 1 << 15
 FIELD = 17
 MASK = (1 << FIELD) - 1
 
-# The heuristic gcd tries at most this many evaluation points, and gives up
-# before a power xi^deg would pass this many bits (about 5000 decimal digits).
+# The heuristic gcd tries at most this many evaluation points, and it and the
+# resultant by evaluation give up before a power xi^deg would pass this many
+# bits (about 5000 decimal digits).
 HEURISTIC_TRIES = 6
 HEURISTIC_BITS = 1 << 14
 
@@ -188,14 +191,8 @@ class MultiPoly:
             return -1
         if name not in self._vars:
             return 0
-        return _degrees(self._terms, len(self._vars))[self._vars.index(name)]
-
-    def leading(self) -> Tuple[Exponent, Fraction]:
-        """Leading term in graded lexicographic order."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self._terms)
-        return _unpack(key, len(self._vars)), Fraction(self._terms[key])
+        shift = FIELD * (len(self._vars) - 1 - self._vars.index(name))
+        return max(key >> shift & MASK for key in self._terms)
 
     # ------------------------------------------------------------------
     # universe management
@@ -462,15 +459,16 @@ def try_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
 
 def normalize(p: MultiPoly) -> MultiPoly:
     """Scale to primitive integer coefficients with positive leading one."""
-    if p.is_zero:
+    terms = p._terms
+    if not terms:
         return p
-    denom_lcm = math.lcm(*(c.denominator for c in p._terms.values()))
-    num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator) for c in p._terms.values()))
-    scale = _divide(denom_lcm, num_gcd)
-    _, lead = p.leading()
-    if lead < 0:
-        scale = -scale
-    return p if scale == 1 else p * scale
+    sign = -1 if terms[max(terms)] < 0 else 1
+    if all(type(c) is int for c in terms.values()):
+        g = sign * math.gcd(*terms.values())
+        return p if g == 1 else _trusted(p._vars, {key: c // g for key, c in terms.items()})
+    denom_lcm = math.lcm(*(c.denominator for c in terms.values()))
+    num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator) for c in terms.values()))
+    return p * (sign * _divide(denom_lcm, num_gcd))
 
 
 def _exact_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -533,13 +531,18 @@ def _coefficient_lists(f: MultiPoly, g: MultiPoly, name: str):
         buckets = _buckets(p._embedded(vs), len(vs), vs.index(name))
         entries: List[Entry] = [0] * (max(buckets, default=-1) + 1)
         for d, terms in buckets.items():
-            entries[d] = terms if any(terms) else terms[0]
+            entries[d] = _entry(terms)
         lists.append(entries)
     return (vs, *lists)
 
 
 def _terms_of(a: Entry) -> Terms:
     return a if isinstance(a, dict) else {0: a} if a else {}
+
+
+def _entry(terms: Terms) -> Entry:
+    """A term map as an entry: its constant's scalar when no other key occurs."""
+    return terms if any(terms) else terms.get(0, 0)
 
 
 def _mul(a: Entry, b: Entry, n: int) -> Entry:
@@ -563,7 +566,7 @@ def _sub(a: Entry, b: Entry) -> Entry:
             out[key] = c
         else:
             del out[key]
-    return out if any(out) else out.get(0, 0)
+    return _entry(out)
 
 
 def _pow(a: Entry, k: int, n: int) -> Entry:
@@ -584,7 +587,7 @@ def _quo(a: Entry, b: Entry, n: int) -> Entry:
     quotient = _divide_terms(a, b, n) if isinstance(a, dict) else None
     if quotient is None:
         raise ArithmeticError("the division must be exact")
-    return quotient if any(quotient) else quotient[0]
+    return _entry(quotient)
 
 
 def _pseudo_remainder(f: List[Entry], g: List[Entry], nv: int) -> List[Entry]:
@@ -661,18 +664,75 @@ def _subresultant_prs(f: List[Entry], g: List[Entry], nv: int):
             return
 
 
-def _subresultant_tail(f: MultiPoly, g: MultiPoly, name: str):
-    """(vs, the last nonzero element of the subresultant remainder sequence
-    as a list of entries in ``name`` over vs).
+def _sequence_resultant(f: List[Entry], g: List[Entry], nv: int) -> Entry:
+    """Res(f, g) of two lists of entries over nv variables, each of positive
+    degree, from the subresultant remainder sequence.
 
-    Inputs have positive degree in ``name``.
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.7,
+    without the content step: after the pseudo-divisions the resultant is
+    ell(B)^deg A / h^(deg A - 1), up to the sign (-1)^(deg A * deg B)
+    gathered at every step and at the initial swap.
     """
-    vs, f, g = _coefficient_lists(f, g, name)
-    if len(f) < len(g):
-        f, g = g, f
-    for f, g, _ in _subresultant_prs(f, g, len(vs)):
-        pass
-    return vs, g if g else f
+    n, m = len(f) - 1, len(g) - 1
+    sign = 1
+    if n < m:
+        f, g, n, m = g, f, m, n
+        sign = -1 if n & m & 1 else 1
+    for f, g, h in _subresultant_prs(f, g, nv):
+        if n & m & 1:
+            sign = -sign
+        if not g:
+            return 0
+        n, m = m, len(g) - 1
+    value = _quo(_pow(g[0], n, nv), _pow(h, n - 1, nv), nv)
+    return value if sign > 0 else _sub(0, value)
+
+
+def _integral(terms: Terms) -> Tuple[int, Terms]:
+    """(c, c * terms) with c the lcm of the denominators of ``terms``."""
+    c = math.lcm(*(v.denominator for v in terms.values()))
+    return c, terms if c == 1 else {key: (v * c).numerator for key, v in terms.items()}
+
+
+def _images(f: Terms, g: Terms, n: int, j: int):
+    """(F, G, levels): the lists of int coefficients in the j-th of n
+    variables of f and g, int term maps of positive degree in it, with the
+    other variables set to the powers of xi of ``resultant``, and the
+    (power, variable index) of each level; None past the bit guard."""
+    shift = FIELD * (n - 1 - j)
+    df, dg = (max(key >> shift & MASK for key in t) for t in (f, g))
+    sf, sg = (sum(sum(map(abs, b.values())) ** 2 for b in _buckets(t, n, j).values())
+              for t in (f, g))
+    seen = reduce(or_, f, 0) | reduce(or_, g, 0)
+    power, levels = 2 * (math.isqrt(sf ** dg * sg ** df) + 1) + 2, []
+    for i in range(n):
+        si = FIELD * (n - 1 - i)
+        if i != j and seen >> si & MASK:
+            degree = dg * max(key >> si & MASK for key in f) + df * max(key >> si & MASK for key in g)
+            if power.bit_length() * (degree + 1) > HEURISTIC_BITS:
+                return None
+            levels.append((power, i))
+            power **= degree + 1
+    for power, i in levels:
+        f, g = _evaluate(_buckets(f, n, i), power), _evaluate(_buckets(g, n, i), power)
+    lists = [[0] * (df + 1), [0] * (dg + 1)]
+    for t, out in zip((f, g), lists):
+        for key, c in t.items():
+            out[key >> shift & MASK] = c
+    return (*lists, levels)
+
+
+def _resultant_image(f: MultiPoly, g: MultiPoly, name: str):
+    """(vs, r, levels, scale): r = Res(c f, d g) at the point of ``_images``,
+    with c and d from ``_integral`` and scale = c^deg g d^deg f; past the
+    bit guard r is that resultant itself, with no levels."""
+    vs = tuple(sorted({name, *f._vars, *g._vars}))
+    (cf, fi), (cg, gi) = _integral(f._embedded(vs)), _integral(g._embedded(vs))
+    images = _images(fi, gi, len(vs), vs.index(name))
+    if images is None:
+        images = (*_coefficient_lists(_trusted(vs, fi), _trusted(vs, gi), name)[1:], [])
+    fl, gl, levels = images
+    return vs, _sequence_resultant(fl, gl, len(vs)), levels, cf ** (len(gl) - 1) * cg ** (len(fl) - 1)
 
 
 def _evaluate(buckets: Dict[int, Terms], xi: int) -> Terms:
@@ -763,7 +823,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """
     if not (p.is_zero or q.is_zero):
         vs, a, b = MultiPoly._merge(normalize(p), normalize(q))
-        g = _heuristic_gcd(a, b, len(vs))
+        g = a if a == b else _heuristic_gcd(a, b, len(vs))
         if g is not None:
             return normalize(_trusted(vs, g))
     return _subresultant_gcd(p, q)
@@ -791,7 +851,12 @@ def _subresultant_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if prim_p.degree_in(name) == 0 or prim_q.degree_in(name) == 0:
         prim_gcd = MultiPoly.constant(1)
     else:
-        vs, tail = _subresultant_tail(prim_p, prim_q, name)
+        vs, f, g = _coefficient_lists(prim_p, prim_q, name)
+        if len(f) < len(g):
+            f, g = g, f
+        for f, g, _ in _subresultant_prs(f, g, len(vs)):
+            pass
+        tail = g if g else f  # the last nonzero element of the sequence
         if len(tail) == 1:
             prim_gcd = MultiPoly.constant(1)
         else:
@@ -818,10 +883,12 @@ def is_squarefree(p: MultiPoly) -> bool:
     With v the first occurring variable, p = content * primitive in v, and
     no factor of the content (free of v) divides the primitive part.  So p is
     squarefree iff the content is, checked recursively, and the primitive
-    part shares no factor with its derivative in v, that is, the last nonzero
-    subresultant of the two has degree 0 in v (Geddes, Czapor and Labahn,
-    *Algorithms for Computer Algebra*, 8.2).  A primitive part of degree 1 in
-    v is irreducible, so it is squarefree at once.
+    part P shares no factor with its derivative in v, that is, Res_v(P, P')
+    is not 0 (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
+    8.2).  A primitive part of degree 1 in v is irreducible, so it is
+    squarefree at once.  Otherwise the integer image of that resultant (see
+    ``resultant``) is 0 exactly when the resultant is, so it needs no lift;
+    past the bit guard the sequence runs on term maps instead.
     """
     if p.is_zero:
         raise ValueError("squarefreeness is undefined for 0")
@@ -833,7 +900,7 @@ def is_squarefree(p: MultiPoly) -> bool:
         return False
     if primitive.degree_in(name) == 1:
         return True
-    return len(_subresultant_tail(primitive, primitive.partial_derivative(name), name)[1]) == 1
+    return _resultant_image(primitive, primitive.partial_derivative(name), name)[1] != 0
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -878,30 +945,34 @@ def discriminant_quartic(alpha, beta, gamma) -> MultiPoly:
 
 
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Res(f, g) in ``name`` from the subresultant remainder sequence.
+    """Res(f, g) in ``name`` by evaluation at one large integer.
 
-    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.7,
-    without the content step: after the pseudo-divisions the resultant is
-    ell(B)^deg A / h^(deg A - 1), up to the sign (-1)^(deg A * deg B)
-    gathered at every step and at the initial swap.
+    Collins' method (*The calculation of multivariate polynomial
+    resultants*, JACM 18, 1971) with a Kronecker substitution.  Both sides
+    are scaled to integer coefficients: Res(c f, d g) = c^m d^n Res(f, g),
+    n = deg f, m = deg g.  With S = sum_k |f_k|_1^2 over the coefficients
+    f_k of name^k, each Sylvester row has norm at most sqrt(S) on the unit
+    torus, so by Hadamard's inequality every coefficient of Res is at most
+    sqrt(S_f^m S_g^n) < B = isqrt(S_f^m S_g^n) + 1 (Goldstein and Graham,
+    *A Hadamard-type bound on the coefficients of a determinant of
+    polynomials*, SIAM Review 16, 1974).  The other variables are set to
+    xi = 2B + 2, xi^(D_1 + 1), ..., with D_i = m deg_i f + n deg_i g >=
+    deg_i Res, so each monomial of Res keeps its own power of xi, with a
+    coefficient below xi/2.  So does each leading coefficient in ``name``,
+    with coefficients below B, so by Cauchy's bound xi is no root of it and
+    no degree drops.  The sequence runs on the two lists of ints, and
+    ``_interpolate`` lifts the one integer back, largest power first.  Past
+    the bit guard (a power p with p^(D_i + 1) over ``HEURISTIC_BITS`` bits,
+    which also keeps every exponent below ``EXPONENT_LIMIT``) the sequence
+    runs on the scaled term maps.
     """
-    vs, f, g = _coefficient_lists(f, g, name)
-    nv, n, m = len(vs), len(f) - 1, len(g) - 1
+    n, m = f.degree_in(name), g.degree_in(name)
     if n < 0 or m < 0:
         return MultiPoly.zero()
-    if n == 0:
-        return _trusted(vs, _terms_of(_pow(f[0], m, nv)))
-    if m == 0:
-        return _trusted(vs, _terms_of(_pow(g[0], n, nv)))
-    sign = 1
-    if n < m:
-        f, g, n, m = g, f, m, n
-        sign = -1 if n & m & 1 else 1
-    for f, g, h in _subresultant_prs(f, g, nv):
-        if n & m & 1:
-            sign = -sign
-        if not g:
-            return MultiPoly.zero()
-        n, m = m, len(g) - 1
-    value = _trusted(vs, _terms_of(_quo(_pow(g[0], n, nv), _pow(h, n - 1, nv), nv)))
-    return value if sign > 0 else -value
+    if n == 0 or m == 0:
+        return f ** m if n == 0 else g ** n
+    vs, value, levels, scale = _resultant_image(f, g, name)
+    terms = _terms_of(value)
+    for power, i in reversed(levels):
+        terms = _interpolate(terms, power, _unit(i, len(vs)))
+    return _trusted(vs, terms if scale == 1 else {key: _divide(c, scale) for key, c in terms.items()})

@@ -4,8 +4,10 @@ Each oracle is a second route to a quantity that ``modpoints`` computes
 another way, or a helper only the tests need:
 
 - ``bareiss_resultant``: the determinant of the Sylvester matrix by
-  fraction-free Bareiss elimination, against the subresultant remainder
-  sequence that ``modpoints.poly.resultant`` follows;
+  fraction-free Bareiss elimination over Q[other variables], against
+  ``modpoints.poly.resultant``, which evaluates the other variables at large
+  integers, runs the subresultant remainder sequence on ints and lifts the
+  one integer back, or runs the sequence on term maps past its bit guard;
 - ``modpoints.poly._subresultant_gcd``, not a test helper but the fallback
   of ``poly_gcd``: the content recursion with a subresultant remainder
   sequence, which the tests run with the heuristic gcd switched off as the
@@ -26,7 +28,9 @@ another way, or a helper only the tests need:
   ``modpoints.betti.semistable_series`` builds as a ``MultiPoly`` product
   of ``projective_space`` and ``geometric``;
 - ``parse_poly``: reads the canonical printing of ``MultiPoly`` back, so
-  tests can write polynomials as text and check that printing round-trips.
+  tests can write polynomials as text and check that printing round-trips;
+- ``leading``: the leading term read off the largest packed monomial key,
+  against the graded lexicographic maximum of the exponent tuples.
 """
 
 import re
@@ -35,7 +39,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from modpoints.fqspace import IDENTITY, SIZE, _compose, reflections
-from modpoints.poly import MultiPoly, _univariate_coefficients, try_divide
+from modpoints.poly import MultiPoly, _univariate_coefficients, _unpack, try_divide
 from modpoints.record import Record
 
 
@@ -91,6 +95,15 @@ def bareiss_resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
             matrix[i][k] = MultiPoly.zero()
         previous = matrix[k][k]
     return sign * matrix[size - 1][size - 1]
+
+
+def leading(p: MultiPoly) -> Tuple[Tuple[int, ...], Fraction]:
+    """The leading term of p in graded lexicographic order: the term of the
+    largest packed key, which ``modpoints.poly`` orders that way."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has no leading term")
+    key = max(p._terms)
+    return _unpack(key, len(p.variables)), Fraction(p._terms[key])
 
 
 # ----------------------------------------------------------------------

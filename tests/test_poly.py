@@ -38,7 +38,7 @@ from modpoints.poly import (
     variables,
 )
 
-from oracles import bareiss_resultant, parse_poly, sylvester_matrix
+from oracles import bareiss_resultant, leading, parse_poly, sylvester_matrix
 
 
 # ----------------------------------------------------------------------
@@ -160,9 +160,9 @@ def test_a_product_may_reach_the_limit_in_every_variable():
     limit = EXPONENT_LIMIT
     p = x ** (limit - 1) * y * z ** (limit - 5)
     q = x * y ** (limit - 1) * z ** 5
-    assert (p * q).leading() == ((limit, limit, limit), 1)
+    assert leading(p * q) == ((limit, limit, limit), 1)
     assert ((p + 1) * (q + 1)).terms == {
-        (limit, limit, limit): 1, p.leading()[0]: 1, q.leading()[0]: 1, (0, 0, 0): 1
+        (limit, limit, limit): 1, leading(p)[0]: 1, leading(q)[0]: 1, (0, 0, 0): 1
     }
     for past in (p * x, p + y ** 2, p + z ** (limit - 4)):
         with pytest.raises(ExponentOverflowError):
@@ -212,7 +212,7 @@ def test_padding_with_unused_variables_changes_nothing():
     assert padded == p and p == padded
     assert hash(padded) == hash(p)
     assert str(padded) == str(p)
-    assert padded.leading() == ((0, 2, 1, 0), 3)
+    assert leading(padded) == ((0, 2, 1, 0), 3)
 
 
 def test_a_constant_hashes_as_the_scalar_it_equals():
@@ -240,7 +240,7 @@ def _polys_in_one_to_four_variables(draw):
 def test_property_leading_is_the_largest_total_degree_then_exponent(p):
     terms = p.terms
     top = max(terms, key=lambda exponent: (sum(exponent), exponent))
-    assert p.leading() == (top, terms[top])
+    assert leading(p) == (top, terms[top])
 
 
 def test_exact_quotient_raises_under_optimize():
@@ -578,7 +578,7 @@ def test_property_accessors_give_fractions(p, q):
     for r in (p, q, p * q, p + q, p.partial_derivative("x")):
         assert all(type(c) is Fraction for c in r.terms.values())
         if not r.is_zero:
-            assert type(r.leading()[1]) is Fraction
+            assert type(leading(r)[1]) is Fraction
         assert type(r.evaluate(point)) is Fraction  # through constant_value
 
 
@@ -719,6 +719,55 @@ def test_property_sequence_entries_are_scalars_or_non_constant_term_maps(pair):
         assert all(map(_is_entry, a + b + [h])), (a, b, h)
 
 
+_A, _X = variables("a", "x")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs_in_two_or_three_variables())
+def test_property_resultant_by_evaluation_matches_bareiss(pair):
+    # once by evaluation at large integers, once with the bit guard tripped
+    # at every level, so that the sequence runs on term maps
+    f, g = pair
+    expected = bareiss_resultant(f, g, "x")
+    assert resultant(f, g, "x") == expected
+    with mock.patch.object(poly_module, "HEURISTIC_BITS", 0):
+        assert resultant(f, g, "x") == expected
+
+
+@pytest.mark.parametrize("f, g, expected", [
+    # Res_x(x^k - a, x^k + a) = (2a)^k meets the Hadamard bound 2^k, so xi must
+    # be at least twice the bound for the symmetric lift to read 2^k back
+    (_X ** 2 - _A, _X ** 2 + _A, 4 * _A ** 2),
+    (_X ** 3 - _A, _X ** 3 + _A, 8 * _A ** 3),
+    # the leading coefficient in x vanishes at a = 2 and a = 3
+    ((_A - 2) * (_A - 3) * _X ** 2 + _A * _X + 1, (_A - 2) * _X + 3, None),
+    ((_A - 2) * (_A - 3) * _X ** 2 + Fraction(1, 2), _A * _X ** 3 - Fraction(2, 3) * _X, None),
+])
+def test_resultant_pinned_cases_by_both_routes(f, g, expected):
+    expected = bareiss_resultant(f, g, "x") if expected is None else expected
+    sequence_on_term_maps = AssertionError("the bit guard tripped")
+    with mock.patch.object(poly_module, "_coefficient_lists", side_effect=sequence_on_term_maps):
+        assert resultant(f, g, "x") == expected
+    with mock.patch.object(poly_module, "HEURISTIC_BITS", 0):
+        assert resultant(f, g, "x") == expected
+
+
+def test_resultants_past_the_bit_guard_take_the_sequence_route(monkeypatch):
+    # deg_a Res reaches 2^15 here, so every xi^(deg + 1) passes the guard
+    def no_evaluation(buckets, xi):
+        raise AssertionError(f"evaluated at a {xi.bit_length()}-bit point")
+
+    monkeypatch.setattr(poly_module, "_evaluate", no_evaluation)
+    a, x = variables("a", "x")
+    f, g = a ** (EXPONENT_LIMIT // 2) * x + 1, x ** 2 + 1
+    assert resultant(f, g, "x") == resultant(g, f, "x") == a ** EXPONENT_LIMIT + 1
+    f = a ** (EXPONENT_LIMIT // 2 + 1) * x + 1
+    for pair in ((f, g), (g, f)):
+        with pytest.raises(ExponentOverflowError):
+            resultant(*pair, "x")
+    assert is_squarefree(x ** 2 + a ** 200) and not is_squarefree((x ** 2 + a ** 200) ** 2)
+
+
 # ----------------------------------------------------------------------
 # the gcd is the greatest divisor, squarefreeness both ways, and the
 # resultant from planted roots, over Z[a, x]
@@ -731,9 +780,6 @@ def test_content_in_the_first_variable_is_a_gcd_of_polynomials_in_x():
     # in a, a*x + 2 has the constant coefficient 2, so its content is 1 at once
     assert _content_and_primitive(a * x + 2, "a") == (1, a * x + 2)
     assert poly_gcd(p, q) == x + 1
-
-
-_A, _X = variables("a", "x")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -852,6 +898,8 @@ def test_property_squarefree_two_routes(p):
     # all its partial derivatives
     assume(not p.is_constant)
     assert is_squarefree(p) == _repeated_part(p).is_constant
+    with mock.patch.object(poly_module, "HEURISTIC_BITS", 0):
+        assert is_squarefree(p) == _repeated_part(p).is_constant
 
 
 @pytest.mark.parametrize("p, squarefree", [
