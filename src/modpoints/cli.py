@@ -7,11 +7,11 @@ it as an error check and still holds the other suites).  The remaining
 subcommands expose individual computations: stability verdicts,
 quadratic-space censuses and group data, blow-up chart reports, Betti
 tables and the divisor ledger.  Each handler returns its result, reading
-any quantity a suite also checks from the same function in ``checks``;
-``main`` encodes it with ``checks.encode`` and writes it, as JSON unless
-``run`` asks for text.  All output is exact.  ``fqspace``, ``betti`` and
-``picard`` are imported by the handlers that use them, so that a command
-loads only the modules it runs.
+any quantity a suite also checks from a ``checks.Quantities``, the
+registry the suites read; ``main`` encodes it with ``checks.encode`` and
+writes it, as JSON unless ``run`` asks for text.  All output is exact.
+``fqspace``, ``betti`` and ``picard`` are imported by the handlers that use
+them, so that a command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import nullcontext
 from typing import Optional, Sequence
@@ -47,7 +48,7 @@ def _cmd_stability(args) -> dict:
         return {"config": parts, **checks.encode(stability.classify(config))}
     if not 1 <= args.table <= MAX_TABLE_DEGREE:
         raise InputError(f"--table {args.table}: degree must be between 1 and {MAX_TABLE_DEGREE}")
-    return checks.verdict_table(args.table)
+    return checks.Quantities().verdict_table(args.table)
 
 
 def _cmd_fq(args) -> dict:
@@ -57,25 +58,28 @@ def _cmd_fq(args) -> dict:
         zero, iso, non = fqspace.census()
         return {"zero": zero, "isotropic": iso, "nonisotropic": non}
     if args.action == "perp":
+        # int(..., 16) would also take "1_0", spaces and non-ASCII digits
+        if not re.fullmatch("(0x)?[0-9a-fA-F]+", args.vector):
+            raise InputError(f"fq perp {args.vector}: expected hex digits, optionally after 0x")
+        vector = int(args.vector, 16)
         try:
-            vector = int(args.vector, 16)
             iso, non = fqspace.perp_census(vector)
         except ValueError as exc:
             raise InputError(f"fq perp {args.vector}: {exc}") from None
         return {"vector": f"0x{vector:02x}", "isotropic": iso, "nonisotropic": non}
-    return checks.group_summary(fqspace.stab_orbit_summary(fqspace.isotropic_vectors()[0]))
+    return checks.Quantities().group_summary()
 
 
 def _cmd_slice(args):
+    quantities = checks.Quantities()
     if args.action == "transversality":
         names = blowup.CHART_NAMES if args.chart == "all" else (args.chart,)
-        return [blowup.discriminant_pullback(blowup.chart(name)) for name in names]
-    scan = blowup.scan_stabilizers()
+        return [quantities.pullback(name) for name in names]
     per_chart = {
         name: [{"support": support, "order": order} for support, order in rows]
-        for name, rows in scan.per_chart.items()
+        for name, rows in quantities.scan().per_chart.items()
     }
-    return {**checks.scan_summary(scan), "per_chart": per_chart}
+    return {**quantities.scan_summary(), "per_chart": per_chart}
 
 
 def _cmd_betti(args) -> dict:
@@ -102,7 +106,7 @@ def _cmd_picard(args):
             "T_ord^5": numbers.ordered,
             "T^5": numbers.unordered,
         }
-    return checks.obstruction()
+    return checks.Quantities().obstruction()
 
 
 def build_parser() -> argparse.ArgumentParser:

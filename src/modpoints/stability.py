@@ -96,10 +96,6 @@ class LunaSlice(Record):
     weights: Tuple[int, ...]
     tangent_weights: Tuple[int, ...]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.monomials)
-
 
 def luna_slice_basis() -> LunaSlice:
     """The six slice monomials with weights (8,-8,6,-6,4,-4).

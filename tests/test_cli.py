@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from modpoints import checks, fqspace, stability
+from modpoints import blowup, checks, fqspace, poly, stability
 from modpoints.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -148,6 +148,8 @@ def test_run_accepts_no_other_options(option):
         ("fq", "perp", "zz"),
         ("fq", "perp", "0x03"),  # non-isotropic
         ("fq", "perp", "0x40"),  # out of range
+        ("fq", "perp", "1_0"),  # int(..., 16) reads this as 0x10
+        ("fq", "perp", "\uff10x01"),  # a full-width zero
         ("stability", "--config", "0,8"),
         ("stability", "--config", "4,x"),
         ("stability", "--table", "0"),
@@ -168,10 +170,10 @@ def test_malformed_input_exits_2_with_one_line(argv, capsys):
 
 
 def test_unwritable_out_fails_before_any_suite_runs(monkeypatch, tmp_path, capsys):
-    def must_not_run():
+    def must_not_run(quantities):
         raise AssertionError("the suite ran although --out cannot be opened")
 
-    monkeypatch.setitem(checks.SUITES, "fq", must_not_run)
+    monkeypatch.setitem(checks.SUITES, "fq", (checks.Check("fq.never", "never runs", must_not_run, None),))
     with pytest.raises(SystemExit) as info:
         main(["run", "fq", "--out", str(tmp_path / "missing" / "x")])
     assert info.value.code == 2
@@ -243,22 +245,32 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch):
 
     count(fqspace, "orbits_under")
     count(stability, "classify")
+    count(blowup, "discriminant_pullback")
+    count(blowup, "scan_stabilizers")
     fqspace.stabilizer_chain.cache_clear()
     checks.run_report(list(checks.SUITE_NAMES))
-    assert calls == {"orbits_under": 3, "classify": 130}
+    # one pullback per chart and one scan, which slice and picard both read
+    assert calls == {"orbits_under": 3, "classify": 130, "discriminant_pullback": 3, "scan_stabilizers": 1}
     assert fqspace.stabilizer_chain.cache_info().misses == 1  # one chain build
 
 
+def test_a_subcommand_builds_only_the_chart_it_prints(monkeypatch, capsys):
+    built, chart = [], blowup.chart
+    monkeypatch.setattr(blowup, "chart", lambda name: built.append(name) or chart(name))
+    assert run_cli(capsys, "slice", "transversality", "--chart", "R")[0] == 0
+    assert built == ["R"]
+
+
 def test_raising_suite_is_reported_as_an_error(monkeypatch, capsys):
-    def broken():
+    def broken(quantities):
         raise ZeroDivisionError("forced")
 
-    monkeypatch.setitem(checks.SUITES, "betti", broken)
+    monkeypatch.setitem(checks.SUITES, "betti", (checks.Check("betti.broken", "forced error", broken, 1),))
     assert main(["run", "all", "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert "ZeroDivisionError: forced" in captured.err  # the traceback
     report = json.loads(captured.out)
-    assert report["version"] == "1"
+    assert report["version"] == checks.SCHEMA_VERSION
     assert [s["name"] for s in report["suites"]] == list(checks.SUITE_NAMES)
     by_suite = {s["name"]: s["checks"] for s in report["suites"]}
     assert by_suite["betti"] == [
@@ -267,6 +279,7 @@ def test_raising_suite_is_reported_as_an_error(monkeypatch, capsys):
             "anchor": "the suite runs to completion",
             "status": "error",
             "payload": {"type": "ZeroDivisionError", "message": "forced"},
+            "expected": None,
         }
     ]
     assert all(c["status"] == "pass" for name in ("stability", "fq", "slice", "picard") for c in by_suite[name])
@@ -278,11 +291,73 @@ def test_raising_suite_is_reported_as_an_error(monkeypatch, capsys):
 
 
 def test_failing_check_exits_1(monkeypatch, capsys):
-    broken = [checks.CheckResult("fq.broken", "forced failure", "fail", None)]
-    monkeypatch.setitem(checks.SUITES, "fq", lambda: broken)
+    broken = (checks.Check("fq.broken", "forced failure", lambda quantities: None, 1),)
+    monkeypatch.setitem(checks.SUITES, "fq", broken)
     code, out = run_cli(capsys, "run", "fq", "--format", "json")
     assert code == 1
     assert json.loads(out)["suites"][0]["checks"][0]["status"] == "fail"
+
+
+def test_text_report_shows_expected_and_actual_under_a_failing_check(monkeypatch, capsys):
+    census, *rest = checks.SUITES["fq"]
+    wrong = checks.Check(census.id, census.anchor, census.compute, (1, 35, 29))
+    monkeypatch.setitem(checks.SUITES, "fq", (wrong, *rest))
+    code, out = run_cli(capsys, "run", "fq")
+    assert code == 1
+    lines = out.splitlines()
+    failing = lines.index("  [FAIL] fq.census: census (1, 35, 28)")
+    assert lines[failing + 1] == "         expected [1, 35, 29], got [1, 35, 28]"
+    assert len(lines) == len(checks.SUITES["fq"]) + 3  # suite line, checks, that one line, total
+    assert lines[-1] == "5/6 checks passed"
+
+
+def test_status_is_pass_exactly_when_payload_equals_expected():
+    report = checks.run_report(list(checks.SUITE_NAMES))
+    for check in (c for suite in report["suites"] for c in suite["checks"]):
+        assert (check["status"] == "pass") == (check["payload"] == check["expected"]), check["id"]
+
+
+def _only_check(suite, check_id):
+    (report,) = checks.run_report([suite])["suites"]
+    return next(c for c in report["checks"] if c["id"] == check_id)
+
+
+def test_perp_check_reads_every_isotropic_vector(monkeypatch):
+    other, census = fqspace.isotropic_vectors()[7], fqspace.perp_census
+    monkeypatch.setattr(fqspace, "perp_census", lambda h: (18, 13) if h == other else census(h))
+    check = _only_check("fq", "fq.perp")
+    assert check["status"] == "fail"
+    assert check["payload"] == {"value": [19, 12], "second_route": {f"0x{other:02x}": [18, 13]}}
+
+
+def test_odd_degree_check_reads_every_verdict(monkeypatch):
+    classify = stability.classify
+    semistable = stability.StabilityVerdict(stability.STRICTLY_SEMISTABLE, False)
+    monkeypatch.setattr(
+        stability, "classify", lambda config: semistable if config.parts == (3, 3, 1) else classify(config)
+    )
+    check = _only_check("stability", "stability.odd_degree")
+    assert check["status"] == "fail"
+    assert check["payload"] == {
+        "value": {"checked_degrees": [5, 7, 9, 11]},
+        "second_route": {"3,3,1": {"status": "strictly_semistable", "polystable": False}},
+    }
+
+
+def test_antidiagonal_check_reads_two_points(monkeypatch):
+    t0, t1 = poly.variables("t0", "t1")
+    monkeypatch.setattr(blowup, "antidiag_fixed_constraint", lambda: t0 ** 8 - t1 ** 8 + 1)
+    check = _only_check("slice", "slice.antidiag")
+    assert check["status"] == "fail"
+    assert check["payload"] == {"value": "t0^8 - t1^8 + 1", "second_route": {"1,2": "-254", "0,0": "1"}}
+
+
+def test_chart_weight_check_reads_the_luna_slice_weights(monkeypatch):
+    monkeypatch.setitem(blowup.SLICE_WEIGHTS, "beta1", -8)
+    check = _only_check("slice", "slice.chart_weights")
+    assert check["status"] == "fail"
+    assert [check["payload"]["value"][name]["t1"] for name in "PQR"] == [-16, -14, -12]
+    assert check["payload"]["second_route"] == check["expected"]
 
 
 def test_text_format_lists_every_check(capsys):

@@ -86,7 +86,7 @@ def test_torus_weights():
 
 def test_luna_slice_basis():
     slice_data = luna_slice_basis()
-    assert slice_data.dimension == 6
+    assert len(slice_data.monomials) == 6
     assert slice_data.monomials == (
         "x0^8",
         "x1^8",
