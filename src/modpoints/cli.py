@@ -39,16 +39,19 @@ def _cmd_run(args) -> dict:
 
 
 def _cmd_stability(args) -> dict:
+    # int() would also take "4_4", spaces and non-ASCII digits
     if args.config is not None:
+        if not re.fullmatch("[0-9]+(,[0-9]+)*", args.config):
+            raise InputError(f"--config {args.config}: expected decimal multiplicities separated by commas")
+        parts = tuple(map(int, args.config.split(",")))
         try:
-            parts = tuple(int(p) for p in args.config.split(","))
             config = stability.PointConfig.from_parts(parts)
         except ValueError as exc:
             raise InputError(f"--config {args.config}: {exc}") from None
         return {"config": parts, **checks.encode(stability.classify(config))}
-    if not 1 <= args.table <= MAX_TABLE_DEGREE:
+    if not (re.fullmatch("[0-9]+", args.table) and 1 <= int(args.table) <= MAX_TABLE_DEGREE):
         raise InputError(f"--table {args.table}: degree must be between 1 and {MAX_TABLE_DEGREE}")
-    return checks.Quantities().verdict_table(args.table)
+    return checks.Quantities().verdict_table(int(args.table))
 
 
 def _cmd_fq(args) -> dict:
@@ -135,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     stab = leaf(commands, "stability", _cmd_stability, help="classify a configuration")
     group = stab.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="comma-separated multiplicities, e.g. 4,4")
-    group.add_argument("--table", type=int, help=f"verdicts for degree N <= {MAX_TABLE_DEGREE}")
+    group.add_argument("--table", help=f"verdicts for degree N <= {MAX_TABLE_DEGREE}")
 
     fq = actions("fq", "quadratic space over GF(2)")
     leaf(fq, "census", _cmd_fq)

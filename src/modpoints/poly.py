@@ -28,11 +28,12 @@ Both the gcd and the resultant evaluate at large integers first.  The gcd
 is the heuristic gcd of Char, Geddes and Gonnet: one integer gcd, lifted
 back by a symmetric xi-adic expansion and accepted only when
 ``_divide_terms`` divides both sides.  The resultant sets the other
-variables to powers of one integer past a Hadamard-type bound (Collins,
-with a Kronecker substitution), runs the sequence on ints and lifts the
-one integer back; ``is_squarefree`` reads that integer alone.  Past a fixed
-bit length (for the gcd also after a few evaluation points) the sequence
-runs on term maps.
+variables to powers of two past a Hadamard-type bound (Collins, with a
+Kronecker substitution), so that the image of a term is its coefficient
+shifted left, runs the sequence on ints and lifts the one integer back by
+the same symmetric expansion as the gcd; ``is_squarefree`` reads that
+integer alone.  Past a fixed bit length (for the gcd also after a few
+evaluation points) the sequence runs on term maps.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ class MultiPoly:
         rest = tuple(v for v in self._vars if v != name)
         out: Dict[int, Scalar] = {}
         for d, c in _univariate_coefficients(self, name).items():
-            for key, coeff in c._embedded(rest).items():
+            for key, coeff in _trusted(self._vars, c)._embedded(rest).items():
                 out[key] = out.get(key, 0) + coeff * value ** d
         return _trusted(rest, out)
 
@@ -492,28 +493,28 @@ def _buckets(terms: Terms, n: int, i: int) -> Dict[int, Terms]:
     return out
 
 
-def _univariate_coefficients(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
-    """View p as a polynomial in ``name``; values are free of ``name``."""
+def _univariate_coefficients(p: MultiPoly, name: str) -> Dict[int, Terms]:
+    """View p as a polynomial in ``name``: its coefficients by degree, as
+    nonempty term maps over the variables of p, free of ``name``."""
     if name not in p._vars:
-        return {0: p} if not p.is_zero else {}
-    buckets = _buckets(p._terms, len(p._vars), p._vars.index(name))
-    return {d: _trusted(p._vars, terms) for d, terms in buckets.items()}
+        return {0: p._terms} if p._terms else {}
+    return _buckets(p._terms, len(p._vars), p._vars.index(name))
 
 
 def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
     """(content, primitive part) of p as a polynomial in ``name``.
 
     The content is the gcd of the coefficients in ``name``.  It is 1, with no
-    gcd and no division run, as soon as one coefficient is a nonzero constant;
-    otherwise the gcd is folded over the coefficients with the fewest terms
-    first, and stops once it reaches 1.
+    gcd and no division run, as soon as one coefficient is a nonzero constant
+    (a term map whose only key is 0); otherwise the gcd is folded over the
+    coefficients with the fewest terms first, and stops once it reaches 1.
     """
     coefficients = _univariate_coefficients(p, name).values()
-    if any(c.is_constant for c in coefficients):
+    if not all(map(any, coefficients)):
         return MultiPoly.constant(1), p
     content = MultiPoly.zero()
-    for coeff in sorted(coefficients, key=lambda c: len(c._terms)):
-        content = poly_gcd(content, coeff)
+    for terms in sorted(coefficients, key=len):
+        content = poly_gcd(content, _trusted(p._vars, terms))
         if content.is_constant:
             break  # the coefficients are nonzero, so content is 1 and stays 1
     return content, _exact_quotient(p, content)
@@ -697,28 +698,29 @@ def _integral(terms: Terms) -> Tuple[int, Terms]:
 def _images(f: Terms, g: Terms, n: int, j: int):
     """(F, G, levels): the lists of int coefficients in the j-th of n
     variables of f and g, int term maps of positive degree in it, with the
-    other variables set to the powers of xi of ``resultant``, and the
-    (power, variable index) of each level; None past the bit guard."""
-    shift = FIELD * (n - 1 - j)
-    df, dg = (max(key >> shift & MASK for key in t) for t in (f, g))
-    sf, sg = (sum(sum(map(abs, b.values())) ** 2 for b in _buckets(t, n, j).values())
-              for t in (f, g))
+    other variables set to the powers of two of ``resultant``, and the
+    (field shift, bit count, variable index) of each level; None past the
+    bit guard."""
+    bf, bg = _buckets(f, n, j), _buckets(g, n, j)
+    df, dg = max(bf), max(bg)
+    sf, sg = (sum(sum(map(abs, b.values())) ** 2 for b in t.values()) for t in (bf, bg))
+    bits = (2 * math.isqrt(sf ** dg * sg ** df) + 3).bit_length()  # 2^bits >= 2B + 2
     seen = reduce(or_, f, 0) | reduce(or_, g, 0)
-    power, levels = 2 * (math.isqrt(sf ** dg * sg ** df) + 1) + 2, []
+    levels = []
     for i in range(n):
         si = FIELD * (n - 1 - i)
         if i != j and seen >> si & MASK:
             degree = dg * max(key >> si & MASK for key in f) + df * max(key >> si & MASK for key in g)
-            if power.bit_length() * (degree + 1) > HEURISTIC_BITS:
+            if (bits + 1) * (degree + 1) > HEURISTIC_BITS:
                 return None
-            levels.append((power, i))
-            power **= degree + 1
-    for power, i in levels:
-        f, g = _evaluate(_buckets(f, n, i), power), _evaluate(_buckets(g, n, i), power)
+            levels.append((si, bits, i))
+            bits *= degree + 1
     lists = [[0] * (df + 1), [0] * (dg + 1)]
-    for t, out in zip((f, g), lists):
-        for key, c in t.items():
-            out[key >> shift & MASK] = c
+    for b, out in zip((bf, bg), lists):
+        for d, bucket in b.items():
+            for si, w, _ in levels:
+                bucket = {key: c << (key >> si & MASK) * w for key, c in bucket.items()}
+            out[d] = sum(bucket.values())
     return (*lists, levels)
 
 
@@ -737,7 +739,8 @@ def _resultant_image(f: MultiPoly, g: MultiPoly, name: str):
 
 def _evaluate(buckets: Dict[int, Terms], xi: int) -> Terms:
     """The sum of bucket_d * xi^d over the coefficients by degree from
-    ``_buckets``, without zero coefficients: a variable set to ``xi``."""
+    ``_buckets``, without zero coefficients: a variable set to ``xi``, as
+    the heuristic gcd evaluates."""
     out: Terms = {}
     for d, bucket in buckets.items():
         power = xi ** d
@@ -749,19 +752,21 @@ def _evaluate(buckets: Dict[int, Terms], xi: int) -> Terms:
 def _interpolate(h: Terms, xi: int, unit: int) -> Terms:
     """The symmetric xi-adic expansion of h: the term map sum_e g_e v^e, with
     v the variable whose key is ``unit`` and every coefficient of g_e in
-    (-xi/2, xi/2], that takes the value h at v = xi."""
+    (-xi/2, xi/2], that takes the value h at v = xi; one divmod per digit.
+    The resultant and the gcd both lift through it."""
     out: Terms = {}
     half, shift = xi // 2, 0
     while h:
         rest = {}
         for key, c in h.items():
-            digit = c % xi
+            carry, digit = divmod(c, xi)
             if digit > half:
                 digit -= xi
+                carry += 1
             if digit:
                 out[key + shift] = digit
-            if c != digit:
-                rest[key] = (c - digit) // xi
+            if carry:
+                rest[key] = carry
         h, shift = rest, shift + unit
     return out
 
@@ -956,15 +961,20 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     sqrt(S_f^m S_g^n) < B = isqrt(S_f^m S_g^n) + 1 (Goldstein and Graham,
     *A Hadamard-type bound on the coefficients of a determinant of
     polynomials*, SIAM Review 16, 1974).  The other variables are set to
-    xi = 2B + 2, xi^(D_1 + 1), ..., with D_i = m deg_i f + n deg_i g >=
-    deg_i Res, so each monomial of Res keeps its own power of xi, with a
-    coefficient below xi/2.  So does each leading coefficient in ``name``,
-    with coefficients below B, so by Cauchy's bound xi is no root of it and
-    no degree drops.  The sequence runs on the two lists of ints, and
-    ``_interpolate`` lifts the one integer back, largest power first.  Past
-    the bit guard (a power p with p^(D_i + 1) over ``HEURISTIC_BITS`` bits,
-    which also keeps every exponent below ``EXPONENT_LIMIT``) the sequence
-    runs on the scaled term maps.
+    xi = 2^k, the least power of two >= 2B + 2, and then xi^(D_1 + 1), ...,
+    with D_i = m deg_i f + n deg_i g >= deg_i Res, so each monomial of Res
+    keeps its own power of xi, with a coefficient below xi/2.  So does each
+    leading coefficient in ``name``, with coefficients below B, so by
+    Cauchy's bound xi is no root of it and no degree drops.  Each level is
+    a power of two 2^k_i, so the image of a term c * prod v_i^e_i is
+    c << sum e_i k_i, built from one bucketing of each side by its degree in
+    ``name`` (Harvey, *Faster polynomial multiplication via multipoint
+    Kronecker substitution*, JSC 44, 2009, packs at powers of two the same
+    way).  The sequence runs on the two lists of ints, and ``_interpolate``
+    lifts the one integer back, largest power first.  Past the bit guard (a
+    power p with p^(D_i + 1) over ``HEURISTIC_BITS`` bits, which also keeps
+    every exponent below ``EXPONENT_LIMIT``) the sequence runs on the scaled
+    term maps.
     """
     n, m = f.degree_in(name), g.degree_in(name)
     if n < 0 or m < 0:
@@ -973,6 +983,6 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
         return f ** m if n == 0 else g ** n
     vs, value, levels, scale = _resultant_image(f, g, name)
     terms = _terms_of(value)
-    for power, i in reversed(levels):
-        terms = _interpolate(terms, power, _unit(i, len(vs)))
+    for _, bits, i in reversed(levels):
+        terms = _interpolate(terms, 1 << bits, _unit(i, len(vs)))
     return _trusted(vs, terms if scale == 1 else {key: _divide(c, scale) for key, c in terms.items()})

@@ -39,8 +39,20 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from modpoints.fqspace import IDENTITY, SIZE, _compose, reflections
-from modpoints.poly import MultiPoly, _univariate_coefficients, _unpack, try_divide
+from modpoints.poly import MultiPoly, _unpack, try_divide
 from modpoints.record import Record
+
+
+def _coefficients_in(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
+    """p as a polynomial in ``name``, read off its public terms: the nonzero
+    coefficient of each power of ``name``, free of it."""
+    k = p.variables.index(name) if name in p.variables else None
+    out: Dict[int, MultiPoly] = {}
+    for exponent, c in p.terms.items():
+        d = 0 if k is None else exponent[k]
+        rest = exponent if k is None else exponent[:k] + (0,) + exponent[k + 1:]
+        out[d] = out.get(d, MultiPoly.zero()) + MultiPoly(p.variables, {rest: c})
+    return out
 
 
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str) -> list:
@@ -48,8 +60,8 @@ def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str) -> list:
     n, m = f.degree_in(name), g.degree_in(name)
     if n <= 0 and m <= 0:
         raise ValueError("both polynomials are constant in the variable")
-    cf = _univariate_coefficients(f, name)
-    cg = _univariate_coefficients(g, name)
+    cf = _coefficients_in(f, name)
+    cg = _coefficients_in(g, name)
     size = n + m
     zero = MultiPoly.zero()
     rows = []

@@ -152,6 +152,11 @@ def test_run_accepts_no_other_options(option):
         ("fq", "perp", "\uff10x01"),  # a full-width zero
         ("stability", "--config", "0,8"),
         ("stability", "--config", "4,x"),
+        ("stability", "--config", "4_4"),  # int() reads this as 44
+        ("stability", "--config", "\uff14,4"),  # a full-width four
+        ("stability", "--config", "4,4,"),
+        ("stability", "--table", "1_0"),  # int() reads this as 10
+        ("stability", "--table", "eight"),
         ("stability", "--table", "0"),
         ("stability", "--table", "-3"),
         ("stability", "--table", "41"),

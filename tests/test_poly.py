@@ -21,10 +21,12 @@ from modpoints.poly import (
     _coefficient_lists,
     _content_and_primitive,
     _exact_quotient,
+    _interpolate,
     _quo,
     _repeated_part,
     _subresultant_gcd,
     _subresultant_prs,
+    _unit,
     ExponentOverflowError,
     MultiPoly,
     discriminant_quartic,
@@ -753,11 +755,15 @@ def test_resultant_pinned_cases_by_both_routes(f, g, expected):
 
 
 def test_resultants_past_the_bit_guard_take_the_sequence_route(monkeypatch):
-    # deg_a Res reaches 2^15 here, so every xi^(deg + 1) passes the guard
-    def no_evaluation(buckets, xi):
-        raise AssertionError(f"evaluated at a {xi.bit_length()}-bit point")
+    # deg_a Res reaches 2^15 here, so every (2^bits)^(deg + 1) passes the guard
+    images = poly_module._images
 
-    monkeypatch.setattr(poly_module, "_evaluate", no_evaluation)
+    def no_image(f, g, n, j):
+        found = images(f, g, n, j)
+        assert found is None, f"an integer image at the levels {found[2]}"
+        return found
+
+    monkeypatch.setattr(poly_module, "_images", no_image)
     a, x = variables("a", "x")
     f, g = a ** (EXPONENT_LIMIT // 2) * x + 1, x ** 2 + 1
     assert resultant(f, g, "x") == resultant(g, f, "x") == a ** EXPONENT_LIMIT + 1
@@ -766,6 +772,28 @@ def test_resultants_past_the_bit_guard_take_the_sequence_route(monkeypatch):
         with pytest.raises(ExponentOverflowError):
             resultant(*pair, "x")
     assert is_squarefree(x ** 2 + a ** 200) and not is_squarefree((x ** 2 + a ** 200) ** 2)
+
+
+@pytest.mark.parametrize("xi", [7, 8])
+def test_interpolate_reads_digits_in_the_symmetric_range(xi):
+    # every digit lies in (-xi/2, xi/2]: xi // 2 stays, xi // 2 + 1 and, for
+    # an even xi, -xi/2 turn into the digit on the other side and a carry
+    unit, half = _unit(0, 2), xi // 2
+    assert _interpolate({0: half}, xi, unit) == {0: half}
+    assert _interpolate({0: half + 1}, xi, unit) == {0: half + 1 - xi, unit: 1}
+    assert _interpolate({0: -1}, xi, unit) == {0: -1}
+    assert _interpolate({0: 0}, xi, unit) == {}
+    assert _interpolate({0: -half}, xi, unit) == ({0: -half} if xi % 2 else {0: half, unit: -1})
+    # the same digits at every place, each key lifted on its own
+    y = _unit(1, 2)
+    for digits in product((half, half + 1, -1, 0), repeat=3):
+        value = sum(d * xi ** k for k, d in enumerate(digits))
+        lifted = _interpolate({0: value, y: -value}, xi, unit)
+        for key, sign in ((0, 1), (y, -1)):
+            expansion = {k: lifted.get(key + k * unit, 0) for k in range(4)}
+            assert sum(d * xi ** k for k, d in expansion.items()) == sign * value
+            assert all(-xi < 2 * d <= xi for d in expansion.values()), expansion
+        assert set(lifted) <= {key + k * unit for key in (0, y) for k in range(4)}
 
 
 # ----------------------------------------------------------------------
