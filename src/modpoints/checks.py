@@ -13,7 +13,8 @@ A quantity read by more than one check, or by a check and a subcommand, is
 a method of ``Quantities``, computed once per instance: ``run_report``
 builds one per run, and a subcommand one that computes only what it
 prints.  ``fqspace``, ``betti`` and ``picard`` are imported on first use:
-compiling the three is ~12 ms of a cold start, which ``run slice`` skips.
+without a bytecode cache, compiling the three is ~10 ms of a cold start,
+which ``run slice`` skips.
 """
 
 from __future__ import annotations

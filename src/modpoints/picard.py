@@ -1,26 +1,28 @@
 """Exact divisor-class ledger across the tower of compactifications.
 
-Spaces carry fixed symbol bases, maps carry transcribed pullback and
-pushforward matrices, and every asserted identity reduces to exact linear
-algebra over Fraction coefficients.  No geometry happens here by design:
-the geometric inputs (pullback formulas, canonical classes, the weight-14
-modular form relation, boundary normal bundles, covering degrees) are a
-static registry, and this module only checks their arithmetic
-consequences: canonical-bundle identities, top self-intersection numbers
-(one coefficient of a ``MultiPoly`` power), the obstruction to a common
-crepant resolution, and discrepancies.
+A divisor class is a ``MultiPoly`` linear form in its space's basis
+symbols.  The registry is plain data: each space's basis, the canonical
+classes, the relations that rewrite a derived symbol (H = 28 L), and each
+pullback, pushforward or identification as the image of every source
+symbol.  Applying a map and reducing by the relations are
+``MultiPoly.substitute``, and two classes agree when their reductions are
+equal.  No geometry happens here by design: the geometric inputs
+(pullback formulas, canonical classes, the weight-14 modular form
+relation, boundary normal bundles, covering degrees) are transcribed, and
+this module only checks their arithmetic consequences: canonical-bundle
+identities, top self-intersection numbers (one coefficient of a
+``MultiPoly`` power), the obstruction to a common crepant resolution, and
+discrepancies.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
-from .poly import variables
+from .poly import MultiPoly, Scalar, variables
 from .record import Record
-
-Scalar = Union[int, Fraction]
 
 GIT_ORD = "GIT_ord"
 K_ORD = "K_ord"
@@ -32,196 +34,101 @@ K = "K"
 BB = "BB"
 TOR = "TOR"
 
-
-def _fr(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-class SpaceInfo(Record):
-    symbols: Tuple[str, ...]
-    # relations rewrite a derived symbol into the remaining ones
-    relations: Mapping[str, Mapping[str, Fraction]]
-    canonical: Mapping[str, Fraction] | None
-
-
-SPACES: Dict[str, SpaceInfo] = {
-    GIT_ORD: SpaceInfo(("D2_0",), {}, {"D2_0": Fraction(-2, 7)}),
-    K_ORD: SpaceInfo(
-        ("D2_1", "D4_1"), {}, {"D2_1": Fraction(-2, 7), "D4_1": Fraction(2, 7)}
-    ),
-    M08BAR: SpaceInfo(
-        ("D2_2", "D3_2", "D4_2"),
-        {},
-        {"D2_2": Fraction(-2, 7), "D3_2": Fraction(1, 7), "D4_2": Fraction(2, 7)},
-    ),
-    # The weight-14 modular form vanishing to order 1/2 on the discriminant
-    # gives 14 L = (1/2) H, i.e. H = 28 L.
-    BB_ORD: SpaceInfo(
-        ("L_ord", "H_ord"),
-        {"H_ord": {"L_ord": Fraction(28)}},
-        {"L_ord": Fraction(-8)},
-    ),
-    TOR_ORD: SpaceInfo(
-        ("L_ord", "Htilde_ord", "T_ord"),
-        {"Htilde_ord": {"L_ord": Fraction(28), "T_ord": Fraction(-6)}},
-        {"L_ord": Fraction(-8), "T_ord": Fraction(2)},
-    ),
-    GIT: SpaceInfo(("K_GIT", "D"), {}, None),
-    K: SpaceInfo(
-        ("fK_GIT", "Dtilde", "Delta"), {}, {"fK_GIT": Fraction(1), "Delta": Fraction(5)}
-    ),
-    BB: SpaceInfo(("K_BB", "H"), {}, None),
-    TOR: SpaceInfo(
-        ("pK_BB", "Htilde", "T"), {}, {"pK_BB": Fraction(1), "T": Fraction(7)}
-    ),
+SPACES: Dict[str, Tuple[str, ...]] = {
+    GIT_ORD: ("D2_0",),
+    K_ORD: ("D2_1", "D4_1"),
+    M08BAR: ("D2_2", "D3_2", "D4_2"),
+    BB_ORD: ("L_ord", "H_ord"),
+    TOR_ORD: ("L_ord", "Htilde_ord", "T_ord"),
+    GIT: ("K_GIT", "D"),
+    K: ("fK_GIT", "Dtilde", "Delta"),
+    BB: ("K_BB", "H"),
+    TOR: ("pK_BB", "Htilde", "T"),
 }
 
+# the basis symbols that the registry below writes forms in
+(D2_0, D2_1, D4_1, D2_2, D3_2, D4_2, L_ord, H_ord, Htilde_ord, T_ord,
+ K_GIT, D, fK_GIT, Dtilde, Delta, pK_BB, T) = variables(
+    "D2_0", "D2_1", "D4_1", "D2_2", "D3_2", "D4_2", "L_ord", "H_ord", "Htilde_ord", "T_ord",
+    "K_GIT", "D", "fK_GIT", "Dtilde", "Delta", "pK_BB", "T")
 
-class DivisorClass(Record):
-    space: str
-    coefficients: Tuple[Tuple[str, Fraction], ...]
+CANONICAL: Dict[str, MultiPoly] = {
+    GIT_ORD: Fraction(-2, 7) * D2_0,
+    K_ORD: Fraction(-2, 7) * D2_1 + Fraction(2, 7) * D4_1,
+    M08BAR: Fraction(-2, 7) * D2_2 + Fraction(1, 7) * D3_2 + Fraction(2, 7) * D4_2,
+    BB_ORD: -8 * L_ord,
+    TOR_ORD: -8 * L_ord + 2 * T_ord,
+    K: fK_GIT + 5 * Delta,
+    TOR: pK_BB + 7 * T,
+}
 
-    @classmethod
-    def make(cls, space: str, coeffs: Mapping[str, Scalar]) -> "DivisorClass":
-        info = SPACES.get(space)
-        if info is None:
-            raise ValueError(f"unknown space {space!r}")
-        unknown = [s for s in coeffs if s not in info.symbols]
-        if unknown:
-            raise ValueError(f"symbols {unknown} not in the basis of {space}")
-        cleaned = tuple(
-            (s, _fr(c)) for s, c in sorted(coeffs.items()) if _fr(c) != 0
-        )
-        return cls(space, cleaned)
+# Each derived symbol in terms of the rest of its space's basis.  The
+# weight-14 modular form vanishing to order 1/2 on the discriminant gives
+# 14 L = (1/2) H, i.e. H = 28 L.
+RELATIONS: Dict[str, MultiPoly] = {
+    "H_ord": 28 * L_ord,
+    "Htilde_ord": 28 * L_ord - 6 * T_ord,
+}
 
-    def as_dict(self) -> Dict[str, Fraction]:
-        return dict(self.coefficients)
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if self.space != other.space:
-            raise ValueError("cannot add classes on different spaces")
-        merged = self.as_dict()
-        for s, c in other.coefficients:
-            merged[s] = merged.get(s, Fraction(0)) + c
-        return DivisorClass.make(self.space, merged)
-
-    def scale(self, factor: Scalar) -> "DivisorClass":
-        f = _fr(factor)
-        return DivisorClass.make(self.space, {s: c * f for s, c in self.coefficients})
-
-    def reduced(self) -> "DivisorClass":
-        """Eliminate derived symbols through the registered relations."""
-        relations = SPACES[self.space].relations
-        out: Dict[str, Fraction] = {}
-        for s, c in self.coefficients:
-            if s in relations:
-                for target, weight in relations[s].items():
-                    out[target] = out.get(target, Fraction(0)) + c * weight
-            else:
-                out[s] = out.get(s, Fraction(0)) + c
-        return DivisorClass.make(self.space, out)
-
-    def same_class(self, other: "DivisorClass") -> bool:
-        return self.space == other.space and self.reduced() == other.reduced()
-
-    def __str__(self) -> str:
-        if not self.coefficients:
-            return f"0 on {self.space}"
-        body = " + ".join(f"({c})*{s}" for s, c in self.coefficients)
-        return f"{body} on {self.space}"
-
-
-def divisor(space: str, **coeffs: Scalar) -> DivisorClass:
-    return DivisorClass.make(space, coeffs)
-
-
-class LinearMapEntry(Record):
-    source: str
-    target: str
-    kind: str  # pullback | pushforward | identification
-    matrix: Mapping[str, Mapping[str, Fraction]]
-
-
-MAPS: Dict[str, LinearMapEntry] = {
-    "phi1_pullback": LinearMapEntry(
-        GIT_ORD, K_ORD, "pullback", {"D2_0": {"D2_1": Fraction(1), "D4_1": Fraction(6)}}
-    ),
-    "phi1_pushforward": LinearMapEntry(
-        K_ORD, GIT_ORD, "pushforward", {"D2_1": {"D2_0": Fraction(1)}, "D4_1": {}}
-    ),
-    "phi2_pullback": LinearMapEntry(
-        K_ORD,
-        M08BAR,
-        "pullback",
-        {
-            "D2_1": {"D2_2": Fraction(1), "D3_2": Fraction(3)},
-            "D4_1": {"D4_2": Fraction(1)},
-        },
-    ),
-    "phi2_pushforward": LinearMapEntry(
-        M08BAR,
-        K_ORD,
-        "pushforward",
-        {"D2_2": {"D2_1": Fraction(1)}, "D3_2": {}, "D4_2": {"D4_1": Fraction(1)}},
-    ),
-    "pi_ord_pullback": LinearMapEntry(
-        BB_ORD,
-        TOR_ORD,
-        "pullback",
-        {
-            "L_ord": {"L_ord": Fraction(1)},
-            "H_ord": {"Htilde_ord": Fraction(1), "T_ord": Fraction(6)},
-        },
-    ),
+# name -> (source space, target space, image of each source symbol)
+MAPS: Dict[str, Tuple[str, str, Dict[str, MultiPoly]]] = {
+    "phi1_pullback": (GIT_ORD, K_ORD, {"D2_0": D2_1 + 6 * D4_1}),
+    "phi1_pushforward": (K_ORD, GIT_ORD, {"D2_1": D2_0, "D4_1": MultiPoly.zero()}),
+    "phi2_pullback": (K_ORD, M08BAR, {"D2_1": D2_2 + 3 * D3_2, "D4_1": D4_2}),
+    "phi2_pushforward": (M08BAR, K_ORD, {"D2_2": D2_1, "D3_2": MultiPoly.zero(), "D4_2": D4_1}),
+    "pi_ord_pullback": (BB_ORD, TOR_ORD, {"L_ord": L_ord, "H_ord": Htilde_ord + 6 * T_ord}),
     # The period-map identification carries the discriminant class to the
     # special divisor H on the cusped side.
-    "phi_ord_identification": LinearMapEntry(
-        GIT_ORD, BB_ORD, "identification", {"D2_0": {"H_ord": Fraction(1)}}
-    ),
+    "phi_ord_identification": (GIT_ORD, BB_ORD, {"D2_0": H_ord}),
     # Boundary matching of the two blow-ups of the same base point.
-    "tau_identification": LinearMapEntry(
-        K_ORD,
-        TOR_ORD,
-        "identification",
-        {"D2_1": {"Htilde_ord": Fraction(1)}, "D4_1": {"T_ord": Fraction(1)}},
-    ),
-    "f_pullback": LinearMapEntry(
-        GIT,
-        K,
-        "pullback",
-        {
-            "K_GIT": {"fK_GIT": Fraction(1)},
-            "D": {"Dtilde": Fraction(1), "Delta": Fraction(6)},
-        },
-    ),
-    "pi_pullback": LinearMapEntry(
-        BB, TOR, "pullback", {"K_BB": {"pK_BB": Fraction(1)}}
-    ),
+    "tau_identification": (K_ORD, TOR_ORD, {"D2_1": Htilde_ord, "D4_1": T_ord}),
+    "f_pullback": (GIT, K, {"K_GIT": fK_GIT, "D": Dtilde + 6 * Delta}),
+    "pi_pullback": (BB, TOR, {"K_BB": pK_BB}),
 }
 
 
-def apply_map(name: str, cls: DivisorClass) -> DivisorClass:
-    entry = MAPS.get(name)
-    if entry is None:
-        raise ValueError(f"unknown map {name!r}")
-    if cls.space != entry.source:
-        raise ValueError(f"{name} expects classes on {entry.source}, got {cls.space}")
-    out: Dict[str, Fraction] = {}
-    for symbol, coeff in cls.coefficients:
-        if symbol not in entry.matrix:
-            raise ValueError(f"{name} has no registered image for {symbol}")
-        for target, weight in entry.matrix[symbol].items():
-            out[target] = out.get(target, Fraction(0)) + coeff * weight
-    return DivisorClass.make(entry.target, out)
-
-
-def canonical(space: str) -> DivisorClass:
-    info = SPACES.get(space)
-    if info is None:
+def _basis(space: str) -> Tuple[str, ...]:
+    if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
-    if info.canonical is None:
+    return SPACES[space]
+
+
+def coefficients(form: MultiPoly) -> Dict[str, Fraction]:
+    """The nonzero coefficient of each symbol of a linear form, by symbol."""
+    return dict(sorted((form.variables[e.index(1)], c) for e, c in form.terms.items()))
+
+
+def class_text(form: MultiPoly, space: str) -> str:
+    """A class as ``(c)*s + ... on SPACE``, or ``0 on SPACE``."""
+    basis = _basis(space)
+    foreign = [s for s in form.occurring_variables() if s not in basis]
+    if foreign:
+        raise ValueError(f"symbols {foreign} not in the basis of {space}")
+    body = " + ".join(f"({c})*{s}" for s, c in coefficients(form).items())
+    return f"{body or 0} on {space}"
+
+
+def apply_map(name: str, form: MultiPoly) -> MultiPoly:
+    if name not in MAPS:
+        raise ValueError(f"unknown map {name!r}")
+    images = MAPS[name][2]
+    for symbol in form.occurring_variables():
+        if symbol not in images:
+            raise ValueError(f"{name} has no registered image for {symbol}")
+    return form.substitute(images)
+
+
+def reduced(form: MultiPoly) -> MultiPoly:
+    """Eliminate derived symbols through the registered relations."""
+    return form.substitute({s: RELATIONS.get(s, MultiPoly.variable(s))
+                            for s in form.occurring_variables()})
+
+
+def canonical(space: str) -> MultiPoly:
+    _basis(space)
+    if space not in CANONICAL:
         raise ValueError(f"no canonical class registered on {space}")
-    return DivisorClass.make(space, info.canonical)
+    return CANONICAL[space]
 
 
 class IdentityCheck(Record):
@@ -235,59 +142,44 @@ def verify_blowup_identities() -> List[IdentityCheck]:
     """Recheck every registered canonical-bundle identity exactly."""
     checks: List[IdentityCheck] = []
 
-    def record(name: str, lhs: DivisorClass, rhs: DivisorClass):
-        checks.append(
-            IdentityCheck(name, lhs.same_class(rhs), str(lhs.reduced()), str(rhs.reduced()))
-        )
+    def record(name: str, space: str, lhs: MultiPoly, rhs: MultiPoly):
+        lhs, rhs = reduced(lhs), reduced(rhs)
+        checks.append(IdentityCheck(name, lhs == rhs, class_text(lhs, space), class_text(rhs, space)))
 
     # canonical of the first blow-up = pullback + 2 * exceptional
-    lhs = canonical(K_ORD)
-    rhs = apply_map("phi1_pullback", canonical(GIT_ORD)) + divisor(K_ORD, D4_1=2)
-    record("first_blowup_canonical", lhs, rhs)
+    rhs = apply_map("phi1_pullback", canonical(GIT_ORD)) + 2 * D4_1
+    record("first_blowup_canonical", K_ORD, canonical(K_ORD), rhs)
 
     # canonical of the second blow-up = pullback + exceptional
-    lhs = canonical(M08BAR)
-    rhs = apply_map("phi2_pullback", canonical(K_ORD)) + divisor(M08BAR, D3_2=1)
-    record("second_blowup_canonical", lhs, rhs)
+    rhs = apply_map("phi2_pullback", canonical(K_ORD)) + D3_2
+    record("second_blowup_canonical", M08BAR, canonical(M08BAR), rhs)
 
     # -(2/7) of the discriminant equals -8 times the weight-1 bundle
-    lhs = canonical(BB_ORD)
-    rhs = apply_map("phi_ord_identification", divisor(GIT_ORD, D2_0=1)).scale(Fraction(-2, 7))
-    record("weight14_canonical", lhs, rhs)
+    rhs = Fraction(-2, 7) * apply_map("phi_ord_identification", D2_0)
+    record("weight14_canonical", BB_ORD, canonical(BB_ORD), rhs)
 
     # proportionality route: 6L - (1/2)Htilde - T = -8L + 2T
-    proportionality = divisor(
-        TOR_ORD, L_ord=6, Htilde_ord=Fraction(-1, 2), T_ord=-1
-    )
-    record("proportionality_route", proportionality, canonical(TOR_ORD))
+    proportionality = 6 * L_ord - Fraction(1, 2) * Htilde_ord - T_ord
+    record("proportionality_route", TOR_ORD, proportionality, canonical(TOR_ORD))
 
     # blow-up route through the boundary identification
-    record(
-        "blowup_route",
-        apply_map("tau_identification", canonical(K_ORD)),
-        canonical(TOR_ORD),
-    )
+    lhs = apply_map("tau_identification", canonical(K_ORD))
+    record("blowup_route", TOR_ORD, lhs, canonical(TOR_ORD))
 
     # pair version on the unordered side: K = f*(K + (3/4)D) + (1/2)Delta - (3/4)Dtilde
-    pair_rhs = (
-        apply_map("f_pullback", divisor(GIT, K_GIT=1, D=Fraction(3, 4)))
-        + divisor(K, Delta=Fraction(1, 2), Dtilde=Fraction(-3, 4))
-    )
-    record("log_pair_canonical", canonical(K), pair_rhs)
+    rhs = apply_map("f_pullback", K_GIT + Fraction(3, 4) * D)
+    rhs = rhs + Fraction(1, 2) * Delta - Fraction(3, 4) * Dtilde
+    record("log_pair_canonical", K, canonical(K), rhs)
 
     # projection formula instance
-    record(
-        "projection_formula",
-        apply_map("phi1_pushforward", apply_map("phi1_pullback", divisor(GIT_ORD, D2_0=1))),
-        divisor(GIT_ORD, D2_0=1),
-    )
+    lhs = apply_map("phi1_pushforward", apply_map("phi1_pullback", D2_0))
+    record("projection_formula", GIT_ORD, lhs, D2_0)
     return checks
 
 
 def exceptional_pullback_coefficient() -> Fraction:
     """Coefficient of the exceptional class in the discriminant pullback."""
-    image = apply_map("phi1_pullback", divisor(GIT_ORD, D2_0=1))
-    return image.as_dict().get("D4_1", Fraction(0))
+    return coefficients(apply_map("phi1_pullback", D2_0)).get("D4_1", Fraction(0))
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +200,7 @@ def normal_bundle_boundary() -> NormalBundleResult:
     components are disjoint), so N has bidegree (-1, -1).
     """
     adjunction = (-3, -3)
-    multiplier = int(SPACES[TOR_ORD].canonical["T_ord"]) + 1
+    multiplier = int(coefficients(CANONICAL[TOR_ORD])["T_ord"]) + 1
     bidegree = (Fraction(adjunction[0], multiplier), Fraction(adjunction[1], multiplier))
     return NormalBundleResult(bidegree, adjunction, multiplier)
 
@@ -356,11 +248,18 @@ def k_equivalence_obstruction(e_candidates: Iterable[int]) -> ObstructionCertifi
 
     The toroidal side gives (7T)^5 = 16807/192; equality would force
     Delta^5 = 16807/600000 whose reduced denominator carries 5^5, while
-    Delta^5 lies in (1/e)Z with e free of the prime 5.
+    Delta^5 lies in (1/e)Z with e free of the prime 5.  The candidates
+    must be positive ints, at least one of them.
     """
-    candidates = tuple(sorted(set(int(e) for e in e_candidates)))
-    if any(e < 1 for e in candidates):
-        raise ValueError("denominator bounds must be positive")
+    candidates = tuple(e_candidates)
+    if not candidates:
+        raise ValueError("no denominator bounds given")
+    for e in candidates:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ValueError(f"denominator bound {e!r} is not an int")
+        if e < 1:
+            raise ValueError("denominator bounds must be positive")
+    candidates = tuple(sorted(set(candidates)))
     toroidal = Fraction(7) ** 5 * top_self_intersections().unordered
     required = toroidal / Fraction(5) ** 5
     denominator = required.denominator
@@ -383,4 +282,4 @@ def k_equivalence_obstruction(e_candidates: Iterable[int]) -> ObstructionCertifi
 def discrepancy(k: Scalar, m: Scalar, c: Scalar) -> Fraction:
     """Discrepancy a with K_up = f*(K + c D) + a E given K_up = f*K + k E
     and f*D = Dtilde + m E."""
-    return _fr(k) - _fr(m) * _fr(c)
+    return Fraction(k - m * c)
