@@ -11,7 +11,8 @@ any quantity a suite also checks from a ``checks.Quantities``, the
 registry the suites read; ``main`` encodes it with ``checks.encode`` and
 writes it, as JSON unless ``run`` asks for text.  All output is exact.
 ``fqspace``, ``betti`` and ``picard`` are imported by the handlers that use
-them, so that a command loads only the modules it runs.
+them, and ``main`` builds only the sub-parser of the command it is given,
+so that a command loads and builds only what it runs.
 """
 
 from __future__ import annotations
@@ -112,7 +113,12 @@ def _cmd_picard(args):
     return checks.Quantities().obstruction()
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("run", "stability", "fq", "slice", "betti", "picard")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser; for one of ``COMMANDS``, only that sub-parser is
+    built, which parses that command's arguments as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="modpoints",
         description="Exact checks for the moduli space of 8 points on the projective line",
@@ -121,52 +127,61 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="write to this file instead of stdout")
     commands = parser.add_subparsers(dest="command", required=True)
+    wanted = COMMANDS if command not in COMMANDS else (command,)
 
     def leaf(parent, name, func, **kwargs):
-        command = parent.add_parser(name, parents=[output], **kwargs)
-        command.set_defaults(func=func)
-        return command
+        sub = parent.add_parser(name, parents=[output], **kwargs)
+        sub.set_defaults(func=func)
+        return sub
 
     def actions(name, help):
         return commands.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
-    run = leaf(commands, "run", _cmd_run, help="run verification suites")
-    suites = ("all",) + checks.SUITE_NAMES
-    run.add_argument("suite", nargs="?", default="all", choices=suites)
-    run.add_argument("--format", choices=("text", "json"), default="text")
+    if "run" in wanted:
+        run = leaf(commands, "run", _cmd_run, help="run verification suites")
+        suites = ("all",) + checks.SUITE_NAMES
+        run.add_argument("suite", nargs="?", default="all", choices=suites)
+        run.add_argument("--format", choices=("text", "json"), default="text")
 
-    stab = leaf(commands, "stability", _cmd_stability, help="classify a configuration")
-    group = stab.add_mutually_exclusive_group(required=True)
-    group.add_argument("--config", help="comma-separated multiplicities, e.g. 4,4")
-    group.add_argument("--table", help=f"verdicts for degree N <= {MAX_TABLE_DEGREE}")
+    if "stability" in wanted:
+        stab = leaf(commands, "stability", _cmd_stability, help="classify a configuration")
+        group = stab.add_mutually_exclusive_group(required=True)
+        group.add_argument("--config", help="comma-separated multiplicities, e.g. 4,4")
+        group.add_argument("--table", help=f"verdicts for degree N <= {MAX_TABLE_DEGREE}")
 
-    fq = actions("fq", "quadratic space over GF(2)")
-    leaf(fq, "census", _cmd_fq)
-    perp = leaf(fq, "perp", _cmd_fq)
-    perp.add_argument("vector", help="hex-encoded isotropic vector, bit i = coordinate i+1")
-    leaf(fq, "group", _cmd_fq)
+    if "fq" in wanted:
+        fq = actions("fq", "quadratic space over GF(2)")
+        leaf(fq, "census", _cmd_fq)
+        perp = leaf(fq, "perp", _cmd_fq)
+        perp.add_argument("vector", help="hex-encoded isotropic vector, bit i = coordinate i+1")
+        leaf(fq, "group", _cmd_fq)
 
-    slc = actions("slice", "blow-up charts of the normal slice")
-    trans = leaf(slc, "transversality", _cmd_slice)
-    trans.add_argument("--chart", choices=blowup.CHART_NAMES + ("all",), default="all")
-    leaf(slc, "stabilizers", _cmd_slice)
+    if "slice" in wanted:
+        slc = actions("slice", "blow-up charts of the normal slice")
+        trans = leaf(slc, "transversality", _cmd_slice)
+        trans.add_argument("--chart", choices=blowup.CHART_NAMES + ("all",), default="all")
+        leaf(slc, "stabilizers", _cmd_slice)
 
-    bt = actions("betti", "Betti tables")
-    leaf(bt, "kirwan", _cmd_betti)
-    side = leaf(bt, "tor", _cmd_betti).add_mutually_exclusive_group(required=True)
-    side.add_argument("--ordered", action="store_true")
-    side.add_argument("--unordered", action="store_true")
-    leaf(bt, "boundary", _cmd_betti)
+    if "betti" in wanted:
+        bt = actions("betti", "Betti tables")
+        leaf(bt, "kirwan", _cmd_betti)
+        side = leaf(bt, "tor", _cmd_betti).add_mutually_exclusive_group(required=True)
+        side.add_argument("--ordered", action="store_true")
+        side.add_argument("--unordered", action="store_true")
+        leaf(bt, "boundary", _cmd_betti)
 
-    pc = actions("picard", "divisor-class ledger")
-    for action in ("verify", "intersections", "obstruction"):
-        leaf(pc, action, _cmd_picard)
+    if "picard" in wanted:
+        pc = actions("picard", "divisor-class ledger")
+        for action in ("verify", "intersections", "obstruction"):
+            leaf(pc, action, _cmd_picard)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no command, an unknown one or a top-level option gets the full parser
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     created = bool(args.out) and not os.path.exists(args.out)
     try:

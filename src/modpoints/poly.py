@@ -17,12 +17,12 @@ tools needed elsewhere: substitution, restriction to a coordinate
 hyperplane (``specialize``), formal derivatives, extraction of a
 coordinate power (for strict transforms under a blow-up), squarefreeness
 tests, the closed-form discriminant of a depressed quartic, and one
-subresultant pseudo-remainder sequence.  The sequence runs on lists of the
-coefficients in the eliminated variable, a constant one kept as its int or
-Fraction and any other as a bare term map, and shares its one product loop
-(``_mul_terms``) and its one exact-division loop (``_divide_terms``) with
-MultiPoly; a MultiPoly is built only for a public result and for the gcd
-tail that the content step reads.
+subresultant pseudo-remainder sequence.  The sequence is written once with
+Python's operators (``*``, ``-``, ``**``, exact ``//``) on lists of the
+coefficients in the eliminated variable: bare ints for the integer images
+of the resultant and the squarefreeness test, MultiPolys on the two
+fallbacks, so that it shares MultiPoly's one product loop (``_mul_terms``)
+and one exact-division loop (``_divide_terms``).
 
 Both the gcd and the resultant evaluate at large integers first.  The gcd
 is the heuristic gcd of Char, Geddes and Gonnet: one integer gcd, lifted
@@ -33,7 +33,7 @@ Kronecker substitution), so that the image of a term is its coefficient
 shifted left, runs the sequence on ints and lifts the one integer back by
 the same symmetric expansion as the gcd; ``is_squarefree`` reads that
 integer alone.  Past a fixed bit length (for the gcd also after a few
-evaluation points) the sequence runs on term maps.
+evaluation points) the sequence runs on MultiPoly coefficients.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 Terms = Dict[int, Scalar]  # packed monomial -> nonzero coefficient
-# An entry of a coefficient list in the remainder sequence is a constant's
-# scalar, or else a term map over the variables of both inputs with a
-# non-constant key and no zero coefficient.
-Entry = Union[Terms, Scalar]
 
 # Exponents are fixed-width; all computations here live in tiny degrees,
 # so anything past this bound is a bug, never a value to wrap around.
@@ -187,14 +183,6 @@ class MultiPoly:
         n = len(self._vars)
         return tuple(v for i, v in enumerate(self._vars) if seen >> FIELD * (n - 1 - i) & MASK)
 
-    def degree_in(self, name: str) -> int:
-        if self.is_zero:
-            return -1
-        if name not in self._vars:
-            return 0
-        shift = FIELD * (len(self._vars) - 1 - self._vars.index(name))
-        return max(key >> shift & MASK for key in self._terms)
-
     # ------------------------------------------------------------------
     # universe management
 
@@ -268,6 +256,20 @@ class MultiPoly:
         half = self ** (n // 2)
         return half * half * self if n & 1 else half * half
 
+    def __floordiv__(self, other) -> "MultiPoly":
+        """The exact quotient self/other.  A scalar or constant divisor
+        divides every coefficient, so the quotient may hold Fractions;
+        otherwise a divisor that does not divide self raises ArithmeticError."""
+        if isinstance(other, MultiPoly) and any(other._terms):
+            quotient = try_divide(self, other)
+            if quotient is None:
+                raise ArithmeticError("the division must be exact")
+            return quotient
+        scale = other._terms.get(0, 0) if isinstance(other, MultiPoly) else _scalar(other)
+        if not scale:
+            raise ZeroDivisionError("division by the zero polynomial")
+        return _trusted(self._vars, {key: _divide(c, scale) for key, c in self._terms.items()})
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(other)
@@ -289,23 +291,42 @@ class MultiPoly:
     # calculus and substitution
 
     def substitute(self, mapping: Mapping[str, Union["MultiPoly", Scalar]]) -> "MultiPoly":
-        """Compose with the given (total on occurring variables) assignment."""
-        missing = [v for v in self.occurring_variables() if v not in mapping]
+        """Compose with the given (total on occurring variables) assignment.
+
+        Each image is raised once to every power that a term needs, and each
+        term's product of powers is added into one term map, so a monomial
+        image costs one key sum per term."""
+        occurring = self.occurring_variables()
+        missing = [v for v in occurring if v not in mapping]
         if missing:
             raise ValueError(f"substitution missing variables: {missing}")
         images = {name: _as_poly(value) for name, value in mapping.items()}
-        n = len(self._vars)
-        terms = [(_unpack(key, n), coeff) for key, coeff in self._terms.items()]
-        needed = {(v, e) for exp, _ in terms for v, e in zip(self._vars, exp) if e}
-        powers = {(v, e): images[v] ** e for v, e in needed}
-        result = MultiPoly.zero()
-        for exp, coeff in terms:
-            term = MultiPoly.constant(coeff)
-            for v, e in zip(self._vars, exp):
+        variables = tuple(sorted({v for name in occurring for v in images[name]._vars}))
+        n, m = len(self._vars), len(variables)
+        degrees = _degrees(self._terms, n) if occurring else ()
+        powers = []  # (field shift in self, [image^0, image^1, ...]) per occurring variable
+        for name in occurring:
+            i = self._vars.index(name)
+            base = images[name]._embedded(variables)
+            chain = [{0: 1}]
+            while len(chain) <= degrees[i]:
+                chain.append({key: c for key, c in _mul_terms(chain[-1], base, m).items() if c}
+                             if base else {})
+            powers.append((FIELD * (n - 1 - i), chain))
+        out: Terms = {}
+        get = out.get
+        for key, coeff in self._terms.items():
+            term = {0: coeff}
+            for shift, chain in powers:
+                e = key >> shift & MASK
                 if e:
-                    term = term * powers[v, e]
-            result = result + term
-        return result
+                    if not chain[e]:
+                        break  # a zero image
+                    term = _mul_terms(term, chain[e], m)
+            else:
+                for k, c in term.items():
+                    out[k] = get(k, 0) + c
+        return _trusted(variables, out)
 
     def specialize(self, name: str, value: Scalar) -> "MultiPoly":
         """Set the variable ``name`` to the scalar ``value``; the result is free of it."""
@@ -472,16 +493,6 @@ def normalize(p: MultiPoly) -> MultiPoly:
     return p * (sign * _divide(denom_lcm, num_gcd))
 
 
-def _exact_quotient(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """p/q where q is known to divide p; no division at all when q is 1."""
-    if q._terms == {0: 1}:
-        return p
-    quotient = try_divide(p, q)
-    if quotient is None:
-        raise ArithmeticError("the division must be exact")
-    return quotient
-
-
 def _buckets(terms: Terms, n: int, i: int) -> Dict[int, Terms]:
     """The terms over n variables grouped by the exponent d of the i-th,
     each with that exponent removed: the coefficients in it, by degree."""
@@ -517,93 +528,38 @@ def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPol
         content = poly_gcd(content, _trusted(p._vars, terms))
         if content.is_constant:
             break  # the coefficients are nonzero, so content is 1 and stays 1
-    return content, _exact_quotient(p, content)
+    return content, p // content
 
 
 # ----------------------------------------------------------------------
-# the subresultant remainder sequence, on lists of entries
+# the subresultant remainder sequence, on lists of coefficients
 
 def _coefficient_lists(f: MultiPoly, g: MultiPoly, name: str):
     """(vs, [f_0, ..., f_n], [g_0, ..., g_m]): f = sum f_k name^k with
-    f_n != 0, as entries over vs, the variables of f, g and ``name``; [] is 0."""
+    f_n != 0, as MultiPolys over vs, the variables of f, g and ``name``; [] is 0."""
     vs = tuple(sorted({name, *f._vars, *g._vars}))
     lists = []
     for p in (f, g):
         buckets = _buckets(p._embedded(vs), len(vs), vs.index(name))
-        entries: List[Entry] = [0] * (max(buckets, default=-1) + 1)
+        coefficients = [_trusted(vs, {})] * (max(buckets, default=-1) + 1)
         for d, terms in buckets.items():
-            entries[d] = _entry(terms)
-        lists.append(entries)
+            coefficients[d] = _trusted(vs, terms)
+        lists.append(coefficients)
     return (vs, *lists)
 
 
-def _terms_of(a: Entry) -> Terms:
-    return a if isinstance(a, dict) else {0: a} if a else {}
-
-
-def _entry(terms: Terms) -> Entry:
-    """A term map as an entry: its constant's scalar when no other key occurs."""
-    return terms if any(terms) else terms.get(0, 0)
-
-
-def _mul(a: Entry, b: Entry, n: int) -> Entry:
-    """The product of two nonzero entries over n variables."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        return {key: c for key, c in _mul_terms(a, b, n).items() if c}
-    if isinstance(b, dict):
-        a, b = b, a
-    if isinstance(a, dict):
-        return {key: c * b for key, c in a.items()}
-    return a * b
-
-
-def _sub(a: Entry, b: Entry) -> Entry:
-    if not isinstance(a, dict) and not isinstance(b, dict):
-        return a - b
-    out = dict(_terms_of(a))
-    for key, c in _terms_of(b).items():
-        c = out.get(key, 0) - c
-        if c:
-            out[key] = c
-        else:
-            del out[key]
-    return _entry(out)
-
-
-def _pow(a: Entry, k: int, n: int) -> Entry:
-    if not isinstance(a, dict):
-        return a ** k
-    out = a if k else 1
-    for _ in range(k - 1):
-        out = _mul(out, a, n)
-    return out
-
-
-def _quo(a: Entry, b: Entry, n: int) -> Entry:
-    """a/b where b is known to divide a; no division at all when b is 1."""
-    if b == 1 or not a:
-        return a
-    if not isinstance(b, dict):
-        return {key: _divide(c, b) for key, c in a.items()} if isinstance(a, dict) else _divide(a, b)
-    quotient = _divide_terms(a, b, n) if isinstance(a, dict) else None
-    if quotient is None:
-        raise ArithmeticError("the division must be exact")
-    return _entry(quotient)
-
-
-def _pseudo_remainder(f: List[Entry], g: List[Entry], nv: int) -> List[Entry]:
-    """prem(f, g) = ell(g)^(n-m+1) f mod g on lists of entries over nv
-    variables, n >= m > 0.
+def _pseudo_remainder(f: list, g: list) -> list:
+    """prem(f, g) = ell(g)^(n-m+1) f mod g on lists of coefficients, n >= m > 0.
 
     ``f`` and ``g`` are [c_0, ..., c_n] and [c_0, ..., c_m], each entry free of
-    the main variable, so two constant entries combine in scalar arithmetic
-    and a product or difference that cancels to a constant becomes one.  The
-    step at degree d rewrites only the m entries d-m .. d-1 that x^(d-m) g
-    reaches; an entry it skips owes one factor ell(g), and ``paid[k]``
-    records how many steps entry k has been scaled through, so the debt is
-    paid in one product when the entry is next read.  Zero entries, zero
-    leading entries and ell(g) = 1 cost no product.  The result has m
-    entries, trailing zeros included.
+    the main variable: ints for an image of ``resultant``, MultiPolys on the
+    fallbacks, combined with the same operators.  The step at degree d
+    rewrites only the m entries d-m .. d-1 that x^(d-m) g reaches; an entry it
+    skips owes one factor ell(g), and ``paid[k]`` records how many steps
+    entry k has been scaled through, so the debt is paid in one product when
+    the entry is next read.  Zero entries, zero leading entries and
+    ell(g) = 1 cost no product.  The result has m entries, trailing zeros
+    included.
     """
     n, m = len(f) - 1, len(g) - 1
     if n < m:
@@ -614,14 +570,14 @@ def _pseudo_remainder(f: List[Entry], g: List[Entry], nv: int) -> List[Entry]:
     r = list(f)
     paid = [0] * len(r)
 
-    def settled(k: int, steps: int) -> Entry:
+    def settled(k: int, steps: int):
         """Entry k of the remainder after ``steps`` steps."""
         owed = steps - paid[k]
         if monic or not owed or not r[k]:
             return r[k]
         while len(powers) <= owed:
-            powers.append(_mul(powers[-1], lead, nv))
-        return _mul(powers[owed], r[k], nv)
+            powers.append(powers[-1] * lead)
+        return powers[owed] * r[k]
 
     for step, d in enumerate(range(n, m - 1, -1)):
         lc = settled(d, step)
@@ -630,44 +586,42 @@ def _pseudo_remainder(f: List[Entry], g: List[Entry], nv: int) -> List[Entry]:
         for j in range(m):
             k = d - m + j
             entry = settled(k, step + 1)
-            r[k] = _sub(entry, _mul(lc, g[j], nv)) if g[j] else entry
+            r[k] = entry - lc * g[j] if g[j] else entry
             paid[k] = step + 1
     return [settled(k, n - m + 1) for k in range(m)]
 
 
-def _subresultant_prs(f: List[Entry], g: List[Entry], nv: int):
-    """The subresultant remainder sequence of the lists of entries f and g
-    over nv variables.
+def _subresultant_prs(f: list, g: list):
+    """The subresultant remainder sequence of the lists of coefficients f and g.
 
     Needs deg f >= deg g > 0, i.e. len(f) >= len(g) >= 2.  Each
     pseudo-division yields (A, B, h): A is the previous B, B = prem(A, B) /
     (g h^delta) entry by entry, and the classical g/h divisor bookkeeping
-    keeps every division exact; when g h^delta is 1 (always at the first
-    step) no division runs.  g and h start as the int 1 and, like every
-    entry, stay scalars for as long as the leading coefficients are constant.
-    B drops its trailing zeros, so deg B is len(B) - 1 and the zero
-    polynomial is [].  The sequence ends after a B that is zero or free of
-    the main variable.
+    keeps every division exact, so ``//`` divides exactly on ints and on
+    MultiPolys alike; when g h^delta is 1 (always at the first step) no
+    division runs.  g and h start as the int 1.  B drops its trailing zeros,
+    so deg B is len(B) - 1 and the zero polynomial is [].  The sequence ends
+    after a B that is zero or free of the main variable.
     """
     gg = hh = 1
     while True:
         delta = len(f) - len(g)
-        reduced = _pseudo_remainder(f, g, nv)
+        reduced = _pseudo_remainder(f, g)
         while reduced and not reduced[-1]:
             reduced.pop()
-        divisor = _mul(gg, _pow(hh, delta, nv), nv)
-        f, g = g, [_quo(c, divisor, nv) for c in reduced]
+        divisor = gg * hh ** delta
+        f, g = g, reduced if divisor == 1 else [c // divisor for c in reduced]
         gg = f[-1]
         if delta > 0:
-            hh = _quo(_pow(gg, delta, nv), _pow(hh, delta - 1, nv), nv)
+            hh = gg ** delta // hh ** (delta - 1)
         yield f, g, hh
         if len(g) <= 1:
             return
 
 
-def _sequence_resultant(f: List[Entry], g: List[Entry], nv: int) -> Entry:
-    """Res(f, g) of two lists of entries over nv variables, each of positive
-    degree, from the subresultant remainder sequence.
+def _sequence_resultant(f: list, g: list):
+    """Res(f, g) of two nonempty lists of coefficients from the subresultant
+    remainder sequence; a side of degree 0 gives its constant's power.
 
     Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 3.3.7,
     without the content step: after the pseudo-divisions the resultant is
@@ -679,14 +633,16 @@ def _sequence_resultant(f: List[Entry], g: List[Entry], nv: int) -> Entry:
     if n < m:
         f, g, n, m = g, f, m, n
         sign = -1 if n & m & 1 else 1
-    for f, g, h in _subresultant_prs(f, g, nv):
+    if m == 0:
+        return g[0] ** n
+    for f, g, h in _subresultant_prs(f, g):
         if n & m & 1:
             sign = -sign
         if not g:
             return 0
         n, m = m, len(g) - 1
-    value = _quo(_pow(g[0], n, nv), _pow(h, n - 1, nv), nv)
-    return value if sign > 0 else _sub(0, value)
+    value = g[0] ** n // h ** (n - 1)
+    return value if sign > 0 else -value
 
 
 def _integral(terms: Terms) -> Tuple[int, Terms]:
@@ -697,44 +653,55 @@ def _integral(terms: Terms) -> Tuple[int, Terms]:
 
 def _images(f: Terms, g: Terms, n: int, j: int):
     """(F, G, levels): the lists of int coefficients in the j-th of n
-    variables of f and g, int term maps of positive degree in it, with the
-    other variables set to the powers of two of ``resultant``, and the
-    (field shift, bit count, variable index) of each level; None past the
-    bit guard."""
-    bf, bg = _buckets(f, n, j), _buckets(g, n, j)
-    df, dg = max(bf), max(bg)
-    sf, sg = (sum(sum(map(abs, b.values())) ** 2 for b in t.values()) for t in (bf, bg))
-    bits = (2 * math.isqrt(sf ** dg * sg ** df) + 3).bit_length()  # 2^bits >= 2B + 2
-    seen = reduce(or_, f, 0) | reduce(or_, g, 0)
+    variables of f and g, nonempty int term maps, with the other variables
+    set to the powers of two of ``resultant``, and the (field shift, bit
+    count, variable index) of each level; None past the bit guard.
+
+    Each side's degrees are read once; one pass over its terms sums the
+    absolute coefficients of each degree for the bound, and a second adds
+    each coefficient, shifted left by sum e_i k_i, to its degree's image.
+    """
+    sj = FIELD * (n - 1 - j)
+    ef, eg = _degrees(f, n), _degrees(g, n)
+    df, dg = ef[j], eg[j]
+    norms = []
+    for terms, d in ((f, df), (g, dg)):
+        norm = [0] * (d + 1)
+        for key, c in terms.items():
+            norm[key >> sj & MASK] += abs(c)
+        norms.append(sum(x * x for x in norm))
+    bits = (2 * math.isqrt(norms[0] ** dg * norms[1] ** df) + 3).bit_length()  # 2^bits >= 2B + 2
     levels = []
     for i in range(n):
-        si = FIELD * (n - 1 - i)
-        if i != j and seen >> si & MASK:
-            degree = dg * max(key >> si & MASK for key in f) + df * max(key >> si & MASK for key in g)
+        if i != j and (ef[i] or eg[i]):
+            degree = dg * ef[i] + df * eg[i]
             if (bits + 1) * (degree + 1) > HEURISTIC_BITS:
                 return None
-            levels.append((si, bits, i))
+            levels.append((FIELD * (n - 1 - i), bits, i))
             bits *= degree + 1
-    lists = [[0] * (df + 1), [0] * (dg + 1)]
-    for b, out in zip((bf, bg), lists):
-        for d, bucket in b.items():
+    lists = []
+    for terms, d in ((f, df), (g, dg)):
+        image = [0] * (d + 1)
+        for key, c in terms.items():
+            shift = 0
             for si, w, _ in levels:
-                bucket = {key: c << (key >> si & MASK) * w for key, c in bucket.items()}
-            out[d] = sum(bucket.values())
+                shift += (key >> si & MASK) * w
+            image[key >> sj & MASK] += c << shift
+        lists.append(image)
     return (*lists, levels)
 
 
 def _resultant_image(f: MultiPoly, g: MultiPoly, name: str):
     """(vs, r, levels, scale): r = Res(c f, d g) at the point of ``_images``,
-    with c and d from ``_integral`` and scale = c^deg g d^deg f; past the
-    bit guard r is that resultant itself, with no levels."""
+    with c and d from ``_integral`` and scale = c^deg g d^deg f, for nonzero
+    f and g; past the bit guard r is that resultant itself, with no levels."""
     vs = tuple(sorted({name, *f._vars, *g._vars}))
     (cf, fi), (cg, gi) = _integral(f._embedded(vs)), _integral(g._embedded(vs))
     images = _images(fi, gi, len(vs), vs.index(name))
     if images is None:
         images = (*_coefficient_lists(_trusted(vs, fi), _trusted(vs, gi), name)[1:], [])
     fl, gl, levels = images
-    return vs, _sequence_resultant(fl, gl, len(vs)), levels, cf ** (len(gl) - 1) * cg ** (len(fl) - 1)
+    return vs, _sequence_resultant(fl, gl), levels, cf ** (len(gl) - 1) * cg ** (len(fl) - 1)
 
 
 def _evaluate(buckets: Dict[int, Terms], xi: int) -> Terms:
@@ -853,23 +820,20 @@ def _subresultant_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     cont_p, prim_p = _content_and_primitive(p, name)
     cont_q, prim_q = _content_and_primitive(q, name)
     content = poly_gcd(cont_p, cont_q)
-    if prim_p.degree_in(name) == 0 or prim_q.degree_in(name) == 0:
-        prim_gcd = MultiPoly.constant(1)
-    else:
-        vs, f, g = _coefficient_lists(prim_p, prim_q, name)
-        if len(f) < len(g):
-            f, g = g, f
-        for f, g, _ in _subresultant_prs(f, g, len(vs)):
-            pass
-        tail = g if g else f  # the last nonzero element of the sequence
-        if len(tail) == 1:
-            prim_gcd = MultiPoly.constant(1)
-        else:
-            unit = _unit(vs.index(name), len(vs))
-            prim = _trusted(vs, {key + k * unit: c for k, entry in enumerate(tail)
-                                 for key, c in _terms_of(entry).items()})
-            prim_gcd = _content_and_primitive(prim, name)[1]
-    return normalize(content * prim_gcd)
+    vs, f, g = _coefficient_lists(prim_p, prim_q, name)
+    if len(f) < len(g):
+        f, g = g, f
+    if len(g) == 1:  # a primitive part free of ``name``
+        return normalize(content)
+    for f, g, _ in _subresultant_prs(f, g):
+        pass
+    tail = g if g else f  # the last nonzero element of the sequence
+    if len(tail) == 1:
+        return normalize(content)
+    unit = _unit(vs.index(name), len(vs))
+    prim = _trusted(vs, {key + k * unit: c for k, coefficient in enumerate(tail)
+                         for key, c in coefficient._terms.items()})
+    return normalize(content * _content_and_primitive(prim, name)[1])
 
 
 def _repeated_part(p: MultiPoly) -> MultiPoly:
@@ -890,10 +854,10 @@ def is_squarefree(p: MultiPoly) -> bool:
     squarefree iff the content is, checked recursively, and the primitive
     part P shares no factor with its derivative in v, that is, Res_v(P, P')
     is not 0 (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
-    8.2).  A primitive part of degree 1 in v is irreducible, so it is
-    squarefree at once.  Otherwise the integer image of that resultant (see
-    ``resultant``) is 0 exactly when the resultant is, so it needs no lift;
-    past the bit guard the sequence runs on term maps instead.
+    8.2).  The integer image of that resultant (see ``resultant``) is 0
+    exactly when the resultant is, so it needs no lift; past the bit guard
+    the sequence runs on MultiPoly coefficients instead.  A primitive part
+    of degree 1 in v gives its leading coefficient, which is never 0.
     """
     if p.is_zero:
         raise ValueError("squarefreeness is undefined for 0")
@@ -903,9 +867,7 @@ def is_squarefree(p: MultiPoly) -> bool:
     content, primitive = _content_and_primitive(p, name)
     if not (content.is_constant or is_squarefree(content)):
         return False
-    if primitive.degree_in(name) == 1:
-        return True
-    return _resultant_image(primitive, primitive.partial_derivative(name), name)[1] != 0
+    return bool(_resultant_image(primitive, primitive.partial_derivative(name), name)[1])
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -915,7 +877,7 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     rep = _repeated_part(p)
     if rep.is_constant:
         return normalize(p)
-    return normalize(_exact_quotient(p, rep))
+    return normalize(p // rep)
 
 
 def extract_exceptional(p: MultiPoly, name: str) -> Tuple[int, MultiPoly]:
@@ -973,16 +935,14 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     way).  The sequence runs on the two lists of ints, and ``_interpolate``
     lifts the one integer back, largest power first.  Past the bit guard (a
     power p with p^(D_i + 1) over ``HEURISTIC_BITS`` bits, which also keeps
-    every exponent below ``EXPONENT_LIMIT``) the sequence runs on the scaled
-    term maps.
+    every exponent below ``EXPONENT_LIMIT``) the sequence runs on the
+    coefficients of the scaled polynomials as MultiPolys.  A side of degree
+    0 in ``name`` gives its constant's power, by either route.
     """
-    n, m = f.degree_in(name), g.degree_in(name)
-    if n < 0 or m < 0:
+    if f.is_zero or g.is_zero:
         return MultiPoly.zero()
-    if n == 0 or m == 0:
-        return f ** m if n == 0 else g ** n
     vs, value, levels, scale = _resultant_image(f, g, name)
-    terms = _terms_of(value)
+    terms = _as_poly(value)._embedded(vs)
     for _, bits, i in reversed(levels):
         terms = _interpolate(terms, 1 << bits, _unit(i, len(vs)))
     return _trusted(vs, terms if scale == 1 else {key: _divide(c, scale) for key, c in terms.items()})

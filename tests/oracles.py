@@ -43,6 +43,16 @@ from modpoints.poly import MultiPoly, _unpack, try_divide
 from modpoints.record import Record
 
 
+def degree_in(p: MultiPoly, name: str) -> int:
+    """The degree of p in ``name``, read off its public terms; -1 for 0."""
+    if p.is_zero:
+        return -1
+    if name not in p.variables:
+        return 0
+    k = p.variables.index(name)
+    return max(exponent[k] for exponent in p.terms)
+
+
 def _coefficients_in(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
     """p as a polynomial in ``name``, read off its public terms: the nonzero
     coefficient of each power of ``name``, free of it."""
@@ -57,7 +67,7 @@ def _coefficients_in(p: MultiPoly, name: str) -> Dict[int, MultiPoly]:
 
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str) -> list:
     """Sylvester matrix of f and g with respect to ``name``."""
-    n, m = f.degree_in(name), g.degree_in(name)
+    n, m = degree_in(f, name), degree_in(g, name)
     if n <= 0 and m <= 0:
         raise ValueError("both polynomials are constant in the variable")
     cf = _coefficients_in(f, name)
@@ -80,7 +90,7 @@ def sylvester_matrix(f: MultiPoly, g: MultiPoly, name: str) -> list:
 
 def bareiss_resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     """Res(f, g) in ``name`` by fraction-free Bareiss elimination."""
-    n, m = f.degree_in(name), g.degree_in(name)
+    n, m = degree_in(f, name), degree_in(g, name)
     if n < 0 or m < 0:
         return MultiPoly.zero()
     if n == 0:

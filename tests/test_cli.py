@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from modpoints import blowup, checks, fqspace, poly, stability
-from modpoints.cli import build_parser, main
+from modpoints.cli import COMMANDS, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,6 +127,27 @@ def test_every_leaf_subcommand_is_golden():
     assert len(leaves) == 13
     for leaf in leaves:
         assert any(argv[: len(leaf)] == leaf for argv in SUBCOMMAND_GOLDEN.values()), leaf
+
+
+def _help(parse, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_a_command_builds_its_parser_alone_with_the_same_help(capsys):
+    leaves = list(_leaf_commands(build_parser()))
+    for leaf in leaves:
+        argv = [*leaf, "--help"]
+        assert _help(main, argv, capsys) == _help(build_parser().parse_args, argv, capsys), leaf
+        alone = list(_leaf_commands(build_parser(leaf[0])))
+        assert alone == [other for other in leaves if other[0] == leaf[0]]
+    top = _help(main, ["--help"], capsys)
+    assert "{" + ",".join(COMMANDS) + "}" in top
+    listed = [line.split()[0] for line in top.splitlines() if line.startswith("    ")]
+    assert listed == list(COMMANDS)
+    assert {leaf[0] for leaf in leaves} == set(COMMANDS)
 
 
 def test_unknown_suite_exits_2():

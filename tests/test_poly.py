@@ -18,14 +18,11 @@ from modpoints.blowup import antidiag_fixed_constraint
 from modpoints.poly import (
     EXPONENT_LIMIT,
     HEURISTIC_BITS,
-    _coefficient_lists,
     _content_and_primitive,
-    _exact_quotient,
+    _images,
     _interpolate,
-    _quo,
     _repeated_part,
     _subresultant_gcd,
-    _subresultant_prs,
     _unit,
     ExponentOverflowError,
     MultiPoly,
@@ -40,7 +37,7 @@ from modpoints.poly import (
     variables,
 )
 
-from oracles import bareiss_resultant, leading, parse_poly, sylvester_matrix
+from oracles import _coefficients_in, bareiss_resultant, degree_in, leading, parse_poly, sylvester_matrix
 
 
 # ----------------------------------------------------------------------
@@ -131,9 +128,9 @@ def test_exponent_overflow_is_hard_error():
         _ = (x ** (1 << 14)) ** 3  # the squaring path: x^32768, then x^49152
     y, = variables("y")
     at_limit = (x ** (EXPONENT_LIMIT - 3) * y) * (x ** 3 + y ** (EXPONENT_LIMIT - 1))
-    assert at_limit.degree_in("x") == at_limit.degree_in("y") == EXPONENT_LIMIT
-    assert (x ** EXPONENT_LIMIT).degree_in("x") == EXPONENT_LIMIT
-    # the remainder sequence multiplies term maps with the same guard: here
+    assert degree_in(at_limit, "x") == degree_in(at_limit, "y") == EXPONENT_LIMIT
+    assert degree_in(x ** EXPONENT_LIMIT, "x") == EXPONENT_LIMIT
+    # the remainder sequence multiplies MultiPoly coefficients with the same guard: here
     # prem(x^2 + 1, a^k x + 1) = a^2k + 1 is the resultant
     a, = variables("a")
     f, g = a ** (EXPONENT_LIMIT // 2) * x + 1, x ** 2 + 1
@@ -248,9 +245,9 @@ def test_property_leading_is_the_largest_total_degree_then_exponent(p):
 def test_exact_quotient_raises_under_optimize():
     # python -O strips assert statements; a failed exact division must still raise
     code = (
-        "from modpoints.poly import _exact_quotient, variables\n"
+        "from modpoints.poly import variables\n"
         "x, y = variables('x', 'y')\n"
-        "try:\n    print(_exact_quotient(x, y))\n"
+        "try:\n    print(x // y)\n"
         "except ArithmeticError:\n    print('raised')"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
@@ -260,10 +257,28 @@ def test_exact_quotient_raises_under_optimize():
     assert done.stdout.splitlines()[-1] == "raised"
     x, y = variables("x", "y")
     with pytest.raises(ArithmeticError):
-        _exact_quotient(x, y)
-    _, (_, x_entry), _ = _coefficient_lists(x * y, x, "y")
-    with pytest.raises(ArithmeticError):
-        _quo(1, x_entry, 2)  # a nonzero constant over a non-constant entry
+        x // y
+
+
+def test_floordiv_is_exact_division():
+    x, y = variables("x", "y")
+    assert (x * y + x) // x == y + 1
+    assert (x ** 2 - 1) // (x - 1) == x + 1
+    assert (x * y) // (Fraction(1, 2) * y) == 2 * x
+    for p, q in ((x, y), (x + 1, x - 1), (MultiPoly.constant(1), x)):
+        with pytest.raises(ArithmeticError):
+            p // q
+    # a scalar or constant divisor divides, never floors
+    for two in (2, MultiPoly.constant(2)):
+        half = (x + 1) // two
+        assert half == Fraction(1, 2) * x + Fraction(1, 2)
+        assert all(type(c) is Fraction for c in half._terms.values())
+        whole = (2 * x + 4) // two
+        assert whole == x + 2 and all(type(c) is int for c in whole._terms.values())
+    for zero in (0, MultiPoly.zero()):
+        with pytest.raises(ZeroDivisionError):
+            x // zero
+    assert MultiPoly.zero() // x == 0
 
 
 def test_try_divide_of_integer_polynomials_can_be_a_fraction():
@@ -641,7 +656,7 @@ def _resultant_pairs(draw):
     if not draw(st.booleans()):
         return draw(_x_polys(7)), draw(_x_polys(7)), False
     h = draw(_x_polys(2, min_degree=1))
-    rest = 7 - h.degree_in("x")
+    rest = 7 - degree_in(h, "x")
     return h * draw(_x_polys(rest)), h * draw(_x_polys(rest)), True
 
 
@@ -657,7 +672,7 @@ def test_property_resultant_matches_bareiss(pair):
     f, g, planted = pair
     res = resultant(f, g, "x")
     assert res == bareiss_resultant(f, g, "x")
-    n, m = f.degree_in("x"), g.degree_in("x")
+    n, m = degree_in(f, "x"), degree_in(g, "x")
     assert resultant(g, f, "x") == (-1) ** (n * m % 2) * res
     if planted:
         assert res.is_zero
@@ -702,23 +717,25 @@ def _pairs_in_two_or_three_variables(draw):
     return MultiPoly(names, draw(terms)), MultiPoly(names, draw(terms))
 
 
-def _is_entry(entry):
-    if isinstance(entry, dict):
-        return any(entry) and all(entry.values())
-    return isinstance(entry, (int, Fraction))
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_pairs_in_two_or_three_variables())
-def test_property_sequence_entries_are_scalars_or_non_constant_term_maps(pair):
-    # a product that cancels must drop its zero coefficients, and a
-    # difference that cancels must become 0 or a scalar
-    vs, f, g = _coefficient_lists(*pair, "x")
-    if len(f) < len(g):
-        f, g = g, f
-    assume(len(g) >= 2)
-    for a, b, h in _subresultant_prs(f, g, len(vs)):
-        assert all(map(_is_entry, a + b + [h])), (a, b, h)
+def test_property_images_are_the_coefficients_at_the_reported_levels(pair):
+    # a second route to each image: the coefficients in x read off the public
+    # terms, with every level's variable set to its power of two by specialize
+    f, g = (normalize(p) for p in pair)
+    assume(f and g)
+    vs = f.variables
+    found = _images(f._terms, g._terms, len(vs), vs.index("x"))
+    assume(found is not None)
+    *images, levels = found
+    for p, image in zip((f, g), images):
+        coefficients = _coefficients_in(p, "x")
+        assert len(image) == max(coefficients) + 1
+        for d, value in enumerate(image):
+            coefficient = coefficients.get(d, MultiPoly.zero())
+            for _, bits, i in levels:
+                coefficient = coefficient.specialize(vs[i], 1 << bits)
+            assert coefficient.constant_value == value
 
 
 _A, _X = variables("a", "x")
