@@ -12,7 +12,8 @@ registry the suites read; ``main`` encodes it with ``checks.encode`` and
 writes it, as JSON unless ``run`` asks for text.  All output is exact.
 ``fqspace``, ``betti`` and ``picard`` are imported by the handlers that use
 them, and ``main`` builds only the sub-parser of the command it is given,
-so that a command loads and builds only what it runs.
+so that a command loads and builds only what it runs; its usage line still
+names every command.
 """
 
 from __future__ import annotations
@@ -126,8 +127,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     parser.set_defaults(format="json")  # only ``run`` offers text
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="write to this file instead of stdout")
-    commands = parser.add_subparsers(dest="command", required=True)
     wanted = COMMANDS if command not in COMMANDS else (command,)
+    # with one sub-parser built, the usage still lists every command; the full
+    # parser keeps the default, which also names the argument in its errors
+    listed = "{" + ",".join(COMMANDS) + "}" if len(wanted) == 1 else None
+    commands = parser.add_subparsers(dest="command", required=True, metavar=listed)
 
     def leaf(parent, name, func, **kwargs):
         sub = parent.add_parser(name, parents=[output], **kwargs)

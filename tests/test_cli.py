@@ -150,6 +150,22 @@ def test_a_command_builds_its_parser_alone_with_the_same_help(capsys):
     assert {leaf[0] for leaf in leaves} == set(COMMANDS)
 
 
+def test_an_unrecognized_trailing_argument_prints_the_full_usage(capsys):
+    # main builds one sub-parser, but its usage line still names every command
+    def error(parse, argv):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        assert info.value.code == 2
+        return capsys.readouterr().err
+
+    for argv in SUBCOMMAND_GOLDEN.values():
+        argv = [*argv, "extra"]
+        err = error(main, argv)
+        assert err == error(build_parser().parse_args, argv), argv
+        assert err.startswith("usage: modpoints [-h] {" + ",".join(COMMANDS) + "} ...\n"), err
+        assert err.endswith("error: unrecognized arguments: extra\n"), err
+
+
 def test_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["run", "nosuchsuite"])

@@ -577,6 +577,35 @@ def test_property_rational_product_and_exact_quotient(p, q):
         assert try_divide(p * q, q) == p
 
 
+@st.composite
+def _division_triples(draw):
+    """(p, q, r) in Q[a, x, y]: q is not constant, and r is nonzero of lower
+    total degree than q."""
+    p = draw(small_rational_polys)
+    q = draw(small_rational_polys.filter(lambda q: not q.is_constant))
+    below = max(map(sum, q.terms))
+
+    def exponent():
+        total = draw(st.integers(0, below - 1))
+        a = draw(st.integers(0, total))
+        x = draw(st.integers(0, total - a))
+        return a, x, total - a - x
+
+    number = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+    r = {exponent(): draw(number) for _ in range(draw(st.integers(1, 4)))}
+    return p, q, MultiPoly(("a", "x", "y"), r)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_division_triples())
+def test_property_try_divide_is_exact_or_none(triple):
+    # q divides p*q; if it divided p*q + r, it would divide r, whose total
+    # degree is below its own, so that division must stop and give None
+    p, q, r = triple
+    assert try_divide(p * q, q) == p
+    assert try_divide(p * q + r, q) is None
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9), max_size=5))
 def test_property_int_and_fraction_coefficients_agree(terms):
@@ -791,7 +820,8 @@ def test_resultants_past_the_bit_guard_take_the_sequence_route(monkeypatch):
     assert is_squarefree(x ** 2 + a ** 200) and not is_squarefree((x ** 2 + a ** 200) ** 2)
 
 
-@pytest.mark.parametrize("xi", [7, 8])
+# a power of two is read by shifts and masks, any other xi by divmod
+@pytest.mark.parametrize("xi", [7, 8, 2 ** 64, 2 ** 111, 3 ** 70])
 def test_interpolate_reads_digits_in_the_symmetric_range(xi):
     # every digit lies in (-xi/2, xi/2]: xi // 2 stays, xi // 2 + 1 and, for
     # an even xi, -xi/2 turn into the digit on the other side and a carry
