@@ -127,7 +127,8 @@ class Quantities:
 
     @_once
     def stab_summary(self) -> Dict[str, int]:
-        """Orbits and order of Stab(h) for the first isotropic vector h."""
+        """Orbits and order of Stab(h) for the first isotropic vector h: the
+        orbits of its Schreier generators, and 8! over the orbit of h."""
         fqspace = _module("fqspace")
         return fqspace.stab_orbit_summary(fqspace.isotropic_vectors()[0])
 
@@ -136,15 +137,15 @@ class Quantities:
         """Order of the reflection group, its orbit sizes on nonzero vectors,
         and the order of Stab(h) read from ``stab_summary``.
 
-        The order comes from the stabilizer chain based at the first isotropic
-        vector, the chain ``stab_summary`` reads; the orbits are those of the
-        28 reflections on the nonzero vectors, each named by the value of q
-        on it.
+        The order is 8!, from the Coxeter presentation of S_8 that the seven
+        path transvections satisfy; the orbits are those of the 28
+        reflections on the nonzero vectors, each named by the value of q on
+        it.
         """
         fqspace = _module("fqspace")
         orbits = fqspace.orbits_under(fqspace.reflections(), range(1, fqspace.SIZE))
         return {
-            "order": fqspace.stabilizer_chain(fqspace.isotropic_vectors()[0]).order,
+            "order": fqspace.group_order(),
             "orbit_sizes": {("isotropic", "nonisotropic")[fqspace.q(min(o))]: len(o) for o in orbits},
             "stab_order": self.stab_summary()["stabilizer_order"],
         }

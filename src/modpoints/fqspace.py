@@ -5,19 +5,19 @@ pairs are bits (0,1), (2,3), (4,5) and q(v) = v1*v2 + v3*v4 + v5*v6.
 Censuses by q-value, orthogonal complements of isotropic vectors and the
 28 transvections attached to non-isotropic vectors live here.  Group
 elements are permutations of the 64 vectors stored as bytes, so
-composition is one ``bytes.translate``.  The orthogonal group the
-reflections generate (order 40320) is read from a deterministic
-Schreier-Sims stabilizer chain, which gives the group order and Stab(h)
-without listing the group; ``orbits_under`` walks the orbits of either.
+composition is one ``bytes.translate``.  The reflections generate S_8,
+Kondo's relabelling of the 8 points: the transvections of an A7 path of
+seven vectors satisfy its Coxeter presentation, which gives the order 8!
+without listing the group, and Schreier's lemma gives Stab(h);
+``orbits_under`` walks the orbits of either.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-from .record import Record
 
 DIMENSION = 6
 SIZE = 64
@@ -126,105 +126,50 @@ def _transversal(point: int, generators: Sequence[bytes]) -> Dict[int, bytes]:
     return reps
 
 
-def _strip(perm: bytes, base, transversals, level: int) -> Tuple[bytes, int]:
-    """Sift ``perm`` from ``level`` down: the residue and the level it stopped at.
+def _a7_path(path: Tuple[int, ...] = ()) -> Tuple[int, ...]:
+    """The first path of 7 non-isotropic vectors, depth-first in ascending
+    order: b(v_i, v_j) = 1 exactly when |i - j| = 1.  Empty when none exists."""
+    if len(path) == 7:
+        return path
+    for v in nonisotropic_vectors():
+        if v not in path and all(b(v, u) == (k == len(path) - 1) for k, u in enumerate(path)):
+            found = _a7_path(path + (v,))
+            if found:
+                return found
+    return ()
 
-    The level is ``len(base)`` when every base image was in its basic orbit;
-    ``perm`` lies in the group of that level exactly when the residue is the
-    identity.
+
+@lru_cache(maxsize=1)
+def coxeter_generators() -> Tuple[bytes, ...]:
+    """The transvections s_1..s_7 of the A7 path.  AssertionError unless
+    (s_i s_j)^m = 1 with m = 1, 3 or 2 as j - i is 0, 1 or more (the A7
+    Coxeter matrix), and unless they are transitive on the 28 non-isotropic
+    vectors."""
+    path = _a7_path()
+    s = tuple(map(reflection, path))
+    for i, j in combinations_with_replacement(range(len(s)), 2):
+        m = 1 if i == j else 3 if j == i + 1 else 2
+        if reduce(_compose, (s[i], s[j]) * m) != IDENTITY:
+            raise AssertionError(f"(s{i + 1} s{j + 1})^{m} = 1 fails on the path {path}")
+    if len(orbits_under(s, nonisotropic_vectors())) != 1:
+        raise AssertionError("the path transvections are not transitive on the non-isotropic vectors")
+    return s
+
+
+def group_order() -> int:
+    """The order of the group G the 28 reflections generate: 8! = 40320.
+
+    Proof.  ``coxeter_generators`` satisfy the A7 relations, S_8's
+    presentation by adjacent transpositions, so H = <s_1..s_7> is a
+    quotient of S_8.  Its kernel is 1, A_8 or S_8, and the last two would
+    give s_1 s_2 = 1, checked false here; so H is S_8.  H is transitive on
+    the 28 non-isotropic vectors and g t_v g^-1 = t_{gv} for every isometry
+    g, so H holds all 28 reflections: H = G.
     """
-    for depth in range(level, len(base)):
-        rep = transversals[depth].get(perm[base[depth]])
-        if rep is None:
-            return perm, depth
-        perm = _compose(rep, perm)
-    return perm, len(base)
-
-
-def _moved_point(perm: bytes) -> int:
-    return next(v for v in range(SIZE) if perm[v] != v)
-
-
-def _first_nontrivial_residue(base, strong, transversals, level: int):
-    """The first Schreier generator of ``level`` that does not sift to the identity,
-    as its residue and the level where sifting stopped; (None, None) if there is none.
-
-    The Schreier generator of the point y and the strong generator s is
-    t(s y)^-1 s t(y), where t(y), the inverse of ``transversals[level][y]``,
-    carries the base point to y; sifting s t(y) from ``level`` divides by
-    t(s y)^-1 first.
-    """
-    for rep in transversals[level].values():
-        t_y = _inverse(rep)
-        for s in strong[level]:
-            residue, depth = _strip(_compose(s, t_y), base, transversals, level)
-            if residue != IDENTITY:
-                return residue, depth
-    return None, None
-
-
-class StabilizerChain(Record):
-    """A base and strong generating set of the reflection group.
-
-    Level i belongs to G_i, the pointwise stabilizer of ``base[:i]`` (G_0 is
-    the whole group): ``generators[i]`` generate G_i, and ``transversals[i]``
-    maps each point y of the basic orbit of ``base[i]`` under G_i to an
-    element of G_i that carries y to ``base[i]``.
-    """
-
-    base: Tuple[int, ...]
-    generators: Tuple[Tuple[bytes, ...], ...]
-    transversals: Tuple[Dict[int, bytes], ...]
-
-    @property
-    def orbit_sizes(self) -> Tuple[int, ...]:
-        return tuple(map(len, self.transversals))
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.orbit_sizes)
-
-    def contains(self, perm: bytes) -> bool:
-        """Does ``perm`` sift to the identity, that is, lie in the group?"""
-        return _strip(perm, self.base, self.transversals, 0)[0] == IDENTITY
-
-
-@lru_cache(maxsize=SIZE)
-def stabilizer_chain(h: int) -> StabilizerChain:
-    """Deterministic Schreier-Sims on the 28 reflections, with h as first base point.
-
-    Sims' algorithm as in Seress, Permutation Group Algorithms (2003), 4.2:
-    working up from the deepest level, every Schreier generator of a level
-    is sifted through the levels below it, and a residue other than the
-    identity joins the strong generators of each level it passed (a new
-    base point, the first point it moves, is added when it passed them
-    all).  On return every Schreier generator sifts to the identity, so
-    each ``transversals[i]`` is the full basic orbit of G_i.
-    """
-    if not 0 <= h < SIZE:
-        raise ValueError(f"h must be a vector below {SIZE}")
-    gens = reflections()
-    base = [h]
-    for g in gens:
-        if all(g[p] == p for p in base):
-            base.append(_moved_point(g))
-    strong = [[g for g in gens if all(g[p] == p for p in base[:i])] for i in range(len(base))]
-    transversals = [_transversal(p, s) for p, s in zip(base, strong)]
-    level = len(base) - 1
-    while level >= 0:
-        residue, depth = _first_nontrivial_residue(base, strong, transversals, level)
-        if residue is None:
-            level -= 1
-            continue
-        if depth == len(base):
-            base.append(_moved_point(residue))
-            strong.append([])
-            transversals.append({})
-        for j in range(level + 1, depth + 1):
-            strong[j].append(residue)
-            transversals[j] = _transversal(base[j], strong[j])
-        level = depth
-    return StabilizerChain(tuple(base), tuple(map(tuple, strong)), tuple(transversals))
+    s = coxeter_generators()
+    if _compose(s[0], s[1]) == IDENTITY:
+        raise AssertionError("s1 s2 = 1: the path transvections generate a group of order at most 2")
+    return math.factorial(len(s) + 1)
 
 
 def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> List[frozenset]:
@@ -252,17 +197,27 @@ def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> List[froze
     return out
 
 
+def _stabilizer_generators(h: int) -> Tuple[int, Tuple[bytes, ...]]:
+    """The orbit length of h and Stab(h)'s Schreier generators t(s y) s t(y)^-1,
+    each once, for Coxeter generators s and y in the orbit, where t(y), from
+    ``_transversal``, carries y to h; they generate Stab(h) (Schreier's lemma)."""
+    gens = coxeter_generators()
+    reps = _transversal(h, gens)
+    inverses = {y: _inverse(t) for y, t in reps.items()}
+    schreier = (_compose(reps[s[y]], _compose(s, t_inv)) for y, t_inv in inverses.items() for s in gens)
+    return len(reps), tuple(dict.fromkeys(schreier))
+
+
 def stab_orbit_summary(h: int) -> Dict[str, int]:
     """Orbit counts of Stab(h) on the isotropic and non-isotropic parts of h-perp.
 
-    Stab(h) is level 1 of the chain based at h: its order is the product of
-    the basic orbits below level 0, and its orbits are those of its strong
-    generators.
+    The orbits are those of the Schreier generators, and the order is
+    |G| / |orbit of h| by orbit-stabilizer.
     """
     iso_perp, noniso_perp = _perp(h)  # validates h
-    chain = stabilizer_chain(h)
+    orbit, stab = _stabilizer_generators(h)
     return {
-        "isotropic_orbits": len(orbits_under(chain.generators[1], iso_perp)),
-        "nonisotropic_orbits": len(orbits_under(chain.generators[1], noniso_perp)),
-        "stabilizer_order": math.prod(chain.orbit_sizes[1:]),
+        "isotropic_orbits": len(orbits_under(stab, iso_perp)),
+        "nonisotropic_orbits": len(orbits_under(stab, noniso_perp)),
+        "stabilizer_order": group_order() // orbit,
     }

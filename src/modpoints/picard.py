@@ -8,16 +8,15 @@ symbol.  Applying a map and reducing by the relations are
 ``MultiPoly.substitute``, and two classes agree when their reductions are
 equal.  No geometry happens here by design: the geometric inputs
 (pullback formulas, canonical classes, the weight-14 modular form
-relation, boundary normal bundles, covering degrees) are transcribed, and
-this module only checks their arithmetic consequences: canonical-bundle
-identities, top self-intersection numbers (one coefficient of a
-``MultiPoly`` power), the obstruction to a common crepant resolution, and
-discrepancies.
+relation, boundary normal bundles) are transcribed, the cusp count and
+covering degree are read from ``fqspace``, and this module only checks
+their arithmetic consequences: canonical-bundle identities, top
+self-intersection numbers (one coefficient of a ``MultiPoly`` power), the
+obstruction to a common crepant resolution, and discrepancies.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
@@ -221,14 +220,19 @@ class IntersectionNumbers(Record):
     unordered: Fraction  # T^5
 
 
-def top_self_intersections(
-    cusps: int = 35, cover_order: int = math.factorial(8)
-) -> IntersectionNumbers:
-    """T_i^5 = N^4 on the component, summed over cusps, divided by the cover."""
+def top_self_intersections() -> IntersectionNumbers:
+    """T_i^5 = N^4 on the component, summed over the cusps, divided by the cover.
+
+    The 35 cusps are the (4,4) splittings of the 8 points, one per isotropic
+    vector of the fq space (Kondo), and the cover degree is the order 8! of
+    its group, which relabels the points.
+    """
+    from . import fqspace
+
     n = normal_bundle_boundary().bidegree
     component = _plane_pair_top_intersection(n[0], n[1])
-    ordered = cusps * component
-    unordered = Fraction(ordered, cover_order)
+    ordered = len(fqspace.isotropic_vectors()) * component
+    unordered = Fraction(ordered, fqspace.group_order())
     return IntersectionNumbers(component, ordered, unordered)
 
 

@@ -15,8 +15,9 @@ another way, or a helper only the tests need:
   integers;
 - ``generate_group`` and ``stabilizer``: the breadth-first closure of the
   28 reflections, all 40320 elements, and Stab(h) filtered from it, against
-  the Schreier-Sims chain of ``modpoints.fqspace.stabilizer_chain`` and the
-  orders and orbits ``stab_orbit_summary`` reads from it; ``is_linear``
+  ``modpoints.fqspace.group_order``, the 8! that the Coxeter relations of
+  seven path transvections prove, and the orders and orbits of Stab(h)
+  that ``stab_orbit_summary`` reads from Schreier generators; ``is_linear``
   checks the enumerated elements, and ``compose`` multiplies permutations
   without the ``bytes.translate`` of ``fqspace``;
 - ``q_planes`` and ``plane_census``: the form and its census on the first

@@ -289,11 +289,13 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch):
     count(stability, "classify")
     count(blowup, "discriminant_pullback")
     count(blowup, "scan_stabilizers")
-    fqspace.stabilizer_chain.cache_clear()
+    fqspace.coxeter_generators.cache_clear()
     checks.run_report(list(checks.SUITE_NAMES))
-    # one pullback per chart and one scan, which slice and picard both read
-    assert calls == {"orbits_under": 3, "classify": 130, "discriminant_pullback": 3, "scan_stabilizers": 1}
-    assert fqspace.stabilizer_chain.cache_info().misses == 1  # one chain build
+    # one pullback per chart and one scan, which slice and picard both read; four
+    # orbit walks: the Coxeter generators' transitivity, the reflections' partition
+    # of the nonzero vectors and Stab(h) on the two parts of h-perp
+    assert calls == {"orbits_under": 4, "classify": 130, "discriminant_pullback": 3, "scan_stabilizers": 1}
+    assert fqspace.coxeter_generators.cache_info().misses == 1  # one path search and relation check
 
 
 def test_a_subcommand_builds_only_the_chart_it_prints(monkeypatch, capsys):
@@ -330,6 +332,26 @@ def test_raising_suite_is_reported_as_an_error(monkeypatch, capsys):
     code, out = run_cli(capsys, "run", "betti")
     assert code == 3
     assert "[ERROR] betti.error: the suite runs to completion" in out
+
+
+def test_a_broken_coxeter_path_is_reported_as_an_error(monkeypatch, capsys):
+    path = fqspace._a7_path()
+    monkeypatch.setattr(fqspace, "_a7_path", lambda: (path[1], path[0]) + path[2:])
+    fqspace.coxeter_generators.cache_clear()
+    try:
+        code, out = run_cli(capsys, "run", "all", "--format", "json")
+    finally:
+        fqspace.coxeter_generators.cache_clear()
+    assert code == 3
+    by_suite = {s["name"]: s["checks"] for s in json.loads(out)["suites"]}
+    assert list(by_suite) == list(checks.SUITE_NAMES)
+    # picard reads the cover degree 8! from the group, so it reports the same error
+    for name in ("fq", "picard"):
+        [error] = by_suite[name]
+        assert error["id"] == f"{name}.error" and error["status"] == "error"
+        assert error["payload"]["type"] == "AssertionError"
+        assert "= 1 fails on the path" in error["payload"]["message"]
+    assert all(c["status"] == "pass" for name in ("stability", "slice", "betti") for c in by_suite[name])
 
 
 def test_failing_check_exits_1(monkeypatch, capsys):

@@ -1,14 +1,14 @@
 """Censuses, reflections and the orthogonal group of the GF(2) space."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from modpoints import fqspace
 from modpoints.fqspace import (
     SIZE,
     b,
     census,
+    coxeter_generators,
+    group_order,
     isotropic_vectors,
     nonisotropic_vectors,
     orbits_under,
@@ -17,7 +17,6 @@ from modpoints.fqspace import (
     reflection,
     reflections,
     stab_orbit_summary,
-    stabilizer_chain,
 )
 
 from oracles import (
@@ -172,20 +171,55 @@ def test_element_numbering_is_deterministic():
 
 
 # ----------------------------------------------------------------------
-# the stabilizer chain against the enumerated group
+# the A7 chain of path transvections and Schreier's lemma against the
+# enumerated group
+
+
+@pytest.fixture
+def fresh_coxeter_generators():
+    """Rebuild the cached Coxeter generators before and after a test that
+    replaces the path search."""
+    cached = fqspace.coxeter_generators
+    cached.cache_clear()
+    yield
+    cached.cache_clear()
 
 
 def test_chain_order_equals_enumerated_order():
-    chain = stabilizer_chain(isotropic_vectors()[0])
-    assert chain.orbit_sizes == (35, 18, 8, 4, 2)
-    assert chain.order == generate_group().order == 40320
+    assert group_order() == generate_group().order == 40320
+
+
+def test_path_search_finds_the_first_a7_path():
+    path = fqspace._a7_path()
+    assert path == (3, 13, 19, 39, 11, 7, 27)
+    assert all(q(v) == 1 for v in path)
+    for i, u in enumerate(path):
+        for j, v in enumerate(path):
+            assert b(u, v) == (abs(i - j) == 1), (i, j)
+
+
+def test_the_path_transvections_generate_the_enumerated_group():
+    seen = {fqspace.IDENTITY}
+    frontier = [fqspace.IDENTITY]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in coxeter_generators():
+                g = fqspace._compose(s, p)
+                if g not in seen:
+                    seen.add(g)
+                    nxt.append(g)
+        frontier = nxt
+    assert seen == set(generate_group().elements)
 
 
 @pytest.mark.parametrize("h", isotropic_vectors())
 def test_chain_stabilizer_agrees_with_enumeration(h):
-    chain = stabilizer_chain(h)
-    assert chain.base[0] == h
+    orbit, schreier = fqspace._stabilizer_generators(h)
+    assert orbit == 35
     stab = stabilizer(h)
+    members = set(stab)
+    assert all(g[h] == h and g in members for g in schreier)
     iso_perp = [v for v in isotropic_vectors() if b(v, h) == 0]
     noniso_perp = [v for v in nonisotropic_vectors() if b(v, h) == 0]
     summary = stab_orbit_summary(h)
@@ -193,29 +227,25 @@ def test_chain_stabilizer_agrees_with_enumeration(h):
     assert summary["isotropic_orbits"] == len(orbits_under(stab, iso_perp))
     assert summary["nonisotropic_orbits"] == len(orbits_under(stab, noniso_perp))
     for points in (iso_perp, noniso_perp):
-        assert set(orbits_under(chain.generators[1], points)) == set(orbits_under(stab, points))
+        assert set(orbits_under(schreier, points)) == set(orbits_under(stab, points))
 
 
-def test_every_enumerated_element_sifts_to_the_identity():
-    chain = stabilizer_chain(isotropic_vectors()[0])
-    assert all(chain.contains(perm) for perm in generate_group().elements)
+def test_a_broken_path_fails_the_coxeter_relations(monkeypatch, fresh_coxeter_generators):
+    path = fqspace._a7_path()
+    broken = (path[1], path[0]) + path[2:]
+    monkeypatch.setattr(fqspace, "_a7_path", lambda: broken)
+    with pytest.raises(AssertionError, match=r"\(s1 s3\)\^2 = 1 fails"):  # t_13 and t_19 do not commute
+        coxeter_generators()
 
 
-def test_chain_rejects_a_permutation_outside_the_group():
-    chain = stabilizer_chain(isotropic_vectors()[0])
-    for perm in generate_group().elements[:50]:
-        swapped = bytearray(perm)
-        swapped[5], swapped[9] = swapped[9], swapped[5]
-        assert not chain.contains(bytes(swapped))
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.lists(st.integers(0, 27), max_size=40), st.sampled_from(isotropic_vectors()))
-def test_property_reflection_words_sift_to_the_identity(word, h):
-    perm = fqspace.IDENTITY
-    for i in word:
-        perm = compose(fqspace.reflections()[i], perm)
-    assert stabilizer_chain(h).contains(perm)
+def test_seven_equal_vectors_pass_the_relations_but_not_the_order(monkeypatch, fresh_coxeter_generators):
+    v = nonisotropic_vectors()[0]
+    monkeypatch.setattr(fqspace, "_a7_path", lambda: (v,) * 7)
+    with pytest.raises(AssertionError, match="not transitive"):
+        coxeter_generators()  # every relation holds, so the relations alone prove nothing
+    monkeypatch.setattr(fqspace, "coxeter_generators", lambda: (reflection(v),) * 7)
+    with pytest.raises(AssertionError, match="s1 s2 = 1"):
+        group_order()
 
 
 def test_is_linear_rejects_every_transposition():

@@ -32,7 +32,7 @@ def bare(cls, values):
 
 def test_every_module_with_results_defines_records():
     modules = {cls.__module__.rsplit(".", 1)[1] for cls in record_classes()}
-    assert {"stability", "betti", "blowup", "fqspace", "picard", "checks"} <= modules
+    assert {"stability", "betti", "blowup", "picard", "checks"} <= modules
 
 
 @pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__name__)
