@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .poly import (
     MultiPoly,
@@ -182,27 +182,17 @@ def discriminant_pullback(ch: Chart) -> TransversalityReport:
     )
 
 
-def unstable_supports(
-    weights: Sequence[int], names: Sequence[str] | None = None
-) -> List[FrozenSet[str]]:
-    """Maximal unstable support patterns for a one-parameter torus action.
+def unstable_supports() -> List[FrozenSet[str]]:
+    """Maximal unstable support patterns of the projective coordinates under
+    the one-parameter torus with weights ``PROJECTIVE_WEIGHTS``.
 
     A projective point is unstable exactly when the convex hull of the
     weights over its support misses 0, i.e. the support is entirely on one
     strict side; the maximal such supports are the full positive and full
     negative coordinate sets.
     """
-    if not weights:
-        raise ValueError("weights must be nonempty")
-    if names is None:
-        names = PROJECTIVE_COORDINATES if len(weights) == 6 else tuple(
-            f"X{i}" for i in range(len(weights))
-        )
-    if len(names) != len(weights):
-        raise ValueError("weights and names must have matching arity")
-    positive = frozenset(n for n, w in zip(names, weights) if w > 0)
-    negative = frozenset(n for n, w in zip(names, weights) if w < 0)
-    return [side for side in (positive, negative) if side]
+    pairs = list(zip(PROJECTIVE_COORDINATES, PROJECTIVE_WEIGHTS))
+    return [frozenset(n for n, w in pairs if w > 0), frozenset(n for n, w in pairs if w < 0)]
 
 
 def stabilizer_order(ch: Chart, support: Iterable[str]) -> int:

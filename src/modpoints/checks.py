@@ -321,7 +321,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
                "R": {"restriction": "65536*u1^3", "squarefree": False, "offending": ("u1",),
                      "factor_constant": (True, False)}}),
         Check("slice.unstable_locus", "unstable locus is the two one-sided codimension-3 subspaces",
-              lambda q: blowup.unstable_supports(blowup.PROJECTIVE_WEIGHTS),
+              lambda q: blowup.unstable_supports(),
               (("S0", "T0", "U0"), ("S1", "T1", "U1"))),
         Check("slice.stabilizer_scan", "stabilizer orders {1,2,4}; bound e = 8 is free of 5",
               lambda q: q.scan_summary(),

@@ -6,10 +6,12 @@ errors and malformed input, 3 when a suite raised; the report then shows
 it as an error check and still holds the other suites).  The remaining
 subcommands expose individual computations: stability verdicts,
 quadratic-space censuses and group data, blow-up chart reports, Betti
-tables and the divisor ledger.  Each handler returns its result, reading
-any quantity a suite also checks from a ``checks.Quantities``, the
-registry the suites read; ``main`` encodes it with ``checks.encode`` and
-writes it, as JSON unless ``run`` asks for text.  All output is exact.
+tables and the divisor ledger.  Each handler returns its result; for a
+quantity a suite also checks it calls the function the suite calls,
+through the same ``checks.Quantities`` method where one exists (the
+registry the suites read).  ``main`` encodes the result with
+``checks.encode`` and writes it, as JSON unless ``run`` asks for text.
+All output is exact.
 ``fqspace``, ``betti`` and ``picard`` are imported by the handlers that use
 them, and ``main`` builds only the sub-parser of the command it is given,
 so that a command loads and builds only what it runs; its usage line still
@@ -91,9 +93,9 @@ def _cmd_betti(args) -> dict:
     from . import betti
 
     if args.action == "kirwan":
-        table = betti.kirwan_betti()
+        table = checks.Quantities().kirwan()
     elif args.action == "tor":
-        table = betti.tor_betti_ordered() if args.ordered else betti.tor_betti_unordered()
+        table = betti.tor_betti_ordered() if args.ordered else checks.Quantities().tor_unordered()
     else:
         table = betti.BettiTable(betti.boundary_invariants())
     return table.by_degree()

@@ -337,7 +337,7 @@ class MultiPoly:
             return self
         rest = tuple(v for v in self._vars if v != name)
         out: Dict[int, Scalar] = {}
-        for d, c in _univariate_coefficients(self, name).items():
+        for d, c in _buckets(self._terms, len(self._vars), self._vars.index(name)).items():
             for key, coeff in _trusted(self._vars, c)._embedded(rest).items():
                 out[key] = out.get(key, 0) + coeff * value ** d
         return _trusted(rest, out)
@@ -509,14 +509,6 @@ def _buckets(terms: Terms, n: int, i: int) -> Dict[int, Terms]:
     return out
 
 
-def _univariate_coefficients(p: MultiPoly, name: str) -> Dict[int, Terms]:
-    """View p as a polynomial in ``name``: its coefficients by degree, as
-    nonempty term maps over the variables of p, free of ``name``."""
-    if name not in p._vars:
-        return {0: p._terms} if p._terms else {}
-    return _buckets(p._terms, len(p._vars), p._vars.index(name))
-
-
 def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
     """(content, primitive part) of p as a polynomial in ``name``.
 
@@ -525,12 +517,13 @@ def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPol
     (a term map whose only key is 0); otherwise the gcd is folded over the
     coefficients with the fewest terms first, and stops once it reaches 1.
     """
-    coefficients = _univariate_coefficients(p, name).values()
+    vs = tuple(sorted({name, *p._vars}))
+    coefficients = _buckets(p._embedded(vs), len(vs), vs.index(name)).values()
     if not all(map(any, coefficients)):
         return MultiPoly.constant(1), p
     content = MultiPoly.zero()
     for terms in sorted(coefficients, key=len):
-        content = poly_gcd(content, _trusted(p._vars, terms))
+        content = poly_gcd(content, _trusted(vs, terms))
         if content.is_constant:
             break  # the coefficients are nonzero, so content is 1 and stays 1
     return content, p // content
@@ -553,65 +546,39 @@ def _coefficient_lists(f: MultiPoly, g: MultiPoly, name: str):
     return (vs, *lists)
 
 
-def _pseudo_remainder(f: list, g: list) -> list:
-    """prem(f, g) = ell(g)^(n-m+1) f mod g on lists of coefficients, n >= m > 0.
-
-    ``f`` and ``g`` are [c_0, ..., c_n] and [c_0, ..., c_m], each entry free of
-    the main variable: ints for an image of ``resultant``, MultiPolys on the
-    fallbacks, combined with the same operators.  The step at degree d
-    rewrites only the m entries d-m .. d-1 that x^(d-m) g reaches; an entry it
-    skips owes one factor ell(g), and ``paid[k]`` records how many steps
-    entry k has been scaled through, so the debt is paid in one product when
-    the entry is next read.  Zero entries, zero leading entries and
-    ell(g) = 1 cost no product.  The result has m entries, trailing zeros
-    included.
-    """
-    n, m = len(f) - 1, len(g) - 1
-    if n < m:
-        raise ValueError("pseudo-remainder needs deg f >= deg g")
-    lead = g[m]
-    monic = lead == 1
-    powers = [1, lead]
-    r = list(f)
-    paid = [0] * len(r)
-
-    def settled(k: int, steps: int):
-        """Entry k of the remainder after ``steps`` steps."""
-        owed = steps - paid[k]
-        if monic or not owed or not r[k]:
-            return r[k]
-        while len(powers) <= owed:
-            powers.append(powers[-1] * lead)
-        return powers[owed] * r[k]
-
-    for step, d in enumerate(range(n, m - 1, -1)):
-        lc = settled(d, step)
-        if not lc:
-            continue
-        for j in range(m):
-            k = d - m + j
-            entry = settled(k, step + 1)
-            r[k] = entry - lc * g[j] if g[j] else entry
-            paid[k] = step + 1
-    return [settled(k, n - m + 1) for k in range(m)]
-
-
 def _subresultant_prs(f: list, g: list):
     """The subresultant remainder sequence of the lists of coefficients f and g.
 
-    Needs deg f >= deg g > 0, i.e. len(f) >= len(g) >= 2.  Each
-    pseudo-division yields (A, B, h): A is the previous B, B = prem(A, B) /
-    (g h^delta) entry by entry, and the classical g/h divisor bookkeeping
-    keeps every division exact, so ``//`` divides exactly on ints and on
-    MultiPolys alike; when g h^delta is 1 (always at the first step) no
-    division runs.  g and h start as the int 1.  B drops its trailing zeros,
-    so deg B is len(B) - 1 and the zero polynomial is [].  The sequence ends
-    after a B that is zero or free of the main variable.
+    ``f`` and ``g`` are [c_0, ..., c_n] and [c_0, ..., c_m] with n >= m > 0,
+    i.e. len(f) >= len(g) >= 2 (both callers put the longer list first),
+    each entry free of the main variable: ints for an image of
+    ``resultant``, MultiPolys on the fallbacks, combined with the same
+    operators.  Each pseudo-division is the classical one (Brown and Traub,
+    JACM 18, 1971; Knuth, TAOCP 2, 4.6.1): R starts as A, and the step at
+    each degree d = deg A, ..., deg B = m pops the top entry lc of R,
+    multiplies the rest by ell(B) unless that is 1, and subtracts
+    lc x^(d-m) B from it unless lc is 0, which leaves
+    prem(A, B) = ell(B)^(deg A - m + 1) A mod B.  Each pseudo-division
+    yields (A, B, h): A is the previous B, B = prem(A, B) / (g h^delta)
+    entry by entry, and the classical g/h divisor bookkeeping keeps every
+    division exact, so ``//`` divides exactly on ints and on MultiPolys
+    alike; when g h^delta is 1 (always at the first one) no division runs.
+    g and h start as the int 1.  B drops its trailing zeros, so deg B is
+    len(B) - 1 and the zero polynomial is [].  The sequence ends after a B
+    that is zero or free of the main variable.
     """
     gg = hh = 1
     while True:
-        delta = len(f) - len(g)
-        reduced = _pseudo_remainder(f, g)
+        m, delta, lead = len(g) - 1, len(f) - len(g), g[-1]
+        reduced = list(f)
+        for k in range(len(f) - 1 - m, -1, -1):
+            lc = reduced.pop()
+            if lead != 1:
+                reduced = [c * lead for c in reduced]
+            if lc:
+                for j in range(m):
+                    if g[j]:
+                        reduced[k + j] -= lc * g[j]
         while reduced and not reduced[-1]:
             reduced.pop()
         divisor = gg * hh ** delta

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from modpoints import blowup
 from modpoints.blowup import (
-    PROJECTIVE_WEIGHTS,
     PositiveDimensionalStabilizerError,
     SLICE_WEIGHTS,
     antidiag_fixed_constraint,
@@ -183,25 +182,8 @@ def test_factors_are_swap_symmetric_in_charts_p_and_q():
 
 
 def test_unstable_supports():
-    loci = unstable_supports(PROJECTIVE_WEIGHTS)
+    loci = unstable_supports()
     assert sorted(map(sorted, loci)) == [["S0", "T0", "U0"], ["S1", "T1", "U1"]]
-
-
-def test_unstable_supports_two_weights():
-    loci = unstable_supports((1, -1), names=("A", "B"))
-    assert sorted(map(sorted, loci)) == [["A"], ["B"]]
-
-
-def test_unstable_supports_one_sided():
-    loci = unstable_supports((2, 4, 6), names=("A", "B", "C"))
-    assert loci == [frozenset({"A", "B", "C"})]
-
-
-def test_unstable_supports_arity_errors():
-    with pytest.raises(ValueError):
-        unstable_supports(())
-    with pytest.raises(ValueError):
-        unstable_supports((1, -1), names=("A",))
 
 
 def test_stabilizer_order_chart_p():

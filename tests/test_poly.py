@@ -736,6 +736,36 @@ def test_sequences_on_scalar_entries_return_polynomials():
         assert result == expected
 
 
+_INT_ENTRIES = st.integers(-4, 4)
+# c + d*a, a third of them zero and a third constant, as in _x_polys
+_A_ENTRIES = st.one_of(
+    st.just((0, 0)),
+    st.tuples(_INT_ENTRIES, st.just(0)),
+    st.tuples(_INT_ENTRIES, _INT_ENTRIES),
+).map(lambda cd: MultiPoly(("a",), {(0,): cd[0], (1,): cd[1]}))
+
+
+@pytest.mark.parametrize("entries", [_INT_ENTRIES, _A_ENTRIES], ids=["int", "MultiPoly"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_property_first_remainder_of_the_sequence_is_the_pseudo_remainder(entries, data):
+    # the first B that _subresultant_prs yields is divided by g h^delta = 1, so
+    # it is prem(f, g): of lower degree than g, and ell(g)^(n-m+1) f - B is a
+    # multiple of g; entries include zeros, and ell(g) is mostly not 1
+    top = entries.filter(bool)
+    g = data.draw(st.lists(entries, min_size=1, max_size=4)) + [data.draw(top)]
+    f = data.draw(st.lists(entries, min_size=len(g) - 1, max_size=len(g) + 2)) + [data.draw(top)]
+    _, remainder, _ = next(poly_module._subresultant_prs(f, g))
+    assert len(remainder) < len(g)
+    x, = variables("x")
+
+    def in_x(coefficients):
+        return sum((c * x ** k for k, c in enumerate(coefficients)), MultiPoly.zero())
+
+    power = g[-1] ** (len(f) - len(g) + 1)
+    assert try_divide(power * in_x(f) - in_x(remainder), in_x(g)) is not None
+
+
 @st.composite
 def _pairs_in_two_or_three_variables(draw):
     names = draw(st.sampled_from((("a", "x"), ("a", "x", "y"))))
