@@ -285,6 +285,16 @@ def scan_stabilizers() -> StabilizerScan:
     )
 
 
+def antidiag_resultants() -> Tuple[MultiPoly, MultiPoly]:
+    """The fixed-point equations of ``antidiag_fixed_constraint`` with l
+    eliminated: Res_l(l^2 t0 + t1, l^16 - 1) and Res_l(l^14 t0 + t1, l^16 - 1)."""
+    lam, t0, t1 = (MultiPoly.variable(v) for v in ("lam", "t0", "t1"))
+    eq_t0 = lam ** 2 * t0 + t1  # image of t0 equals t0, cleared of -l^2
+    eq_t1 = lam ** 14 * t0 + t1
+    slice_closure = lam ** 16 - 1
+    return resultant(eq_t0, slice_closure, "lam"), resultant(eq_t1, slice_closure, "lam")
+
+
 def antidiag_fixed_constraint() -> MultiPoly:
     """Locus of residual-slice points fixed by an antidiagonal element.
 
@@ -294,14 +304,7 @@ def antidiag_fixed_constraint() -> MultiPoly:
     radical of the common factor leaves t0^8 - t1^8, so a point with
     t0^8 != t1^8 is not fixed.
     """
-    lam, t0, t1 = (MultiPoly.variable(v) for v in ("lam", "t0", "t1"))
-    eq_t0 = lam ** 2 * t0 + t1  # image of t0 equals t0, cleared of -l^2
-    eq_t1 = lam ** 14 * t0 + t1
-    slice_closure = lam ** 16 - 1
-    r0 = resultant(eq_t0, slice_closure, "lam")
-    r1 = resultant(eq_t1, slice_closure, "lam")
-    common = poly_gcd(r0, r1)
-    return squarefree_part(common)
+    return squarefree_part(poly_gcd(*antidiag_resultants()))
 
 
 def _restricts_transversally(hyperplane_var: str, divisor: MultiPoly) -> bool:

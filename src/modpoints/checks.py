@@ -241,10 +241,20 @@ def _crossings(q: Quantities) -> Dict:
 
 
 def _antidiagonal_locus(q: Quantities):
-    """The fixed locus, against the point (1, 2) off it and the origin on it."""
+    """The fixed locus, against the point (1, 2) off it and the origin on it,
+    and each resultant against (t1^8 - t0^8)^2 by composition: as l runs over
+    the 16th roots of unity, l^2 and l^14 = l^-2 each run twice over the 8th
+    roots mu, so each is Res_mu(mu t0 + t1, mu^8 - 1)^2, and that resultant
+    is t0^8 ((-t1/t0)^8 - 1), read off the root mu = -t1/t0."""
     constraint = blowup.antidiag_fixed_constraint()
     off, origin = constraint.evaluate({"t0": 1, "t1": 2}), constraint.evaluate({"t0": 0, "t1": 0})
-    return _unless_contradicted(constraint, {} if off != 0 and origin == 0 else {"1,2": off, "0,0": origin})
+    second = {} if off != 0 and origin == 0 else {"1,2": off, "0,0": origin}
+    t0, t1 = MultiPoly.variable("t0"), MultiPoly.variable("t1")
+    composed = ((-t1) ** 8 - t0 ** 8) ** 2
+    for power, r in zip(("lam^2", "lam^14"), blowup.antidiag_resultants()):
+        if r != composed:
+            second[power] = r
+    return _unless_contradicted(constraint, second)
 
 
 def _semistable_series(q: Quantities) -> str:

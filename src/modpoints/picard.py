@@ -9,17 +9,20 @@ symbol.  Applying a map and reducing by the relations are
 equal.  No geometry happens here by design: the geometric inputs
 (pullback formulas, canonical classes, the weight-14 modular form
 relation, boundary normal bundles) are transcribed, the cusp count and
-covering degree are read from ``fqspace``, and this module only checks
-their arithmetic consequences: canonical-bundle identities, top
-self-intersection numbers (one coefficient of a ``MultiPoly`` power), the
-obstruction to a common crepant resolution, and discrepancies.
+covering degree are read from ``fqspace`` and the dimension from
+``betti``, and this module only checks their arithmetic consequences:
+canonical-bundle identities, top self-intersection numbers (one
+coefficient of a ``MultiPoly`` power), the obstruction to a common
+crepant resolution, and discrepancies.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
+from .betti import COMPLEX_DIMENSION
 from .poly import MultiPoly, Scalar, variables
 from .record import Record
 
@@ -69,11 +72,12 @@ RELATIONS: Dict[str, MultiPoly] = {
     "Htilde_ord": 28 * L_ord - 6 * T_ord,
 }
 
-# name -> (source space, target space, image of each source symbol)
+# name -> (source space, target space, image of each source symbol).  Each
+# triple-point boundary divisor D3_2 contains the C(3, 2) diagonals of its triple.
 MAPS: Dict[str, Tuple[str, str, Dict[str, MultiPoly]]] = {
     "phi1_pullback": (GIT_ORD, K_ORD, {"D2_0": D2_1 + 6 * D4_1}),
     "phi1_pushforward": (K_ORD, GIT_ORD, {"D2_1": D2_0, "D4_1": MultiPoly.zero()}),
-    "phi2_pullback": (K_ORD, M08BAR, {"D2_1": D2_2 + 3 * D3_2, "D4_1": D4_2}),
+    "phi2_pullback": (K_ORD, M08BAR, {"D2_1": D2_2 + math.comb(3, 2) * D3_2, "D4_1": D4_2}),
     "phi2_pushforward": (M08BAR, K_ORD, {"D2_2": D2_1, "D3_2": MultiPoly.zero(), "D4_2": D4_1}),
     "pi_ord_pullback": (BB_ORD, TOR_ORD, {"L_ord": L_ord, "H_ord": Htilde_ord + 6 * T_ord}),
     # The period-map identification carries the discriminant class to the
@@ -157,8 +161,9 @@ def verify_blowup_identities() -> List[IdentityCheck]:
     rhs = Fraction(-2, 7) * apply_map("phi_ord_identification", D2_0)
     record("weight14_canonical", BB_ORD, canonical(BB_ORD), rhs)
 
-    # proportionality route: 6L - (1/2)Htilde - T = -8L + 2T
-    proportionality = 6 * L_ord - Fraction(1, 2) * Htilde_ord - T_ord
+    # proportionality route, K = (n + 1)L - (1/2)H on a ball quotient of
+    # dimension n (Mumford 1977): 6L - (1/2)Htilde - T = -8L + 2T
+    proportionality = (COMPLEX_DIMENSION + 1) * L_ord - Fraction(1, 2) * Htilde_ord - T_ord
     record("proportionality_route", TOR_ORD, proportionality, canonical(TOR_ORD))
 
     # blow-up route through the boundary identification

@@ -20,21 +20,22 @@ tests, the closed-form discriminant of a depressed quartic, and one
 subresultant pseudo-remainder sequence.  The sequence is written once with
 Python's operators (``*``, ``-``, ``**``, exact ``//``) on lists of the
 coefficients in the eliminated variable: bare ints for the integer images
-of the resultant and the squarefreeness test, MultiPolys on the two
-fallbacks, so that it shares MultiPoly's one product loop (``_mul_terms``)
-and one exact-division loop (``_divide_terms``).
+of the resultant, the squarefreeness test and the gcd's last variable,
+MultiPolys on the two fallbacks, so that it shares MultiPoly's one product
+loop (``_mul_terms``) and one exact-division loop (``_divide_terms``).
 
 Both the gcd and the resultant evaluate at large integers first.  The gcd
-is the heuristic gcd of Char, Geddes and Gonnet: one integer gcd, lifted
-back by a symmetric xi-adic expansion and accepted only when
-``_divide_terms`` divides both sides.  The resultant sets the other
-variables to powers of two past a Hadamard-type bound (Collins, with a
-Kronecker substitution), so that the image of a term is its coefficient
-shifted left, runs the sequence on ints and lifts the one integer back by
-the same symmetric expansion as the gcd, with shifts for digits;
-``is_squarefree`` reads that integer alone.  Past a fixed bit length (for
-the gcd also after a few evaluation points) the sequence runs on
-MultiPoly coefficients.  An exact division bounds its quotient's
+is the heuristic gcd of Char, Geddes and Gonnet: the images down to one
+variable, whose gcd the sequence gives, lifted back by a symmetric xi-adic
+expansion and accepted only when ``_divide_terms`` divides both sides.  The
+resultant sets the other variables to powers of two past a Hadamard-type
+bound (Collins, with a Kronecker substitution), so that the image of a term
+is its coefficient shifted left, runs the sequence on ints and lifts the
+one integer back by the same expansion, with shifts for digits.
+``is_squarefree`` images its primitive part once, reads the derivative's
+image off it and needs only whether that integer is 0.  Past a fixed bit
+length (for the gcd also after a few evaluation points) the sequence runs
+on MultiPoly coefficients.  An exact division bounds its quotient's
 exponents by one OR of the dividend's keys less the divisor's degrees.
 """
 
@@ -532,12 +533,13 @@ def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPol
 # ----------------------------------------------------------------------
 # the subresultant remainder sequence, on lists of coefficients
 
-def _coefficient_lists(f: MultiPoly, g: MultiPoly, name: str):
-    """(vs, [f_0, ..., f_n], [g_0, ..., g_m]): f = sum f_k name^k with
-    f_n != 0, as MultiPolys over vs, the variables of f, g and ``name``; [] is 0."""
-    vs = tuple(sorted({name, *f._vars, *g._vars}))
+def _coefficient_lists(name: str, *polys: MultiPoly):
+    """(vs, [p_0, ..., p_n], ...): for each of ``polys``, p = sum p_k name^k
+    with p_n != 0, as MultiPolys over vs, the variables of ``polys`` and
+    ``name``; [] is 0."""
+    vs = tuple(sorted({name}.union(*(p._vars for p in polys))))
     lists = []
-    for p in (f, g):
+    for p in polys:
         buckets = _buckets(p._embedded(vs), len(vs), vs.index(name))
         coefficients = [_trusted(vs, {})] * (max(buckets, default=-1) + 1)
         for d, terms in buckets.items():
@@ -623,26 +625,25 @@ def _integral(terms: Terms) -> Tuple[int, Terms]:
     return c, terms if c == 1 else {key: (v * c).numerator for key, v in terms.items()}
 
 
-def _images(f: Terms, g: Terms, n: int, j: int):
-    """(F, G, levels): the lists of int coefficients in the j-th of n
-    variables of f and g, nonempty int term maps, with the other variables
-    set to the powers of two of ``resultant``, and the (field shift, bit
-    count, variable index) of each level; None past the bit guard.
+def _shape(terms: Terms, n: int, j: int) -> Tuple[List[int], List[int]]:
+    """(degrees, norms) of a nonempty int term map over n variables: each
+    variable's largest exponent, and the 1-norm of each coefficient in the j-th."""
+    degrees, sj = _degrees(terms, n), FIELD * (n - 1 - j)
+    norms = [0] * (degrees[j] + 1)
+    for key, c in terms.items():
+        norms[key >> sj & MASK] += abs(c)
+    return degrees, norms
 
-    Each side's degrees are read once; one pass over its terms sums the
-    absolute coefficients of each degree for the bound, and a second adds
-    each coefficient, shifted left by sum e_i k_i, to its degree's image.
-    """
-    sj = FIELD * (n - 1 - j)
-    ef, eg = _degrees(f, n), _degrees(g, n)
-    df, dg = ef[j], eg[j]
-    norms = []
-    for terms, d in ((f, df), (g, dg)):
-        norm = [0] * (d + 1)
-        for key, c in terms.items():
-            norm[key >> sj & MASK] += abs(c)
-        norms.append(sum(x * x for x in norm))
-    bits = (2 * math.isqrt(norms[0] ** dg * norms[1] ** df) + 3).bit_length()  # 2^bits >= 2B + 2
+
+def _levels(f, g, n: int, j: int):
+    """The (field shift, bit count, variable index) of each level of the
+    point of ``resultant`` for two sides of the shapes f and g (``_shape``;
+    the degree in the j-th of n variables is read from the norms alone), or
+    None past the bit guard."""
+    (ef, nf), (eg, ng) = f, g
+    df, dg = len(nf) - 1, len(ng) - 1
+    bound = math.isqrt(sum(x * x for x in nf) ** dg * sum(x * x for x in ng) ** df)
+    bits = (2 * bound + 3).bit_length()  # 2^bits >= 2B + 2
     levels = []
     for i in range(n):
         if i != j and (ef[i] or eg[i]):
@@ -651,29 +652,21 @@ def _images(f: Terms, g: Terms, n: int, j: int):
                 return None
             levels.append((FIELD * (n - 1 - i), bits, i))
             bits *= degree + 1
-    lists = []
-    for terms, d in ((f, df), (g, dg)):
-        image = [0] * (d + 1)
-        for key, c in terms.items():
-            shift = 0
-            for si, w, _ in levels:
-                shift += (key >> si & MASK) * w
-            image[key >> sj & MASK] += c << shift
-        lists.append(image)
-    return (*lists, levels)
+    return levels
 
 
-def _resultant_image(f: MultiPoly, g: MultiPoly, name: str):
-    """(vs, r, levels, scale): r = Res(c f, d g) at the point of ``_images``,
-    with c and d from ``_integral`` and scale = c^deg g d^deg f, for nonzero
-    f and g; past the bit guard r is that resultant itself, with no levels."""
-    vs = tuple(sorted({name, *f._vars, *g._vars}))
-    (cf, fi), (cg, gi) = _integral(f._embedded(vs)), _integral(g._embedded(vs))
-    images = _images(fi, gi, len(vs), vs.index(name))
-    if images is None:
-        images = (*_coefficient_lists(_trusted(vs, fi), _trusted(vs, gi), name)[1:], [])
-    fl, gl, levels = images
-    return vs, _sequence_resultant(fl, gl), levels, cf ** (len(gl) - 1) * cg ** (len(fl) - 1)
+def _image(terms: Terms, n: int, j: int, length: int, levels) -> List[int]:
+    """The ``length`` int coefficients in the j-th of n variables of an int
+    term map at the powers of two of ``levels``: each coefficient is added,
+    shifted left by sum e_i k_i, to its degree's entry."""
+    sj = FIELD * (n - 1 - j)
+    image = [0] * length
+    for key, c in terms.items():
+        shift = 0
+        for si, w, _ in levels:
+            shift += (key >> si & MASK) * w
+        image[key >> sj & MASK] += c << shift
+    return image
 
 
 def _evaluate(buckets: Dict[int, Terms], xi: int) -> Terms:
@@ -730,7 +723,7 @@ def _heuristic_gcd(a: Terms, b: Terms, n: int) -> Terms | None:
     """gcd(a, b) of two nonzero term maps over n variables with int
     coefficients by the heuristic gcd that ``poly_gcd`` describes, or None
     when the heuristic gives up.  An image that evaluates to zero counts as
-    a failed candidate."""
+    a failed candidate.  Where one variable occurs, the answer is exact."""
     ca, a = _primitive(a)
     cb, b = _primitive(b)
     gamma = math.gcd(ca, cb)
@@ -738,6 +731,14 @@ def _heuristic_gcd(a: Terms, b: Terms, n: int) -> Terms | None:
         return {0: gamma}
     seen = reduce(or_, a, 0) | reduce(or_, b, 0)
     i = next(i for i in range(n) if seen >> FIELD * (n - 1 - i) & MASK)
+    if not seen & (1 << FIELD * (n - 1 - i)) - 1:  # the i-th variable alone occurs
+        # its degree is the total degree of the largest key
+        lists = [_image(t, n, i, (max(t) >> FIELD * n) + 1, ()) for t in (a, b)]
+        for f, g, _ in _subresultant_prs(*sorted(lists, key=len, reverse=True)):
+            pass
+        tail = g or f  # the last nonzero element of the sequence
+        content = math.gcd(*tail) if tail[-1] > 0 else -math.gcd(*tail)
+        return {k * _unit(i, n): c // content * gamma for k, c in enumerate(tail) if c}
     ba, bb = _buckets(a, n, i), _buckets(b, n, i)
     degree = max(max(ba), max(bb))
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
@@ -763,9 +764,13 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     integer polynomials A and B.  The first occurring variable v is set to an
     integer xi >= 2 min(|A|, |B|) + 2, |.| the largest absolute coefficient,
     and the images are handled the same way, variable by variable, until one
-    ``math.gcd`` of two integers is left.  Its symmetric xi-adic expansion,
-    every coefficient in (-xi/2, xi/2], lifts each gcd back to a polynomial
-    in v, and the candidate is that polynomial's integer primitive part.
+    variable is left.  There the gcd is the primitive part, with positive
+    leading coefficient, of the last nonzero remainder of the integer
+    subresultant sequence, times the gcd of the contents: exact, with
+    nothing evaluated, lifted or divided.  The symmetric xi-adic expansion,
+    every coefficient in (-xi/2, xi/2], lifts each gcd of images back to a
+    polynomial in v, and the candidate is that polynomial's integer
+    primitive part.
 
     A candidate is accepted only when it divides A and B exactly; given the
     bound on xi, it is then the gcd.  A rejected candidate grows xi by
@@ -801,7 +806,7 @@ def _subresultant_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     cont_p, prim_p = _content_and_primitive(p, name)
     cont_q, prim_q = _content_and_primitive(q, name)
     content = poly_gcd(cont_p, cont_q)
-    vs, f, g = _coefficient_lists(prim_p, prim_q, name)
+    vs, f, g = _coefficient_lists(name, prim_p, prim_q)
     if len(f) < len(g):
         f, g = g, f
     if len(g) == 1:  # a primitive part free of ``name``
@@ -835,10 +840,14 @@ def is_squarefree(p: MultiPoly) -> bool:
     squarefree iff the content is, checked recursively, and the primitive
     part P shares no factor with its derivative in v, that is, Res_v(P, P')
     is not 0 (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
-    8.2).  The integer image of that resultant (see ``resultant``) is 0
-    exactly when the resultant is, so it needs no lift; past the bit guard
-    the sequence runs on MultiPoly coefficients instead.  A primitive part
-    of degree 1 in v gives its leading coefficient, which is never 0.
+    8.2).  P, scaled to integer coefficients, is imaged once at the point of
+    ``resultant``: F = [F_0, ..., F_d].  Setting the other variables commutes
+    with d/dv, so the image of P' is [k F_k for k >= 1], and its bound comes
+    from P's, as |k P_k|_1 = k |P_k|_1 and deg_i P bounds deg_i P'.  The
+    integer Res(F, F') is 0 exactly when Res_v(P, P') is, so it needs no
+    lift.  Past the bit guard F is P's list of MultiPoly coefficients, and
+    the same list expression gives P'.  A primitive part of degree 1 in v
+    gives its leading coefficient, which is never 0.
     """
     if p.is_zero:
         raise ValueError("squarefreeness is undefined for 0")
@@ -848,7 +857,15 @@ def is_squarefree(p: MultiPoly) -> bool:
     content, primitive = _content_and_primitive(p, name)
     if not (content.is_constant or is_squarefree(content)):
         return False
-    return bool(_resultant_image(primitive, primitive.partial_derivative(name), name)[1])
+    vs, terms = primitive._vars, _integral(primitive._terms)[1]
+    n, j = len(vs), vs.index(name)
+    degrees, norms = _shape(terms, n, j)
+    levels = _levels((degrees, norms), (degrees, [k * x for k, x in enumerate(norms)][1:]), n, j)
+    if levels is None:
+        image = _coefficient_lists(name, _trusted(vs, terms))[1]
+    else:
+        image = _image(terms, n, j, len(norms), levels)
+    return bool(_sequence_resultant(image, [k * image[k] for k in range(1, len(image))]))
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -923,8 +940,19 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     """
     if f.is_zero or g.is_zero:
         return MultiPoly.zero()
-    vs, value, levels, scale = _resultant_image(f, g, name)
+    vs = tuple(sorted({name, *f._vars, *g._vars}))
+    n, j = len(vs), vs.index(name)
+    (cf, fi), (cg, gi) = _integral(f._embedded(vs)), _integral(g._embedded(vs))
+    (_, nf), (_, ng) = shapes = _shape(fi, n, j), _shape(gi, n, j)
+    levels = _levels(*shapes, n, j)
+    if levels is None:  # the sequence runs on MultiPolys, with nothing to lift
+        fl, gl = _coefficient_lists(name, _trusted(vs, fi), _trusted(vs, gi))[1:]
+        levels = []
+    else:
+        fl, gl = _image(fi, n, j, len(nf), levels), _image(gi, n, j, len(ng), levels)
+    value = _sequence_resultant(fl, gl)  # Res(c f, d g), at the levels' point if any
     terms = value._embedded(vs) if isinstance(value, MultiPoly) else {0: value}
     for _, bits, i in reversed(levels):
-        terms = _interpolate(terms, 1 << bits, _unit(i, len(vs)))
+        terms = _interpolate(terms, 1 << bits, _unit(i, n))
+    scale = cf ** (len(gl) - 1) * cg ** (len(fl) - 1)
     return _trusted(vs, terms if scale == 1 else {key: _divide(c, scale) for key, c in terms.items()})

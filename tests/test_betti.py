@@ -38,6 +38,7 @@ from modpoints.betti import (
     tor_betti_unordered,
     truncate,
 )
+from modpoints.poly import MultiPoly
 from modpoints.stability import LunaSlice, torus_monomial_weights
 
 from oracles import invert_unit
@@ -226,6 +227,16 @@ def test_boundary_tables():
     assert boundary_fiber_ordered() == (1, 2, 3, 2, 1)
     assert boundary_invariants() == (1, 1, 2, 1, 1)
     assert kunneth_square((1, 1, 1)) == (1, 2, 3, 2, 1)
+
+
+def test_ih_fixtures_start_as_the_semistable_series():
+    # below degree 6 each fixture reads the semistable series of its GIT
+    # problem: P^8 modulo SL2 (semistable_series), and (P^1)^8 modulo SL2,
+    # (1 + t^2)^8 / (1 - t^4), where 1 / (1 - t^4) is 1 + t^4 modulo t^6
+    assert IH_BB_UNORDERED[:3] == semistable_series(8, 6)[0::2] == (1, 1, 2)
+    t = MultiPoly.variable("t")
+    ordered = {e: c for (e,), c in ((1 + t ** 2) ** 8 * (1 + t ** 4)).terms.items()}
+    assert IH_BB_ORDERED[:3] == tuple(ordered[e] for e in (0, 2, 4)) == (1, 8, 29)
 
 
 def test_decomposition_assembly_ordered():

@@ -416,6 +416,16 @@ def test_antidiagonal_check_reads_two_points(monkeypatch):
     assert check["payload"] == {"value": "t0^8 - t1^8 + 1", "second_route": {"1,2": "-254", "0,0": "1"}}
 
 
+def test_antidiagonal_check_reads_each_resultant_by_composition(monkeypatch):
+    # a wrong sign in both resultants leaves the radical of their gcd as it was
+    resultants = blowup.antidiag_resultants
+    monkeypatch.setattr(blowup, "antidiag_resultants", lambda: tuple(-r for r in resultants()))
+    check = _only_check("slice", "slice.antidiag")
+    assert check["status"] == "fail"
+    negated = "-t0^16 + 2*t0^8*t1^8 - t1^16"
+    assert check["payload"] == {"value": "t0^8 - t1^8", "second_route": {"lam^2": negated, "lam^14": negated}}
+
+
 def test_chart_weight_check_reads_the_luna_slice_weights(monkeypatch):
     monkeypatch.setitem(blowup.SLICE_WEIGHTS, "beta1", -8)
     check = _only_check("slice", "slice.chart_weights")

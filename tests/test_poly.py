@@ -19,9 +19,11 @@ from modpoints.poly import (
     EXPONENT_LIMIT,
     HEURISTIC_BITS,
     _content_and_primitive,
-    _images,
+    _image,
     _interpolate,
+    _levels,
     _repeated_part,
+    _shape,
     _subresultant_gcd,
     _unit,
     ExponentOverflowError,
@@ -784,10 +786,12 @@ def test_property_images_are_the_coefficients_at_the_reported_levels(pair):
     f, g = (normalize(p) for p in pair)
     assume(f and g)
     vs = f.variables
-    found = _images(f._terms, g._terms, len(vs), vs.index("x"))
-    assume(found is not None)
-    *images, levels = found
-    for p, image in zip((f, g), images):
+    n, j = len(vs), vs.index("x")
+    shapes = [_shape(p._terms, n, j) for p in (f, g)]
+    levels = _levels(*shapes, n, j)
+    assume(levels is not None)
+    for p, (_, norms) in zip((f, g), shapes):
+        image = _image(p._terms, n, j, len(norms), levels)
         coefficients = _coefficients_in(p, "x")
         assert len(image) == max(coefficients) + 1
         for d, value in enumerate(image):
@@ -832,14 +836,14 @@ def test_resultant_pinned_cases_by_both_routes(f, g, expected):
 
 def test_resultants_past_the_bit_guard_take_the_sequence_route(monkeypatch):
     # deg_a Res reaches 2^15 here, so every (2^bits)^(deg + 1) passes the guard
-    images = poly_module._images
+    levels = poly_module._levels
 
-    def no_image(f, g, n, j):
-        found = images(f, g, n, j)
-        assert found is None, f"an integer image at the levels {found[2]}"
+    def no_levels(f, g, n, j):
+        found = levels(f, g, n, j)
+        assert found is None, f"an integer image at the levels {found}"
         return found
 
-    monkeypatch.setattr(poly_module, "_images", no_image)
+    monkeypatch.setattr(poly_module, "_levels", no_levels)
     a, x = variables("a", "x")
     f, g = a ** (EXPONENT_LIMIT // 2) * x + 1, x ** 2 + 1
     assert resultant(f, g, "x") == resultant(g, f, "x") == a ** EXPONENT_LIMIT + 1
@@ -943,17 +947,73 @@ def test_the_subresultant_route_gives_the_same_answers(monkeypatch):
     assert answers() == expected
 
 
+def _no_evaluation(buckets, xi):
+    raise AssertionError(f"evaluated at a {xi.bit_length()}-bit point")
+
+
 def test_the_heuristic_gives_up_past_the_bit_guard(monkeypatch):
-    # both sides have max-norm 3, so xi = 8 (4 bits), and 8^5001 would pass the guard
+    # both sides have max-norm 3, so xi = 8 (4 bits), and 8^5001 would pass the
+    # guard; with a alone, the integer sequence answers before any point is tried
     p = (_A - 1) * (_A ** 5000 + 3)
     q = (_A - 1) * (_A + 3)
     assert 4 * 5001 > HEURISTIC_BITS
-
-    def no_evaluation(buckets, xi):
-        raise AssertionError(f"evaluated at a {xi.bit_length()}-bit point")
-
-    monkeypatch.setattr(poly_module, "_evaluate", no_evaluation)
+    monkeypatch.setattr(poly_module, "_evaluate", _no_evaluation)
     assert poly_gcd(p, q) == _A - 1
+
+
+def test_the_heuristic_gives_up_past_the_bit_guard_in_two_variables(monkeypatch):
+    # a is evaluated first, at xi = 8 (both max-norms are 3), and 8^5000 would
+    # pass the guard: the heuristic gives up, and the subresultant route finds
+    # the gcd as the content in a
+    p = (_X - 1) * (_A ** 5000 + 3)
+    q = (_X - 1) * (_A + 3)
+    assert 4 * 5000 > HEURISTIC_BITS
+    route, calls = poly_module._subresultant_gcd, []
+
+    def subresultant_gcd(p, q):
+        calls.append((p, q))
+        return route(p, q)
+
+    monkeypatch.setattr(poly_module, "_evaluate", _no_evaluation)
+    monkeypatch.setattr(poly_module, "_subresultant_gcd", subresultant_gcd)
+    assert poly_gcd(p, q) == _X - 1
+    assert calls[0] == (p, q)
+
+
+@pytest.mark.parametrize("p, q", [
+    ((_X - 1) * (_X + 2) ** 2, (_X + 2) * (3 * _X - 1)),
+    (4 * _X ** 2 - 4, 6 * _X - 6),  # integer contents 4 and 6
+    (Fraction(1, 2) * _X ** 3 - _X, Fraction(2, 3) * _X ** 2 - Fraction(4, 3)),
+    (-(_X ** 2) + 1, -(_X ** 3) - 1),  # negative leading coefficients
+    (_X ** 4 + 1, _X ** 2 + 1),  # coprime
+    (MultiPoly.zero(("a", "y")) + (_X ** 2 - 4) * (_X + 5), (_X - 2) * (_X + 7)),
+    ((_A ** 3 - 8) * (_A + 1), (_A - 2) ** 2),  # the first variable of the ring
+])
+def test_a_univariate_gcd_is_read_off_the_integer_sequence(p, q, monkeypatch):
+    # one variable: the last nonzero remainder answers, with no point
+    # evaluated and no candidate lifted
+    expected = _subresultant_route(p, q)
+    monkeypatch.setattr(poly_module, "_evaluate", _no_evaluation)
+    monkeypatch.setattr(poly_module, "_interpolate", mock.Mock(side_effect=AssertionError("a lift")))
+    assert poly_gcd(p, q) == poly_gcd(q, p) == expected
+
+
+@pytest.mark.parametrize("guard", [HEURISTIC_BITS, 0])
+def test_squarefree_builds_no_derivative_polynomial(guard, monkeypatch):
+    # the image of dP/dv is read off the image of P, by either route
+    cases = [
+        ((_X + 1) ** 2 * (_A + _X), False),
+        ((_X + 1) * (_X + 2) * (_A * _X + 1), True),
+        ((_A * _X - 3) ** 2 * (_X + 2), False),
+        (parse_poly("1/2*a^2*x + 3*x^2*y - 2/3*y^3 + a"), True),
+        (parse_poly("a^2*x^2 - 2*a*x*y^2 + y^4"), False),  # (a*x - y^2)^2
+    ]
+    assert [_repeated_part(p).is_constant for p, _ in cases] == [squarefree for _, squarefree in cases]
+    monkeypatch.setattr(poly_module, "HEURISTIC_BITS", guard)
+    monkeypatch.setattr(MultiPoly, "partial_derivative",
+                        mock.Mock(side_effect=AssertionError("a derivative was built")))
+    for p, squarefree in cases:
+        assert is_squarefree(p) is squarefree
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
