@@ -8,13 +8,13 @@ blow-up at the closed orbit adds a main correction term, and the extra
 correction is shown to start in degree 6; assembling these and extending
 by duality yields the Betti table of the blown-up quotient.
 Independently, a decomposition rule combines intersection cohomology of a
-cusped compactification with boundary-fiber tables.  The two routes must
-agree.
+cusped compactification with boundary-fiber tables, one per cusp; the
+cusps are counted in ``fqspace``, imported on first use.  The two routes
+must agree.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
 from .poly import MultiPoly
@@ -80,21 +80,14 @@ def kirwan_index_set(weights: Sequence[int]) -> Tuple[IndexEntry, ...]:
     """Nonzero stratification indices for a one-parameter torus action.
 
     Candidates are the points closest to 0 of convex hulls of one-sided
-    weight subsets; for each, r counts the weights alpha with
+    weight subsets; on a line that is the subset's least |w|, so they are
+    the nonzero |w|.  For each, r counts the weights alpha with
     alpha*beta >= |beta|^2 and the stratum codimension is bounded below by
     STRATIFICATION_BOUND_BASE - r.
     """
-    candidates = set()
     ws = tuple(weights)
-    for size in range(1, len(ws) + 1):
-        for combo in combinations(ws, size):
-            lo, hi = min(combo), max(combo)
-            if lo > 0:
-                candidates.add(lo)
-            elif hi < 0:
-                candidates.add(-hi)
     entries = []
-    for beta in sorted(candidates):
+    for beta in sorted({abs(w) for w in ws if w}):
         r = sum(1 for alpha in ws if alpha * beta >= beta * beta)
         bound = STRATIFICATION_BOUND_BASE - r
         entries.append(IndexEntry(beta=beta, label=beta // 2, r=r, codim_bound=bound))
@@ -251,8 +244,6 @@ IH_BB_ORDERED = (1, 8, 29, 29, 8, 1)
 IH_BB_UNORDERED = (1, 1, 2, 2, 1, 1)
 
 PLANE_BETTI = (1, 1, 1)  # one projective plane, even degrees 0..4
-ORDERED_CUSPS = 35
-UNORDERED_CUSPS = 1
 
 
 def boundary_fiber_ordered() -> Tuple[int, ...]:
@@ -266,12 +257,16 @@ def boundary_invariants() -> Tuple[int, ...]:
 
 
 def tor_betti_ordered() -> BettiTable:
-    return decomposition_assembly(
-        IH_BB_ORDERED, boundary_fiber_ordered(), ORDERED_CUSPS, COMPLEX_DIMENSION
-    )
+    """The ordered table: one cusp per isotropic vector of the fq space (Kondo)."""
+    from . import fqspace
+
+    cusps = len(fqspace.isotropic_vectors())
+    return decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), cusps, COMPLEX_DIMENSION)
 
 
 def tor_betti_unordered() -> BettiTable:
-    return decomposition_assembly(
-        IH_BB_UNORDERED, boundary_invariants(), UNORDERED_CUSPS, COMPLEX_DIMENSION
-    )
+    """The unordered table: one cusp per orbit of G on the isotropic vectors."""
+    from . import fqspace
+
+    cusps = len(fqspace.orbits_under(fqspace.coxeter_generators(), fqspace.isotropic_vectors()))
+    return decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), cusps, COMPLEX_DIMENSION)

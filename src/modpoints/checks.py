@@ -128,7 +128,7 @@ class Quantities:
     @_once
     def stab_summary(self) -> Dict[str, int]:
         """Orbits and order of Stab(h) for the first isotropic vector h: the
-        orbits of its Schreier generators, and 8! over the orbit of h."""
+        G-orbits of pairs (h, x) read off at h, and 8! over the orbit of h."""
         fqspace = _module("fqspace")
         return fqspace.stab_orbit_summary(fqspace.isotropic_vectors()[0])
 
@@ -138,12 +138,11 @@ class Quantities:
         and the order of Stab(h) read from ``stab_summary``.
 
         The order is 8!, from the Coxeter presentation of S_8 that the seven
-        path transvections satisfy; the orbits are those of the 28
-        reflections on the nonzero vectors, each named by the value of q on
-        it.
+        path transvections satisfy; the orbits are those of the same seven
+        on the nonzero vectors, each named by the value of q on it.
         """
         fqspace = _module("fqspace")
-        orbits = fqspace.orbits_under(fqspace.reflections(), range(1, fqspace.SIZE))
+        orbits = fqspace.orbits_under(fqspace.coxeter_generators(), range(1, fqspace.SIZE))
         return {
             "order": fqspace.group_order(),
             "orbit_sizes": {("isotropic", "nonisotropic")[fqspace.q(min(o))]: len(o) for o in orbits},

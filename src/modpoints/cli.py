@@ -3,7 +3,9 @@
 ``modpoints run [suite]`` executes verification suites and emits a text or
 JSON report (exit 0 when everything passes, 1 on failures, 2 on usage
 errors and malformed input, 3 when a suite raised; the report then shows
-it as an error check and still holds the other suites).  The remaining
+it as an error check and still holds the other suites).  Any other
+subcommand whose computation raises prints the traceback and exits 3
+too, leaving ``--out`` as malformed input leaves it.  The remaining
 subcommands expose individual computations: stability verdicts,
 quadratic-space censuses and group data, blow-up chart reports, Betti
 tables and the divisor ledger.  Each handler returns its result; for a
@@ -203,6 +205,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if created and isinstance(exc, InputError):
             os.remove(args.out)  # malformed input leaves no new file behind
         parser.exit(2, f"modpoints: error: {exc}\n")
+    except Exception:
+        if created:
+            os.remove(args.out)  # nor does a computation that raised
+        import traceback
+
+        traceback.print_exc()
+        return 3
     if args.command != "run" or checks.report_passed(payload):
         return 0
     return 3 if checks.report_errored(payload) else 1

@@ -3,13 +3,13 @@
 Vectors are integers 0..63; bit i holds coordinate i+1, so the hyperbolic
 pairs are bits (0,1), (2,3), (4,5) and q(v) = v1*v2 + v3*v4 + v5*v6.
 Censuses by q-value, orthogonal complements of isotropic vectors and the
-28 transvections attached to non-isotropic vectors live here.  Group
+transvections attached to non-isotropic vectors live here.  Group
 elements are permutations of the 64 vectors stored as bytes, so
-composition is one ``bytes.translate``.  The reflections generate S_8,
-Kondo's relabelling of the 8 points: the transvections of an A7 path of
-seven vectors satisfy its Coxeter presentation, which gives the order 8!
-without listing the group, and Schreier's lemma gives Stab(h);
-``orbits_under`` walks the orbits of either.
+composition is one ``bytes.translate``.  G = S_8, Kondo's relabelling of
+the 8 points, is generated here by one set: the transvections of an A7
+path of seven vectors, whose Coxeter presentation gives the order 8!
+without listing the group.  ``orbits_under`` walks G's orbits, and the
+orbits of Stab(h) are read off the G-orbits of pairs (h, x).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 DIMENSION = 6
 SIZE = 64
@@ -80,10 +80,6 @@ def _compose(p: bytes, g: bytes) -> bytes:
     return g.translate(p + _PAD)
 
 
-def _inverse(p: bytes) -> bytes:
-    return bytes(sorted(range(SIZE), key=p.__getitem__))
-
-
 def reflection(v: int) -> bytes:
     """The transvection x -> x + b(x, v) v for a non-isotropic v, as a permutation.
 
@@ -101,29 +97,6 @@ def reflection(v: int) -> bytes:
     if any(q(perm[x]) != q(x) for x in range(SIZE)):
         raise AssertionError("transvection failed to preserve the form")
     return perm
-
-
-@lru_cache(maxsize=1)
-def reflections() -> Tuple[bytes, ...]:
-    """The 28 transvections, in ascending order of their vectors."""
-    return tuple(map(reflection, nonisotropic_vectors()))
-
-
-def _transversal(point: int, generators: Sequence[bytes]) -> Dict[int, bytes]:
-    """Map each y in the orbit of ``point`` to an element carrying y to ``point``."""
-    inverses = [_inverse(g) for g in generators]
-    reps = {point: IDENTITY}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for g, g_inv in zip(generators, inverses):
-                z = g[y]
-                if z not in reps:
-                    reps[z] = _compose(reps[y], g_inv)
-                    nxt.append(z)
-        frontier = nxt
-    return reps
 
 
 def _a7_path(path: Tuple[int, ...] = ()) -> Tuple[int, ...]:
@@ -179,45 +152,48 @@ def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> List[froze
     remaining = set(points)
     out = []
     while remaining:
-        start = min(remaining)
-        block = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in elements:
-                    y = g[x]
-                    if y in block:
-                        continue
+        walk = [min(remaining)]
+        block = set(walk)
+        for x in walk:  # the walk grows as it is read, so it is breadth-first
+            for y in (g[x] for g in elements):
+                if y not in block:
                     block.add(y)
-                    nxt.append(y)
-            frontier = nxt
+                    walk.append(y)
         out.append(frozenset(block))
         remaining -= block
     return out
 
 
-def _stabilizer_generators(h: int) -> Tuple[int, Tuple[bytes, ...]]:
-    """The orbit length of h and Stab(h)'s Schreier generators t(s y) s t(y)^-1,
-    each once, for Coxeter generators s and y in the orbit, where t(y), from
-    ``_transversal``, carries y to h; they generate Stab(h) (Schreier's lemma)."""
+def _stab_orbits(h: int, points: Iterable[int]) -> List[frozenset]:
+    """The orbits of Stab(h) through ``points``, in order of their least point:
+    x and y share one exactly when (h, y) lies in the G-orbit of (h, x), walked
+    with the Coxeter generators moving both entries and read off at h."""
     gens = coxeter_generators()
-    reps = _transversal(h, gens)
-    inverses = {y: _inverse(t) for y, t in reps.items()}
-    schreier = (_compose(reps[s[y]], _compose(s, t_inv)) for y, t_inv in inverses.items() for s in gens)
-    return len(reps), tuple(dict.fromkeys(schreier))
+    remaining = set(points)
+    out = []
+    while remaining:
+        walk = [(h, min(remaining))]
+        seen = set(walk)
+        for u, x in walk:  # breadth-first, as in ``orbits_under``
+            for g in gens:
+                pair = (g[u], g[x])
+                if pair not in seen:
+                    seen.add(pair)
+                    walk.append(pair)
+        out.append(frozenset(x for u, x in walk if u == h))
+        remaining -= out[-1]
+    return out
 
 
 def stab_orbit_summary(h: int) -> Dict[str, int]:
     """Orbit counts of Stab(h) on the isotropic and non-isotropic parts of h-perp.
 
-    The orbits are those of the Schreier generators, and the order is
+    The orbits are read off the G-orbits of pairs (h, x), and the order is
     |G| / |orbit of h| by orbit-stabilizer.
     """
     iso_perp, noniso_perp = _perp(h)  # validates h
-    orbit, stab = _stabilizer_generators(h)
     return {
-        "isotropic_orbits": len(orbits_under(stab, iso_perp)),
-        "nonisotropic_orbits": len(orbits_under(stab, noniso_perp)),
-        "stabilizer_order": group_order() // orbit,
+        "isotropic_orbits": len(_stab_orbits(h, iso_perp)),
+        "nonisotropic_orbits": len(_stab_orbits(h, noniso_perp)),
+        "stabilizer_order": group_order() // len(orbits_under(coxeter_generators(), [h])[0]),
     }

@@ -13,13 +13,15 @@ another way, or a helper only the tests need:
   sequence, which the tests run with the heuristic gcd switched off as the
   second route to the gcd that ``poly_gcd`` takes by evaluation at large
   integers;
-- ``generate_group`` and ``stabilizer``: the breadth-first closure of the
-  28 reflections, all 40320 elements, and Stab(h) filtered from it, against
-  ``modpoints.fqspace.group_order``, the 8! that the Coxeter relations of
-  seven path transvections prove, and the orders and orbits of Stab(h)
-  that ``stab_orbit_summary`` reads from Schreier generators; ``is_linear``
-  checks the enumerated elements, and ``compose`` multiplies permutations
-  without the ``bytes.translate`` of ``fqspace``;
+- ``reflections``, ``generate_group`` and ``stabilizer``: the 28
+  transvections, their breadth-first closure, all 40320 elements, and
+  Stab(h) filtered from it, against ``modpoints.fqspace``, which generates
+  the group by seven path transvections alone: the 8! that their Coxeter
+  relations prove (``group_order``), their orbits on the nonzero vectors,
+  and the orders and orbits of Stab(h) that ``stab_orbit_summary`` reads
+  off the orbits of pairs (h, x); ``is_linear`` checks the enumerated
+  elements, and ``compose`` multiplies permutations without the
+  ``bytes.translate`` of ``fqspace``;
 - ``q_planes`` and ``plane_census``: the form and its census on the first
   1, 2 or 3 hyperbolic planes, against the table ``modpoints.fqspace.q``
   and ``fqspace.census``;
@@ -39,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from modpoints.fqspace import IDENTITY, SIZE, _compose, reflections
+from modpoints.fqspace import IDENTITY, SIZE, _compose, nonisotropic_vectors, reflection
 from modpoints.poly import MultiPoly, _unpack, try_divide
 from modpoints.record import Record
 
@@ -143,6 +145,12 @@ class OrthogonalGroup(Record):
     @property
     def order(self) -> int:
         return len(self.elements)
+
+
+@lru_cache(maxsize=1)
+def reflections() -> Tuple[bytes, ...]:
+    """The 28 transvections, in ascending order of their vectors."""
+    return tuple(map(reflection, nonisotropic_vectors()))
 
 
 @lru_cache(maxsize=1)

@@ -4,14 +4,14 @@ their printing, and the two Betti-table routes."""
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpoints import betti
+from modpoints import betti, fqspace
 from modpoints.betti import (
     IH_BB_ORDERED,
     IH_BB_UNORDERED,
@@ -106,6 +106,28 @@ def test_kirwan_index_set_for_octics():
     assert [e.r for e in entries] == [4, 3, 2, 1]
     assert [e.codim_bound for e in entries] == [3, 4, 5, 6]
     assert min(e.codim_bound for e in entries) == 3
+
+
+def hull_candidates(weights):
+    """The points closest to 0 of the hulls of all one-sided weight subsets,
+    each subset enumerated."""
+    candidates = set()
+    for size in range(1, len(weights) + 1):
+        for combo in combinations(weights, size):
+            if min(combo) > 0:
+                candidates.add(min(combo))
+            elif max(combo) < 0:
+                candidates.add(-max(combo))
+    return candidates
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-4, 4), max_size=7))
+def test_property_index_set_candidates_are_the_hull_points(weights):
+    # zeros and repeats included; the hull of a one-sided set of reals is an
+    # interval, so its point closest to 0 is the set's least |w|
+    entries = kirwan_index_set(weights)
+    assert [e.beta for e in entries] == sorted(hull_candidates(weights))
 
 
 def test_semistable_series():
@@ -259,6 +281,18 @@ def test_decomposition_assembly_validates_lengths():
         decomposition_assembly((1, 2, 3), boundary_invariants(), 1, 5)
     with pytest.raises(ValueError):
         decomposition_assembly(IH_BB_UNORDERED, (1, 2), 1, 5)
+
+
+def test_cusp_counts_are_read_from_the_fq_space(monkeypatch):
+    # one cusp per isotropic vector, and one per orbit of G on them; 34 of the
+    # 35 vectors still make one orbit under G, and 34 under the identity alone
+    assert tor_betti_ordered() == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 35, 5)
+    fewer = fqspace.isotropic_vectors()[1:]
+    monkeypatch.setattr(fqspace, "isotropic_vectors", lambda: fewer)
+    assert tor_betti_ordered().even == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 34, 5).even
+    assert tor_betti_unordered().even == (1, 2, 3, 3, 2, 1)
+    monkeypatch.setattr(fqspace, "coxeter_generators", lambda: (fqspace.IDENTITY,))
+    assert tor_betti_unordered().even == decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 34, 5).even
 
 
 def test_both_routes_agree():

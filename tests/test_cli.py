@@ -292,8 +292,10 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch):
     fqspace.coxeter_generators.cache_clear()
     checks.run_report(list(checks.SUITE_NAMES))
     # one pullback per chart and one scan, which slice and picard both read; four
-    # orbit walks: the Coxeter generators' transitivity, the reflections' partition
-    # of the nonzero vectors and Stab(h) on the two parts of h-perp
+    # orbit walks, all under the Coxeter generators: their transitivity, their
+    # partition of the nonzero vectors, the orbit of h, whose length gives the
+    # order of Stab(h), and the unordered cusps; Stab(h)'s orbits on h-perp are
+    # walked as orbits of pairs, outside orbits_under
     assert calls == {"orbits_under": 4, "classify": 130, "discriminant_pullback": 3, "scan_stabilizers": 1}
     assert fqspace.coxeter_generators.cache_info().misses == 1  # one path search and relation check
 
@@ -334,24 +336,43 @@ def test_raising_suite_is_reported_as_an_error(monkeypatch, capsys):
     assert "[ERROR] betti.error: the suite runs to completion" in out
 
 
-def test_a_broken_coxeter_path_is_reported_as_an_error(monkeypatch, capsys):
+@pytest.fixture
+def broken_coxeter_path(monkeypatch):
+    """The A7 path with its first two vectors swapped, which fails the Coxeter relations."""
     path = fqspace._a7_path()
     monkeypatch.setattr(fqspace, "_a7_path", lambda: (path[1], path[0]) + path[2:])
     fqspace.coxeter_generators.cache_clear()
-    try:
-        code, out = run_cli(capsys, "run", "all", "--format", "json")
-    finally:
-        fqspace.coxeter_generators.cache_clear()
+    yield
+    fqspace.coxeter_generators.cache_clear()
+
+
+def test_a_broken_coxeter_path_is_reported_as_an_error(broken_coxeter_path, capsys):
+    code, out = run_cli(capsys, "run", "all", "--format", "json")
     assert code == 3
     by_suite = {s["name"]: s["checks"] for s in json.loads(out)["suites"]}
     assert list(by_suite) == list(checks.SUITE_NAMES)
-    # picard reads the cover degree 8! from the group, so it reports the same error
-    for name in ("fq", "picard"):
+    # betti reads the unordered cusp count and picard the cover degree 8! from the
+    # group, so they report the same error
+    for name in ("fq", "betti", "picard"):
         [error] = by_suite[name]
         assert error["id"] == f"{name}.error" and error["status"] == "error"
         assert error["payload"]["type"] == "AssertionError"
         assert "= 1 fails on the path" in error["payload"]["message"]
-    assert all(c["status"] == "pass" for name in ("stability", "slice", "betti") for c in by_suite[name])
+    assert all(c["status"] == "pass" for name in ("stability", "slice") for c in by_suite[name])
+
+
+def test_a_subcommand_that_raises_exits_3_with_its_traceback(broken_coxeter_path, capsys, tmp_path):
+    assert main(["fq", "group"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "= 1 fails on the path" in captured.err
+    # --out is left as malformed input leaves it
+    target, fresh = tmp_path / "keep.json", tmp_path / "new.json"
+    target.write_bytes(b"earlier output\n")
+    assert main(["fq", "group", "--out", str(target)]) == 3
+    assert main(["fq", "group", "--out", str(fresh)]) == 3
+    assert target.read_bytes() == b"earlier output\n"
+    assert not fresh.exists()
 
 
 def test_failing_check_exits_1(monkeypatch, capsys):
