@@ -2,8 +2,8 @@
 
 ``modpoints run [suite]`` executes verification suites and emits a text or
 JSON report (exit 0 when everything passes, 1 on failures, 2 on usage
-errors and malformed input, 3 when a suite raised; the report then shows
-it as an error check and still holds the other suites).  Any other
+errors and malformed input, 3 when a check raised; the report then shows
+that check as an error and still holds every other check).  Any other
 subcommand whose computation raises prints the traceback and exits 3
 too, leaving ``--out`` as malformed input leaves it.  The remaining
 subcommands expose individual computations: stability verdicts,
@@ -15,9 +15,7 @@ registry the suites read).  ``main`` encodes the result with
 ``checks.encode`` and writes it, as JSON unless ``run`` asks for text.
 All output is exact.
 ``fqspace``, ``betti`` and ``picard`` are imported by the handlers that use
-them, and ``main`` builds only the sub-parser of the command it is given,
-so that a command loads and builds only what it runs; its usage line still
-names every command.
+them, so that a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -118,12 +116,7 @@ def _cmd_picard(args):
     return checks.Quantities().obstruction()
 
 
-COMMANDS = ("run", "stability", "fq", "slice", "betti", "picard")
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser; for one of ``COMMANDS``, only that sub-parser is
-    built, which parses that command's arguments as the full parser does."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modpoints",
         description="Exact checks for the moduli space of 8 points on the projective line",
@@ -131,11 +124,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     parser.set_defaults(format="json")  # only ``run`` offers text
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="write to this file instead of stdout")
-    wanted = COMMANDS if command not in COMMANDS else (command,)
-    # with one sub-parser built, the usage still lists every command; the full
-    # parser keeps the default, which also names the argument in its errors
-    listed = "{" + ",".join(COMMANDS) + "}" if len(wanted) == 1 else None
-    commands = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    commands = parser.add_subparsers(dest="command", required=True)
 
     def leaf(parent, name, func, **kwargs):
         sub = parent.add_parser(name, parents=[output], **kwargs)
@@ -145,51 +134,43 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     def actions(name, help):
         return commands.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
-    if "run" in wanted:
-        run = leaf(commands, "run", _cmd_run, help="run verification suites")
-        suites = ("all",) + checks.SUITE_NAMES
-        run.add_argument("suite", nargs="?", default="all", choices=suites)
-        run.add_argument("--format", choices=("text", "json"), default="text")
+    run = leaf(commands, "run", _cmd_run, help="run verification suites")
+    suites = ("all",) + checks.SUITE_NAMES
+    run.add_argument("suite", nargs="?", default="all", choices=suites)
+    run.add_argument("--format", choices=("text", "json"), default="text")
 
-    if "stability" in wanted:
-        stab = leaf(commands, "stability", _cmd_stability, help="classify a configuration")
-        group = stab.add_mutually_exclusive_group(required=True)
-        group.add_argument("--config", help="comma-separated multiplicities, e.g. 4,4")
-        group.add_argument("--table", help=f"verdicts for degree N <= {MAX_TABLE_DEGREE}")
+    stab = leaf(commands, "stability", _cmd_stability, help="classify a configuration")
+    group = stab.add_mutually_exclusive_group(required=True)
+    group.add_argument("--config", help="comma-separated multiplicities, e.g. 4,4")
+    group.add_argument("--table", help=f"verdicts for degree N <= {MAX_TABLE_DEGREE}")
 
-    if "fq" in wanted:
-        fq = actions("fq", "quadratic space over GF(2)")
-        leaf(fq, "census", _cmd_fq)
-        perp = leaf(fq, "perp", _cmd_fq)
-        perp.add_argument("vector", help="hex-encoded isotropic vector, bit i = coordinate i+1")
-        leaf(fq, "group", _cmd_fq)
+    fq = actions("fq", "quadratic space over GF(2)")
+    leaf(fq, "census", _cmd_fq)
+    perp = leaf(fq, "perp", _cmd_fq)
+    perp.add_argument("vector", help="hex-encoded isotropic vector, bit i = coordinate i+1")
+    leaf(fq, "group", _cmd_fq)
 
-    if "slice" in wanted:
-        slc = actions("slice", "blow-up charts of the normal slice")
-        trans = leaf(slc, "transversality", _cmd_slice)
-        trans.add_argument("--chart", choices=blowup.CHART_NAMES + ("all",), default="all")
-        leaf(slc, "stabilizers", _cmd_slice)
+    slc = actions("slice", "blow-up charts of the normal slice")
+    trans = leaf(slc, "transversality", _cmd_slice)
+    trans.add_argument("--chart", choices=blowup.CHART_NAMES + ("all",), default="all")
+    leaf(slc, "stabilizers", _cmd_slice)
 
-    if "betti" in wanted:
-        bt = actions("betti", "Betti tables")
-        leaf(bt, "kirwan", _cmd_betti)
-        side = leaf(bt, "tor", _cmd_betti).add_mutually_exclusive_group(required=True)
-        side.add_argument("--ordered", action="store_true")
-        side.add_argument("--unordered", action="store_true")
-        leaf(bt, "boundary", _cmd_betti)
+    bt = actions("betti", "Betti tables")
+    leaf(bt, "kirwan", _cmd_betti)
+    side = leaf(bt, "tor", _cmd_betti).add_mutually_exclusive_group(required=True)
+    side.add_argument("--ordered", action="store_true")
+    side.add_argument("--unordered", action="store_true")
+    leaf(bt, "boundary", _cmd_betti)
 
-    if "picard" in wanted:
-        pc = actions("picard", "divisor-class ledger")
-        for action in ("verify", "intersections", "obstruction"):
-            leaf(pc, action, _cmd_picard)
+    pc = actions("picard", "divisor-class ledger")
+    for action in ("verify", "intersections", "obstruction"):
+        leaf(pc, action, _cmd_picard)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # no command, an unknown one or a top-level option gets the full parser
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     args = parser.parse_args(argv)
     created = bool(args.out) and not os.path.exists(args.out)
     try:

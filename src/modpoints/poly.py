@@ -294,42 +294,22 @@ class MultiPoly:
     # calculus and substitution
 
     def substitute(self, mapping: Mapping[str, Union["MultiPoly", Scalar]]) -> "MultiPoly":
-        """Compose with the given (total on occurring variables) assignment.
-
-        Each image is raised once to every power that a term needs, and each
-        term's product of powers is added into one term map, so a monomial
-        image costs one key sum per term."""
+        """Compose with the given (total on occurring variables) assignment:
+        the sum over the terms of each coefficient times each image raised
+        to the term's exponent of its variable."""
         occurring = self.occurring_variables()
         missing = [v for v in occurring if v not in mapping]
         if missing:
             raise ValueError(f"substitution missing variables: {missing}")
         images = {name: _as_poly(value) for name, value in mapping.items()}
-        variables = tuple(sorted({v for name in occurring for v in images[name]._vars}))
-        n, m = len(self._vars), len(variables)
-        degrees = _degrees(self._terms, n) if occurring else ()
-        powers = []  # (field shift in self, [image^0, image^1, ...]) per occurring variable
-        for name in occurring:
-            i = self._vars.index(name)
-            base = images[name]._embedded(variables)
-            chain = [{0: 1}]
-            while len(chain) <= degrees[i]:
-                chain.append({key: c for key, c in _mul_terms(chain[-1], base, m).items() if c}
-                             if base else {})
-            powers.append((FIELD * (n - 1 - i), chain))
-        out: Terms = {}
-        get = out.get
+        out = MultiPoly.zero()
         for key, coeff in self._terms.items():
-            term = {0: coeff}
-            for shift, chain in powers:
-                e = key >> shift & MASK
+            term = coeff
+            for name, e in zip(self._vars, _unpack(key, len(self._vars))):
                 if e:
-                    if not chain[e]:
-                        break  # a zero image
-                    term = _mul_terms(term, chain[e], m)
-            else:
-                for k, c in term.items():
-                    out[k] = get(k, 0) + c
-        return _trusted(variables, out)
+                    term = term * images[name] ** e
+            out = out + term
+        return out
 
     def specialize(self, name: str, value: Scalar) -> "MultiPoly":
         """Set the variable ``name`` to the scalar ``value``; the result is free of it."""

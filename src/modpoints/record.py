@@ -12,12 +12,13 @@ from __future__ import annotations
 class Record:
     """A frozen value with named fields.
 
-    Fields are given positionally or by keyword, then ``__post_init__``
-    runs, where a record validates its values (and may normalise one
-    through ``object.__setattr__``).  Records are equal, and hash alike,
-    when they are of the same class with equal fields; a record never
-    equals a tuple.  Setting or deleting an attribute raises
-    ``AttributeError``.
+    Fields are bound positionally and then by keyword, in one pass that
+    raises ``TypeError`` on too many values, an unknown or repeated field
+    or a missing one; then ``__post_init__`` runs, where a record validates
+    its values (and may normalise one through ``object.__setattr__``).
+    Records are equal, and hash alike, when they are of the same class with
+    equal fields; a record never equals a tuple.  Setting or deleting an
+    attribute raises ``AttributeError``.
     """
 
     __record_fields__: tuple = ()
@@ -27,15 +28,7 @@ class Record:
         cls.__record_fields__ = tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
-        names = self.__record_fields__
-        if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
-        self.__dict__.update(zip(names, args))
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """Field values in declaration order, from a call with keywords or a wrong count."""
+        cls = type(self)
         names = cls.__record_fields__
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
@@ -44,10 +37,11 @@ class Record:
             if name not in names or name in values:
                 raise TypeError(f"{cls.__name__}: unexpected or repeated field {name!r}")
             values[name] = value
-        missing = [name for name in names if name not in values]
-        if missing:
+        if len(values) < len(names):
+            missing = [name for name in names if name not in values]
             raise TypeError(f"{cls.__name__}: missing fields {missing}")
-        return tuple(map(values.__getitem__, names))
+        self.__dict__.update(values)
+        self.__post_init__()
 
     def __post_init__(self):
         """Check the field values; records with invariants override this."""

@@ -1,0 +1,16 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from modpoints import fqspace
+
+
+@pytest.fixture
+def fresh_coxeter_generators():
+    """Rebuild the cached Coxeter generators, the package's one process-wide
+    cache, before and after a test that replaces the path search or counts
+    the searches."""
+    cached = fqspace.coxeter_generators
+    cached.cache_clear()
+    yield
+    cached.cache_clear()

@@ -7,7 +7,8 @@ another way, or a helper only the tests need:
   fraction-free Bareiss elimination over Q[other variables], against
   ``modpoints.poly.resultant``, which evaluates the other variables at large
   integers, runs the subresultant remainder sequence on ints and lifts the
-  one integer back, or runs the sequence on term maps past its bit guard;
+  one integer back, or runs the sequence on ``MultiPoly`` coefficients past
+  its bit guard;
 - ``modpoints.poly._subresultant_gcd``, not a test helper but the fallback
   of ``poly_gcd``: the content recursion with a subresultant remainder
   sequence, which the tests run with the heuristic gcd switched off as the

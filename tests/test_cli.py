@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from modpoints import blowup, checks, fqspace, poly, stability
-from modpoints.cli import COMMANDS, build_parser, main
+from modpoints.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,45 +72,19 @@ def test_single_suite_and_out_file(tmp_path, capsys):
     assert [s["name"] for s in report["suites"]] == ["fq"]
 
 
-def test_golden_fq_report(capsys):
-    code, out = run_cli(capsys, "run", "fq", "--format", "json")
-    assert code == 0
-    assert out == (GOLDEN / "report_fq.json").read_text()
-
-
-SUBCOMMAND_GOLDEN = {
-    "report_all": ("run", "all", "--format", "json"),
-    "report_slice": ("run", "slice", "--format", "json"),
-    "report_betti": ("run", "betti", "--format", "json"),
-    "stability_config_4_4": ("stability", "--config", "4,4"),
-    "stability_table_8": ("stability", "--table", "8"),
-    "fq_census": ("fq", "census"),
-    "fq_perp_0x01": ("fq", "perp", "0x01"),
-    "fq_group": ("fq", "group"),
-    "slice_transversality_all": ("slice", "transversality", "--chart", "all"),
-    "slice_transversality_R": ("slice", "transversality", "--chart", "R"),
-    "slice_stabilizers": ("slice", "stabilizers"),
-    "betti_kirwan": ("betti", "kirwan"),
-    "betti_tor_ordered": ("betti", "tor", "--ordered"),
-    "betti_tor_unordered": ("betti", "tor", "--unordered"),
-    "betti_boundary": ("betti", "boundary"),
-    "picard_verify": ("picard", "verify"),
-    "picard_intersections": ("picard", "intersections"),
-    "picard_obstruction": ("picard", "obstruction"),
+# each golden file and the arguments of the command whose output it holds, from
+# the one list that the CI golden step also reads
+GOLDEN_COMMANDS = {
+    golden: tuple(argv)
+    for golden, *argv in map(str.split, (GOLDEN.parent / "golden_commands.txt").read_text().splitlines())
 }
 
 
-@pytest.mark.parametrize("name", sorted(SUBCOMMAND_GOLDEN))
-def test_subcommand_output_is_golden(name, capsys):
-    code, out = run_cli(capsys, *SUBCOMMAND_GOLDEN[name])
+@pytest.mark.parametrize("golden", GOLDEN_COMMANDS, ids=lambda golden: golden.removesuffix(".json"))
+def test_subcommand_output_is_golden(golden, capsys):
+    code, out = run_cli(capsys, *GOLDEN_COMMANDS[golden])
     assert code == 0
-    assert out == (GOLDEN / f"{name}.json").read_text()
-
-
-def test_golden_text_report(capsys):
-    code, out = run_cli(capsys, "run", "all")
-    assert code == 0
-    assert out == (GOLDEN / "report_all.txt").read_text()
+    assert out == (GOLDEN / golden).read_text()
 
 
 def _leaf_commands(parser, prefix=()):
@@ -126,43 +100,22 @@ def test_every_leaf_subcommand_is_golden():
     leaves = list(_leaf_commands(build_parser()))
     assert len(leaves) == 13
     for leaf in leaves:
-        assert any(argv[: len(leaf)] == leaf for argv in SUBCOMMAND_GOLDEN.values()), leaf
-
-
-def _help(parse, argv, capsys):
-    with pytest.raises(SystemExit) as info:
-        parse(argv)
-    assert info.value.code == 0
-    return capsys.readouterr().out
-
-
-def test_a_command_builds_its_parser_alone_with_the_same_help(capsys):
-    leaves = list(_leaf_commands(build_parser()))
-    for leaf in leaves:
-        argv = [*leaf, "--help"]
-        assert _help(main, argv, capsys) == _help(build_parser().parse_args, argv, capsys), leaf
-        alone = list(_leaf_commands(build_parser(leaf[0])))
-        assert alone == [other for other in leaves if other[0] == leaf[0]]
-    top = _help(main, ["--help"], capsys)
-    assert "{" + ",".join(COMMANDS) + "}" in top
-    listed = [line.split()[0] for line in top.splitlines() if line.startswith("    ")]
-    assert listed == list(COMMANDS)
-    assert {leaf[0] for leaf in leaves} == set(COMMANDS)
+        assert any(argv[: len(leaf)] == leaf for argv in GOLDEN_COMMANDS.values()), leaf
+    assert sorted(GOLDEN_COMMANDS) == sorted(path.name for path in GOLDEN.iterdir())
 
 
 def test_an_unrecognized_trailing_argument_prints_the_full_usage(capsys):
-    # main builds one sub-parser, but its usage line still names every command
     def error(parse, argv):
         with pytest.raises(SystemExit) as info:
             parse(argv)
         assert info.value.code == 2
         return capsys.readouterr().err
 
-    for argv in SUBCOMMAND_GOLDEN.values():
+    for argv in GOLDEN_COMMANDS.values():
         argv = [*argv, "extra"]
         err = error(main, argv)
         assert err == error(build_parser().parse_args, argv), argv
-        assert err.startswith("usage: modpoints [-h] {" + ",".join(COMMANDS) + "} ...\n"), err
+        assert err.startswith("usage: modpoints [-h] {run,stability,fq,slice,betti,picard} ...\n"), err
         assert err.endswith("error: unrecognized arguments: extra\n"), err
 
 
@@ -272,7 +225,7 @@ def test_importing_a_module_loads_no_other():
     assert _probe("import sys, modpoints.poly" + LOADED) == "['modpoints', 'modpoints.poly']"
 
 
-def test_run_all_computes_each_shared_quantity_once(monkeypatch):
+def test_run_all_computes_each_shared_quantity_once(monkeypatch, fresh_coxeter_generators):
     calls = {}
 
     def count(module, name):
@@ -289,7 +242,6 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch):
     count(stability, "classify")
     count(blowup, "discriminant_pullback")
     count(blowup, "scan_stabilizers")
-    fqspace.coxeter_generators.cache_clear()
     checks.run_report(list(checks.SUITE_NAMES))
     # one pullback per chart and one scan, which slice and picard both read; four
     # orbit walks, all under the Coxeter generators: their transitivity, their
@@ -321,8 +273,8 @@ def test_raising_suite_is_reported_as_an_error(monkeypatch, capsys):
     by_suite = {s["name"]: s["checks"] for s in report["suites"]}
     assert by_suite["betti"] == [
         {
-            "id": "betti.error",
-            "anchor": "the suite runs to completion",
+            "id": "betti.broken",
+            "anchor": "forced error",
             "status": "error",
             "payload": {"type": "ZeroDivisionError", "message": "forced"},
             "expected": None,
@@ -333,17 +285,28 @@ def test_raising_suite_is_reported_as_an_error(monkeypatch, capsys):
 
     code, out = run_cli(capsys, "run", "betti")
     assert code == 3
-    assert "[ERROR] betti.error: the suite runs to completion" in out
+    assert "[ERROR] betti.broken: forced error" in out
+
+
+def test_a_raising_check_leaves_the_rest_of_its_suite_passing(monkeypatch, capsys):
+    first, raising, *rest = checks.SUITES["fq"]
+    raised = checks.Check(raising.id, raising.anchor, lambda quantities: 1 // 0, raising.expected)
+    monkeypatch.setitem(checks.SUITES, "fq", (first, raised, *rest))
+    assert main(["run", "fq"]) == 3
+    captured = capsys.readouterr()
+    assert "ZeroDivisionError" in captured.err  # the traceback
+    lines = captured.out.splitlines()
+    assert [line for line in lines if "[ERROR]" in line] == [f"  [ERROR] {raising.id}: {raising.anchor}"]
+    passing = [line.split()[1] for line in lines if "[PASS]" in line]
+    assert passing == [f"{row.id}:" for row in (first, *rest)]
+    assert lines[-1] == f"{len(rest) + 1}/{len(rest) + 2} checks passed"
 
 
 @pytest.fixture
-def broken_coxeter_path(monkeypatch):
+def broken_coxeter_path(monkeypatch, fresh_coxeter_generators):
     """The A7 path with its first two vectors swapped, which fails the Coxeter relations."""
     path = fqspace._a7_path()
     monkeypatch.setattr(fqspace, "_a7_path", lambda: (path[1], path[0]) + path[2:])
-    fqspace.coxeter_generators.cache_clear()
-    yield
-    fqspace.coxeter_generators.cache_clear()
 
 
 def test_a_broken_coxeter_path_is_reported_as_an_error(broken_coxeter_path, capsys):
@@ -351,14 +314,20 @@ def test_a_broken_coxeter_path_is_reported_as_an_error(broken_coxeter_path, caps
     assert code == 3
     by_suite = {s["name"]: s["checks"] for s in json.loads(out)["suites"]}
     assert list(by_suite) == list(checks.SUITE_NAMES)
-    # betti reads the unordered cusp count and picard the cover degree 8! from the
-    # group, so they report the same error
-    for name in ("fq", "betti", "picard"):
-        [error] = by_suite[name]
-        assert error["id"] == f"{name}.error" and error["status"] == "error"
+    rows = [c for name in checks.SUITE_NAMES for c in by_suite[name]]
+    # the rows that read the group: its order and orbits, Stab(h), betti's
+    # unordered cusp count and picard's cover degree 8!; the census, the perps
+    # and every other row do not
+    errors = [c for c in rows if c["status"] != "pass"]
+    assert [c["id"] for c in errors] == [
+        "fq.group_order", "fq.orbits", "fq.stabilizer", "fq.stab_transitivity",
+        "betti.tor_unordered", "betti.routes_agree", "picard.intersections", "picard.obstruction",
+    ]
+    for error in errors:
+        assert error["status"] == "error" and error["expected"] is None
         assert error["payload"]["type"] == "AssertionError"
         assert "= 1 fails on the path" in error["payload"]["message"]
-    assert all(c["status"] == "pass" for name in ("stability", "slice") for c in by_suite[name])
+    assert len(rows) - len(errors) == 24
 
 
 def test_a_subcommand_that_raises_exits_3_with_its_traceback(broken_coxeter_path, capsys, tmp_path):

@@ -177,16 +177,6 @@ def test_element_numbering_is_deterministic():
 # enumerated group
 
 
-@pytest.fixture
-def fresh_coxeter_generators():
-    """Rebuild the cached Coxeter generators before and after a test that
-    replaces the path search."""
-    cached = fqspace.coxeter_generators
-    cached.cache_clear()
-    yield
-    cached.cache_clear()
-
-
 def test_chain_order_equals_enumerated_order():
     assert group_order() == generate_group().order == 40320
 

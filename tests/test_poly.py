@@ -808,7 +808,7 @@ _A, _X = variables("a", "x")
 @given(_pairs_in_two_or_three_variables())
 def test_property_resultant_by_evaluation_matches_bareiss(pair):
     # once by evaluation at large integers, once with the bit guard tripped
-    # at every level, so that the sequence runs on term maps
+    # at every level, so that the sequence runs on MultiPoly coefficients
     f, g = pair
     expected = bareiss_resultant(f, g, "x")
     assert resultant(f, g, "x") == expected

@@ -75,6 +75,18 @@ def test_wrong_fields_are_type_errors(args, kwargs):
         PointConfig(*args, **kwargs)
 
 
+def test_a_type_error_names_the_record_and_what_is_wrong():
+    for args, kwargs, message in [
+        ((8,), {}, "PointConfig: missing fields ['parts']"),
+        ((8, (4, 4), 0), {}, "PointConfig takes 2 fields, got 3"),
+        ((8,), {"n": 8}, "PointConfig: unexpected or repeated field 'n'"),
+        ((), {"parts": (4, 4), "m": 1}, "PointConfig: unexpected or repeated field 'm'"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            PointConfig(*args, **kwargs)
+        assert str(info.value) == message
+
+
 def test_records_of_different_classes_are_never_equal():
     class Verdict(Record):
         status: str
