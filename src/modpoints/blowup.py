@@ -104,6 +104,33 @@ def discriminant_factors() -> Tuple[MultiPoly, MultiPoly]:
     return discriminant_quartic(a0, b0, g0), discriminant_quartic(a1, b1, g1)
 
 
+def tangent_cone() -> Tuple[int, MultiPoly]:
+    """(multiplicity, lowest form) of the discriminant Disc0 * Disc1 at the
+    origin of the slice: the least total degree of its terms, and the sum of
+    its terms of that degree.
+
+    Blown up at a point, a hypersurface pulls back with the exceptional
+    divisor to its multiplicity there, and its strict transform meets that
+    divisor in the projectivized tangent cone, the zero set of the lowest
+    form (Hartshorne, *Algebraic Geometry*, I.4-5).  So this is a second
+    route to every chart's exceptional multiplicity and, by
+    ``cone_in_chart``, to its restriction, with no chart pullback and no
+    exceptional power stripped.
+    """
+    d0, d1 = discriminant_factors()
+    product = d0 * d1
+    terms = product.terms
+    degree = min(map(sum, terms))
+    return degree, MultiPoly(product.variables, {e: c for e, c in terms.items() if sum(e) == degree})
+
+
+def cone_in_chart(name: str, form: MultiPoly) -> MultiPoly:
+    """A form in the slice variables dehomogenized on chart ``name``: each
+    variable renamed to its chart coordinate, and the chart's unit set to 1."""
+    unit = _CHART_UNIT[name]
+    return form.substitute({v: 1 if v == unit else MultiPoly.variable(c) for v, c in _CHART_COORDINATE.items()})
+
+
 def _monomial_offenders(p: MultiPoly) -> List[str]:
     return [v for v in p.occurring_variables() if extract_exceptional(p, v)[0] >= 2]
 

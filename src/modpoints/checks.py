@@ -98,9 +98,10 @@ class Quantities:
     """The shared quantities of one run, each computed on first use.
 
     A new instance recomputes everything, so it sees the modules as they
-    are when it runs.  The one process-wide cache is
+    are when it runs.  The one process-wide cache is that of
     ``fqspace.coxeter_generators``, so that the path search and the 28
-    relation checks run once however many quantities read the group.
+    relation checks run once however many quantities read the group; it
+    keeps a failed search's error too, which every reading row reports.
     """
 
     def __init__(self):
@@ -118,6 +119,11 @@ class Quantities:
     def pullback(self, name: str) -> blowup.TransversalityReport:
         """The discriminant pulled back into chart ``name``."""
         return blowup.discriminant_pullback(blowup.chart(name))
+
+    @_once
+    def tangent_cone(self) -> Tuple[int, MultiPoly]:
+        """The multiplicity and lowest form of the discriminant at the origin."""
+        return blowup.tangent_cone()
 
     @_once
     def scan(self) -> blowup.StabilizerScan:
@@ -231,14 +237,28 @@ def _chart_weights(q: Quantities):
     return _unless_contradicted(weights, differences)
 
 
-def _crossings(q: Quantities) -> Dict:
-    return {
-        name: {
+def _multiplicities(q: Quantities):
+    """Each chart's exceptional multiplicity, against the degree of the
+    lowest form of the discriminant (``blowup.tangent_cone``)."""
+    degree = q.tangent_cone()[0]
+    found = {name: q.pullback(name).exceptional_multiplicity for name in blowup.CHART_NAMES}
+    return _unless_contradicted(found, {name: degree for name, m in found.items() if m != degree})
+
+
+def _crossings(q: Quantities):
+    """Each chart's crossing, against its restriction read off the tangent
+    cone: the lowest form of the discriminant on the chart's coordinates."""
+    form = q.tangent_cone()[1]
+    crossings, cones = {}, {}
+    for name in blowup.CHART_NAMES:
+        r = q.pullback(name)
+        crossings[name] = {
             **_fields(r, "restriction", "squarefree", "offending"),
             "factor_constant": [f.constant for f in r.factors],
         }
-        for name, r in ((name, q.pullback(name)) for name in blowup.CHART_NAMES)
-    }
+        if (cone := blowup.cone_in_chart(name, form)) != r.restriction:
+            cones[name] = cone
+    return _unless_contradicted(crossings, cones)
 
 
 def _antidiagonal_locus(q: Quantities):
@@ -322,8 +342,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
                "Q": {"s0": 2, "s1": -14, "t1": -12, "u0": -2, "u1": -10},
                "R": {"s0": 4, "s1": -12, "t0": 2, "t1": -10, "u1": -8}}),
         Check("slice.multiplicity", "exceptional multiplicity 6 in every chart",
-              lambda q: {name: q.pullback(name).exceptional_multiplicity for name in blowup.CHART_NAMES},
-              {"P": 6, "Q": 6, "R": 6}),
+              _multiplicities, {"P": 6, "Q": 6, "R": 6}),
         Check("slice.transversality",
               "strict transform crosses the exceptional divisor non-transversally along u0, u1",
               _crossings,

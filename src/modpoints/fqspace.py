@@ -112,12 +112,33 @@ def _a7_path(path: Tuple[int, ...] = ()) -> Tuple[int, ...]:
     return ()
 
 
-@lru_cache(maxsize=1)
 def coxeter_generators() -> Tuple[bytes, ...]:
     """The transvections s_1..s_7 of the A7 path.  AssertionError unless
     (s_i s_j)^m = 1 with m = 1, 3 or 2 as j - i is 0, 1 or more (the A7
     Coxeter matrix), and unless they are transitive on the 28 non-isotropic
-    vectors."""
+    vectors.
+
+    The search runs once per lifetime of the cache of ``_coxeter_search``,
+    which remembers a failure as well as the generators: each call then
+    raises the same error with the traceback of the search, so no frames
+    pile up on it from one call to the next."""
+    generators, error, traceback = _coxeter_search()
+    if error is not None:
+        raise error.with_traceback(traceback)
+    return generators
+
+
+@lru_cache(maxsize=1)
+def _coxeter_search():
+    """(generators, None, None), or (None, error, traceback) when the search
+    or its checks raised."""
+    try:
+        return _checked_generators(), None, None
+    except Exception as error:
+        return None, error, error.__traceback__
+
+
+def _checked_generators() -> Tuple[bytes, ...]:
     path = _a7_path()
     s = tuple(map(reflection, path))
     for i, j in combinations_with_replacement(range(len(s)), 2):

@@ -215,13 +215,8 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _coerced(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            return other
-        return _trusted(self._vars, {0: _scalar(other)})
-
     def __add__(self, other) -> "MultiPoly":
-        variables, a, b = self._merge(self, self._coerced(other))
+        variables, a, b = self._merge(self, _as_poly(other))
         out = dict(a)
         for key, c in b.items():
             out[key] = out.get(key, 0) + c
@@ -233,14 +228,14 @@ class MultiPoly:
         return _trusted(self._vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        variables, a, b = self._merge(self, self._coerced(other))
+        variables, a, b = self._merge(self, _as_poly(other))
         out = dict(a)
         for key, c in b.items():
             out[key] = out.get(key, 0) - c
         return _trusted(variables, out)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return self._coerced(other) - self
+        return _as_poly(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -312,16 +307,14 @@ class MultiPoly:
         return out
 
     def specialize(self, name: str, value: Scalar) -> "MultiPoly":
-        """Set the variable ``name`` to the scalar ``value``; the result is free of it."""
+        """Set the variable ``name`` to the scalar ``value`` by ``_evaluate``,
+        as the heuristic gcd evaluates; the result is free of it."""
         value = _scalar(value)
         if name not in self._vars:
             return self
         rest = tuple(v for v in self._vars if v != name)
-        out: Dict[int, Scalar] = {}
-        for d, c in _buckets(self._terms, len(self._vars), self._vars.index(name)).items():
-            for key, coeff in _trusted(self._vars, c)._embedded(rest).items():
-                out[key] = out.get(key, 0) + coeff * value ** d
-        return _trusted(rest, out)
+        evaluated = _evaluate(_buckets(self._terms, len(self._vars), self._vars.index(name)), value)
+        return _trusted(rest, _trusted(self._vars, evaluated)._embedded(rest))
 
     def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
         return self.substitute(assignment).constant_value
@@ -466,17 +459,16 @@ def try_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly | None:
 
 
 def normalize(p: MultiPoly) -> MultiPoly:
-    """Scale to primitive integer coefficients with positive leading one."""
-    terms = p._terms
-    if not terms:
+    """Scale to primitive integer coefficients with positive leading one: the
+    lcm of the denominators clears them (``_integral``), the integer content
+    divides out (``_primitive``), and a negative leading coefficient flips
+    the sign.  ``p`` itself when it is 0 or already normalized."""
+    if not p._terms:
         return p
-    sign = -1 if terms[max(terms)] < 0 else 1
-    if all(type(c) is int for c in terms.values()):
-        g = sign * math.gcd(*terms.values())
-        return p if g == 1 else _trusted(p._vars, {key: c // g for key, c in terms.items()})
-    denom_lcm = math.lcm(*(c.denominator for c in terms.values()))
-    num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator) for c in terms.values()))
-    return p * (sign * _divide(denom_lcm, num_gcd))
+    terms = _primitive(_integral(p._terms)[1])[1]
+    if terms[max(terms)] < 0:
+        terms = {key: -c for key, c in terms.items()}
+    return p if terms is p._terms else _trusted(p._vars, terms)
 
 
 def _buckets(terms: Terms, n: int, i: int) -> Dict[int, Terms]:
@@ -649,10 +641,10 @@ def _image(terms: Terms, n: int, j: int, length: int, levels) -> List[int]:
     return image
 
 
-def _evaluate(buckets: Dict[int, Terms], xi: int) -> Terms:
+def _evaluate(buckets: Dict[int, Terms], xi: Scalar) -> Terms:
     """The sum of bucket_d * xi^d over the coefficients by degree from
-    ``_buckets``, without zero coefficients: a variable set to ``xi``, as
-    the heuristic gcd evaluates."""
+    ``_buckets``, without zero coefficients: a variable set to the scalar
+    ``xi``, as the heuristic gcd and ``MultiPoly.specialize`` evaluate."""
     out: Terms = {}
     for d, bucket in buckets.items():
         power = xi ** d
@@ -666,29 +658,27 @@ def _interpolate(h: Terms, xi: int, unit: int) -> Terms:
     v the variable whose key is ``unit`` and every coefficient of g_e in
     (-xi/2, xi/2], that takes the value h at v = xi.
 
-    The resultant and the gcd both lift through it.  Every level of the
-    resultant is xi = 2^k, and then each digit is read with a shift and a
-    mask, ``c >> k`` and ``c & (xi - 1)``, in time linear in the size of c;
-    any other xi takes one divmod per digit.  The gcd keeps its own points,
-    mostly not powers of two: with each rounded up to a power of two, it
-    lifted 3.8 times as many candidates over random gcds in Q[a, x, y] and
-    gave up on some that its own points answer."""
+    Each integer of h is expanded on its own, one digit per step, and its
+    e-th digit goes to its key plus e units.  The resultant and the gcd
+    both lift through it.  Every level of the resultant is xi = 2^k, and
+    then each digit is read with a shift and a mask, ``c >> k`` and
+    ``c & (xi - 1)``, in time linear in the size of c; any other xi takes
+    one divmod per digit.  The gcd keeps its own points, mostly not powers
+    of two: with each rounded up to a power of two, it lifted 3.8 times as
+    many candidates over random gcds in Q[a, x, y] and gave up on some that
+    its own points answer."""
     out: Terms = {}
-    half, shift = xi // 2, 0
-    k = xi.bit_length() - 1
+    half, k = xi // 2, xi.bit_length() - 1
     mask = xi - 1 if xi == 1 << k else 0
-    while h:
-        rest = {}
-        for key, c in h.items():
-            carry, digit = (c >> k, c & mask) if mask else divmod(c, xi)
+    for key, c in h.items():
+        while c:
+            c, digit = (c >> k, c & mask) if mask else divmod(c, xi)
             if digit > half:
                 digit -= xi
-                carry += 1
+                c += 1
             if digit:
-                out[key + shift] = digit
-            if carry:
-                rest[key] = carry
-        h, shift = rest, shift + unit
+                out[key] = digit
+            key += unit
     return out
 
 

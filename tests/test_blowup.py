@@ -12,11 +12,13 @@ from modpoints.blowup import (
     SLICE_WEIGHTS,
     antidiag_fixed_constraint,
     chart,
+    cone_in_chart,
     discriminant_factors,
     discriminant_pullback,
     quotient_chart_transversality,
     scan_stabilizers,
     stabilizer_order,
+    tangent_cone,
     unstable_supports,
 )
 from modpoints.poly import MultiPoly, is_squarefree, variables
@@ -108,6 +110,17 @@ def test_exceptional_multiplicity_is_six_in_every_chart():
         report = discriminant_pullback(chart(name))
         assert report.exceptional_multiplicity == 6
         assert [f.multiplicity for f in report.factors] == [3, 3]
+
+
+def test_the_tangent_cone_gives_each_charts_multiplicity_and_restriction():
+    # each factor's lowest form is 256*gamma^3
+    degree, form = tangent_cone()
+    assert (degree, form) == (6, parse_poly("65536*gamma0^3*gamma1^3"))
+    for name in "PQR":
+        report = discriminant_pullback(chart(name))
+        assert report.exceptional_multiplicity == degree
+        assert cone_in_chart(name, form) == report.restriction
+    assert cone_in_chart("R", parse_poly("alpha0*beta1 + gamma0^2")) == parse_poly("s0*t1 + 1")
 
 
 def test_transversality_chart_p():

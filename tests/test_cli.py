@@ -249,7 +249,7 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch, fresh_coxeter_g
     # order of Stab(h), and the unordered cusps; Stab(h)'s orbits on h-perp are
     # walked as orbits of pairs, outside orbits_under
     assert calls == {"orbits_under": 4, "classify": 130, "discriminant_pullback": 3, "scan_stabilizers": 1}
-    assert fqspace.coxeter_generators.cache_info().misses == 1  # one path search and relation check
+    assert fqspace._coxeter_search.cache_info().misses == 1  # one path search and relation check
 
 
 def test_a_subcommand_builds_only_the_chart_it_prints(monkeypatch, capsys):
@@ -309,9 +309,14 @@ def broken_coxeter_path(monkeypatch, fresh_coxeter_generators):
     monkeypatch.setattr(fqspace, "_a7_path", lambda: (path[1], path[0]) + path[2:])
 
 
-def test_a_broken_coxeter_path_is_reported_as_an_error(broken_coxeter_path, capsys):
+def test_a_broken_coxeter_path_is_reported_as_an_error(broken_coxeter_path, monkeypatch, capsys):
+    calls, reflection = [], fqspace.reflection
+    monkeypatch.setattr(fqspace, "reflection", lambda v: calls.append(v) or reflection(v))
     code, out = run_cli(capsys, "run", "all", "--format", "json")
     assert code == 3
+    # one path search, which builds the seven transvections, for all eight rows
+    # that read the group: the failure is remembered as a value would be
+    assert len(calls) == 7
     by_suite = {s["name"]: s["checks"] for s in json.loads(out)["suites"]}
     assert list(by_suite) == list(checks.SUITE_NAMES)
     rows = [c for name in checks.SUITE_NAMES for c in by_suite[name]]
@@ -414,6 +419,36 @@ def test_antidiagonal_check_reads_each_resultant_by_composition(monkeypatch):
     assert check["status"] == "fail"
     negated = "-t0^16 + 2*t0^8*t1^8 - t1^16"
     assert check["payload"] == {"value": "t0^8 - t1^8", "second_route": {"lam^2": negated, "lam^14": negated}}
+
+
+def test_slice_checks_read_the_tangent_cone(monkeypatch):
+    # stripping one power of the exceptional coordinate fewer leaves every
+    # strict transform divisible by it, so each restriction is 0
+    extract = blowup.extract_exceptional
+
+    def one_fewer(p, name):
+        k, strict = extract(p, name)
+        return (k - 1, strict * poly.MultiPoly.variable(name)) if k else (k, strict)
+
+    monkeypatch.setattr(blowup, "extract_exceptional", one_fewer)
+    multiplicity = _only_check("slice", "slice.multiplicity")
+    assert multiplicity["status"] == "fail"
+    assert multiplicity["payload"] == {"value": {"P": 4, "Q": 4, "R": 4}, "second_route": multiplicity["expected"]}
+    crossing = _only_check("slice", "slice.transversality")
+    assert crossing["status"] == "fail"
+    assert {name: row["restriction"] for name, row in crossing["payload"]["value"].items()} == dict.fromkeys("PQR", "0")
+    assert crossing["payload"]["second_route"] == {
+        name: row["restriction"] for name, row in crossing["expected"].items()
+    }
+
+
+def test_a_wrong_tangent_cone_is_reported_beside_each_chart(monkeypatch):
+    gamma0 = poly.MultiPoly.variable("gamma0")
+    monkeypatch.setattr(blowup, "tangent_cone", lambda: (5, gamma0 ** 5))
+    multiplicity = _only_check("slice", "slice.multiplicity")
+    assert multiplicity["payload"] == {"value": multiplicity["expected"], "second_route": dict.fromkeys("PQR", 5)}
+    crossing = _only_check("slice", "slice.transversality")
+    assert crossing["payload"]["second_route"] == {"P": "u0^5", "Q": "u0^5", "R": "1"}
 
 
 def test_chart_weight_check_reads_the_luna_slice_weights(monkeypatch):

@@ -1,5 +1,7 @@
 """Censuses, reflections and the orthogonal group of the GF(2) space."""
 
+import traceback
+
 import pytest
 
 from modpoints import fqspace
@@ -224,6 +226,23 @@ def test_a_broken_path_fails_the_coxeter_relations(monkeypatch, fresh_coxeter_ge
     monkeypatch.setattr(fqspace, "_a7_path", lambda: broken)
     with pytest.raises(AssertionError, match=r"\(s1 s3\)\^2 = 1 fails"):  # t_13 and t_19 do not commute
         coxeter_generators()
+
+
+def test_a_failed_search_runs_once_and_raises_with_its_own_traceback(monkeypatch, fresh_coxeter_generators):
+    path, calls = fqspace._a7_path(), []
+    monkeypatch.setattr(fqspace, "_a7_path", lambda: (path[1], path[0]) + path[2:])
+    monkeypatch.setattr(fqspace, "reflection", lambda v: calls.append(v) or reflection(v))
+    raised, frames = [], []
+    for _ in range(3):
+        with pytest.raises(AssertionError, match="fails on the path") as info:
+            coxeter_generators()
+        raised.append(info.value)
+        frames.append([(f.name, f.lineno) for f in traceback.extract_tb(info.value.__traceback__)])
+    assert len(calls) == 7  # one search: seven transvections
+    assert raised[0] is raised[1] is raised[2]
+    # every call raises from the same frames, down to the failed relation
+    assert frames[0] == frames[1] == frames[2]
+    assert frames[0][-1][0] == "_checked_generators"
 
 
 def test_seven_equal_vectors_pass_the_relations_but_not_the_order(monkeypatch, fresh_coxeter_generators):

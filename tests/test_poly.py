@@ -1,5 +1,6 @@
 """Polynomial engine tests: ring axioms, oracles, and frozen identities."""
 
+import math
 import os
 import random
 import subprocess
@@ -638,9 +639,13 @@ def test_property_accessors_give_fractions(p, q):
         st.sampled_from((0, 1, Fraction(-2, 3))),
         st.integers(-3, 3),
         st.fractions(-3, 3, max_denominator=5),
+        st.integers(-3, 3).map(Fraction),  # integral Fractions, stored as ints
+        st.fractions(-40, 40, max_denominator=97),
     ),
 )
 @example(MultiPoly(("a", "x", "y"), {(0, 2, 1): 3, (1, 0, 0): Fraction(1, 2)}), "x", 0)
+@example(MultiPoly(("a", "x", "y"), {(0, 2, 1): Fraction(1, 4), (0, 0, 1): -1}), "x", Fraction(2))
+@example(MultiPoly(("a", "x", "y"), {(0, 3, 0): 8, (1, 0, 0): Fraction(1, 3)}), "x", Fraction(-1, 2))
 @example(MultiPoly(("a", "x", "y"), {(0, 2, 1): 3, (0, 0, 1): -3}), "x", 1)
 @example(MultiPoly(("a", "x", "y"), {(2, 1, 0): Fraction(3, 4)}), "a", Fraction(2, 3))
 @example(MultiPoly(("a", "x", "y"), {(0, 1, 1): 5}), "a", 7)
@@ -852,6 +857,45 @@ def test_resultants_past_the_bit_guard_take_the_sequence_route(monkeypatch):
         with pytest.raises(ExponentOverflowError):
             resultant(*pair, "x")
     assert is_squarefree(x ** 2 + a ** 200) and not is_squarefree((x ** 2 + a ** 200) ** 2)
+
+
+@st.composite
+def _expansions(draw):
+    """(xi, g): xi a power of two or not, and a nonzero term map g over the
+    variables (a, v) whose coefficients lie in (-xi/2, xi/2]."""
+    xi = draw(st.one_of(st.integers(1, 80).map(lambda k: 1 << k), st.integers(3, 10 ** 30)))
+    digit = st.integers(-((xi - 1) // 2), xi // 2).filter(bool)
+    return xi, draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 4)), digit, min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_expansions())
+@example((8, {(0, 0): 4, (0, 1): -3, (0, 2): 4, (1, 3): -1}))
+@example((7, {(2, 0): -3, (2, 4): 3}))
+def test_property_interpolate_inverts_evaluation(expansion):
+    # h = g at v = xi, each key summed over the powers of v; the symmetric
+    # expansion of h is g again, digit for digit, negative and multi-digit alike
+    xi, g = expansion
+    h = {}
+    for (ea, ev), c in g.items():
+        key = poly_module._pack((ea, 0))
+        h[key] = h.get(key, 0) + c * xi ** ev
+    assert _interpolate(h, xi, _unit(1, 2)) == {poly_module._pack(e): c for e, c in g.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_rational_polys)
+@example(MultiPoly(("a", "x", "y"), {(0, 1, 0): Fraction(-2, 3), (0, 0, 0): Fraction(4, 9)}))
+@example(MultiPoly(("a", "x", "y"), {(1, 0, 0): -6, (0, 0, 2): 4}))
+def test_property_normalize_gives_the_primitive_integer_multiple(p):
+    assume(not p.is_zero)
+    n = normalize(p)
+    assert all(type(c) is int for c in n._terms.values())
+    assert math.gcd(*n._terms.values()) == 1
+    assert leading(n)[1] > 0
+    exponent, c = leading(p)
+    assert n == p * (n.terms[exponent] / c)  # a rational multiple of p
+    assert normalize(n) is n  # already normalized: the same object
 
 
 # a power of two is read by shifts and masks, any other xi by divmod
