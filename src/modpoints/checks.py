@@ -460,7 +460,8 @@ def report_errored(report: Dict) -> bool:
 
 
 def render_text(report: Dict) -> str:
-    """One line per check, and under each failing one its expected and actual value."""
+    """One line per check; under each failing one its expected and actual
+    value, and under each that raised the type and message of what it raised."""
     lines = []
     total = passed = 0
     for suite in report["suites"]:
@@ -474,5 +475,7 @@ def render_text(report: Dict) -> str:
             if status == "fail":
                 expected, got = json.dumps(check["expected"]), json.dumps(check["payload"])
                 lines.append(f"         expected {expected}, got {got}")
+            elif status == "error":
+                lines.append(f"         raised {check['payload']['type']}: {check['payload']['message']}")
     lines.append(f"{passed}/{total} checks passed")
     return "\n".join(lines)

@@ -37,6 +37,8 @@ image off it and needs only whether that integer is 0.  Past a fixed bit
 length (for the gcd also after a few evaluation points) the sequence runs
 on MultiPoly coefficients.  An exact division bounds its quotient's
 exponents by one OR of the dividend's keys less the divisor's degrees.
+A field is read by masking whole keys, and a map of plain ints has lcm 1,
+so both scans run over a whole term map in C.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import add, or_
+from operator import add, mul, or_
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -103,8 +105,9 @@ def _unit(i: int, n: int) -> int:
 
 
 def _degrees(keys, n: int) -> List[int]:
-    """The largest exponent of each of the n variables over nonempty ``keys``."""
-    return [max(key >> FIELD * k & MASK for key in keys) for k in range(n - 1, -1, -1)]
+    """The largest exponent of each of the n variables over nonempty ``keys``:
+    a field is read by masking whole keys, as the largest masked key."""
+    return [max(map((MASK << s).__and__, keys)) >> s for s in range(FIELD * (n - 1), -1, -FIELD)]
 
 
 class MultiPoly:
@@ -419,7 +422,7 @@ def _divide_terms(rem: Terms, qt: Terms, n: int) -> Terms | None:
     exponents of the leading term of qt, a remainder exponent could reach
     the guard bit, and the division would never end.
     """
-    guards = sum(1 << FIELD * k + FIELD - 1 for k in range(n))
+    guards = ((1 << FIELD * n) - 1) // MASK << FIELD - 1  # the top bit of each field
     bound = (reduce(or_, rem) | guards) - _pack(_degrees(qt, n))
     if bound & guards != guards:
         return None  # some deg_v qt exceeds deg_v rem
@@ -592,7 +595,10 @@ def _sequence_resultant(f: list, g: list):
 
 
 def _integral(terms: Terms) -> Tuple[int, Terms]:
-    """(c, c * terms) with c the lcm of the denominators of ``terms``."""
+    """(c, c * terms) with c the lcm of the denominators of ``terms``; a map
+    of plain ints has lcm 1 and is returned as it is."""
+    if set(map(type, terms.values())) <= {int}:
+        return 1, terms
     c = math.lcm(*(v.denominator for v in terms.values()))
     return c, terms if c == 1 else {key: (v * c).numerator for key, v in terms.items()}
 
@@ -614,7 +620,7 @@ def _levels(f, g, n: int, j: int):
     None past the bit guard."""
     (ef, nf), (eg, ng) = f, g
     df, dg = len(nf) - 1, len(ng) - 1
-    bound = math.isqrt(sum(x * x for x in nf) ** dg * sum(x * x for x in ng) ** df)
+    bound = math.isqrt(sum(map(mul, nf, nf)) ** dg * sum(map(mul, ng, ng)) ** df)
     bits = (2 * bound + 3).bit_length()  # 2^bits >= 2B + 2
     levels = []
     for i in range(n):
@@ -856,7 +862,7 @@ def extract_exceptional(p: MultiPoly, name: str) -> Tuple[int, MultiPoly]:
         return 0, p
     n, i = len(p._vars), p._vars.index(name)
     shift = FIELD * (n - 1 - i)
-    k = min(key >> shift & MASK for key in p._terms)
+    k = min(map((MASK << shift).__and__, p._terms)) >> shift
     if k == 0:
         return 0, p
     lowered = k * _unit(i, n)

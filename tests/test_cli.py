@@ -302,6 +302,21 @@ def test_a_raising_check_leaves_the_rest_of_its_suite_passing(monkeypatch, capsy
     assert lines[-1] == f"{len(rest) + 1}/{len(rest) + 2} checks passed"
 
 
+def test_the_text_report_prints_what_a_check_raised_under_its_row(monkeypatch, capsys):
+    def broken(quantities):
+        raise ZeroDivisionError("forced")
+
+    monkeypatch.setitem(checks.SUITES, "betti", (checks.Check("betti.broken", "forced error", broken, 1),))
+    code, out = run_cli(capsys, "run", "betti")
+    assert code == 3
+    assert out.splitlines() == [
+        "suite betti",
+        "  [ERROR] betti.broken: forced error",
+        "         raised ZeroDivisionError: forced",
+        "0/1 checks passed",
+    ]
+
+
 @pytest.fixture
 def broken_coxeter_path(monkeypatch, fresh_coxeter_generators):
     """The A7 path with its first two vectors swapped, which fails the Coxeter relations."""

@@ -20,7 +20,10 @@ from modpoints.poly import (
     EXPONENT_LIMIT,
     HEURISTIC_BITS,
     _content_and_primitive,
+    _degrees,
+    _divide_terms,
     _image,
+    _integral,
     _interpolate,
     _levels,
     _repeated_part,
@@ -243,6 +246,101 @@ def test_property_leading_is_the_largest_total_degree_then_exponent(p):
     terms = p.terms
     top = max(terms, key=lambda exponent: (sum(exponent), exponent))
     assert leading(p) == (top, terms[top])
+
+
+# ----------------------------------------------------------------------
+# scans over whole term maps against tuple oracles
+
+_exponents_up_to_the_limit = st.one_of(st.integers(0, 3), st.integers(0, EXPONENT_LIMIT))
+
+
+@st.composite
+def _exponent_lists(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(st.tuples(*[_exponents_up_to_the_limit] * n), min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_exponent_lists())
+@example((6, [(EXPONENT_LIMIT,) * 6, (0,) * 6]))
+def test_property_degrees_are_the_largest_unpacked_exponents(case):
+    n, exponents = case
+    keys = [poly_module._pack(e) for e in exponents]
+    columns = zip(*(poly_module._unpack(key, n) for key in keys))
+    assert _degrees(keys, n) == [max(column) for column in columns]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_exponent_lists(), st.data())
+def test_property_extracted_power_is_the_least_exponent(case, data):
+    n, exponents = case
+    names = ("t", "u", "v", "w", "x", "y")[:n]
+    i = data.draw(st.integers(0, n - 1))
+    p = MultiPoly(names, {e: k + 1 for k, e in enumerate(exponents)})
+    k, q = extract_exceptional(p, names[i])
+    assert k == min(e[i] for e in exponents)
+    assert min(e[i] for e in q.terms) == 0
+
+
+def _locals_at_return(function, *args):
+    """The local variables of ``function`` as its call with ``args`` returns."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is function.__code__:
+            seen.update(frame.f_locals)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_the_guard_word_has_the_top_bit_of_every_field(n):
+    key = poly_module._pack((1,) * n)
+    rem, qt = {key + key: 6}, {key: 3}
+    assert _divide_terms(rem, qt, n) == {key: 2}
+    guards = _locals_at_return(_divide_terms, rem, qt, n)["guards"]
+    assert guards == sum(1 << poly_module.FIELD * k + poly_module.FIELD - 1 for k in range(n))
+
+
+class _Rational(Fraction):
+    """A Fraction subclass: the constructor stores a non-integral instance as it is."""
+
+
+_nonzero_ints = st.integers(-50, 50).filter(bool)
+_nonzero_fractions = st.fractions(-4, 4, max_denominator=12).filter(bool)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.dictionaries(st.integers(0, 99), _nonzero_ints, max_size=6),
+    st.dictionaries(st.integers(0, 99), _nonzero_fractions, max_size=6),
+    st.dictionaries(st.integers(0, 99), st.one_of(_nonzero_ints, _nonzero_fractions), max_size=6),
+    st.dictionaries(st.integers(0, 99), st.one_of(_nonzero_ints, _nonzero_fractions.map(_Rational)), max_size=6),
+))
+def test_property_integral_is_the_lcm_of_the_denominators(terms):
+    c = math.lcm(*(v.denominator for v in terms.values()))
+    expected = terms if c == 1 else {key: (v * c).numerator for key, v in terms.items()}
+    assert _integral(terms) == (c, expected)
+    if all(type(v) is int for v in terms.values()):
+        assert _integral(terms)[1] is terms  # a map of plain ints is returned as it is
+
+
+def test_a_fraction_subclass_coefficient_answers_as_a_fraction():
+    # only its type tells an int map from one holding such a coefficient
+    answers = []
+    for rational in (Fraction, _Rational):
+        f = MultiPoly(("a", "x"), {(0, 2): 1, (1, 1): rational(1, 2), (0, 0): -3})
+        g = MultiPoly(("a", "x"), {(0, 1): 2, (1, 0): rational(-3, 4)})
+        assert type(f._terms[poly_module._pack((1, 1))]) is rational
+        answers.append((resultant(f, g, "x"), is_squarefree(f), is_squarefree(f * f),
+                        poly_gcd(f * g, g * g), normalize(f)))
+    assert answers[0] == answers[1]
 
 
 def test_exact_quotient_raises_under_optimize():
