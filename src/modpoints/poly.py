@@ -21,22 +21,24 @@ subresultant pseudo-remainder sequence.  The sequence is written once with
 Python's operators (``*``, ``-``, ``**``, exact ``//``) on lists of the
 coefficients in the eliminated variable: bare ints for the integer images
 of the resultant, the squarefreeness test and the gcd's last variable,
-MultiPolys on the two fallbacks, so that it shares MultiPoly's one product
-loop (``_mul_terms``) and one exact-division loop (``_divide_terms``).
+MultiPolys on the resultant's fallback, so that it shares MultiPoly's one
+product loop (``_mul_terms``) and one exact-division loop (``_divide_terms``).
 
-Both the gcd and the resultant evaluate at large integers first.  The gcd
-is the heuristic gcd of Char, Geddes and Gonnet: the images down to one
-variable, whose gcd the sequence gives, lifted back by a symmetric xi-adic
-expansion and accepted only when ``_divide_terms`` divides both sides.  The
+Both the gcd and the resultant evaluate at large integers.  The gcd is the
+heuristic gcd of Char, Geddes and Gonnet, its one route: the images down to
+one variable, whose gcd the sequence gives, lifted back by a symmetric
+xi-adic expansion and accepted only when ``_divide_terms`` divides both
+sides, with a larger point after each rejected candidate.  The
 resultant sets the other variables to powers of two past a Hadamard-type
 bound (Collins, with a Kronecker substitution), so that the image of a term
 is its coefficient shifted left, runs the sequence on ints and lifts the
 one integer back by the same expansion, with shifts for digits.
 ``is_squarefree`` images its primitive part once, reads the derivative's
 image off it and needs only whether that integer is 0.  Past a fixed bit
-length (for the gcd also after a few evaluation points) the sequence runs
-on MultiPoly coefficients.  An exact division bounds its quotient's
-exponents by one OR of the dividend's keys less the divisor's degrees.
+length the resultant runs the sequence on MultiPoly coefficients, and the
+squarefree test takes the gcd of P with its derivatives.  An exact division
+bounds its quotient's exponents by one OR of the dividend's keys less the
+divisor's degrees.
 A field is read by masking whole keys, and a map of plain ints has lcm 1,
 so both scans run over a whole term map in C.
 """
@@ -63,10 +65,10 @@ EXPONENT_LIMIT = 1 << 15
 FIELD = 17
 MASK = (1 << FIELD) - 1
 
-# The heuristic gcd tries at most this many evaluation points, and it and the
-# resultant by evaluation give up before a power xi^deg would pass this many
-# bits (about 5000 decimal digits).
-HEURISTIC_TRIES = 6
+# The integer image of a resultant or a squarefree test is taken only while
+# each power xi^deg stays within this many bits (about 5000 decimal digits);
+# past it the resultant runs its sequence on MultiPoly coefficients and the
+# squarefree test takes the gcd route.  The heuristic gcd has no such cap.
 HEURISTIC_BITS = 1 << 14
 
 
@@ -508,33 +510,30 @@ def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPol
 # ----------------------------------------------------------------------
 # the subresultant remainder sequence, on lists of coefficients
 
-def _coefficient_lists(name: str, *polys: MultiPoly):
-    """(vs, [p_0, ..., p_n], ...): for each of ``polys``, p = sum p_k name^k
-    with p_n != 0, as MultiPolys over vs, the variables of ``polys`` and
-    ``name``; [] is 0."""
-    vs = tuple(sorted({name}.union(*(p._vars for p in polys))))
+def _coefficient_lists(vs: Tuple[str, ...], j: int, *maps: Terms) -> List[List[MultiPoly]]:
+    """[p_0, ..., p_n] for each nonempty term map p = sum p_k v^k over the
+    variables vs, v the j-th: its coefficients in v as MultiPolys over vs,
+    with p_n != 0."""
     lists = []
-    for p in polys:
-        buckets = _buckets(p._embedded(vs), len(vs), vs.index(name))
-        coefficients = [_trusted(vs, {})] * (max(buckets, default=-1) + 1)
-        for d, terms in buckets.items():
-            coefficients[d] = _trusted(vs, terms)
-        lists.append(coefficients)
-    return (vs, *lists)
+    for terms in maps:
+        buckets = _buckets(terms, len(vs), j)
+        lists.append([_trusted(vs, buckets.get(d, {})) for d in range(max(buckets) + 1)])
+    return lists
 
 
 def _subresultant_prs(f: list, g: list):
     """The subresultant remainder sequence of the lists of coefficients f and g.
 
     ``f`` and ``g`` are [c_0, ..., c_n] and [c_0, ..., c_m] with n >= m > 0,
-    i.e. len(f) >= len(g) >= 2 (both callers put the longer list first),
-    each entry free of the main variable: ints for an image of
-    ``resultant``, MultiPolys on the fallbacks, combined with the same
-    operators.  Each pseudo-division is the classical one (Brown and Traub,
-    JACM 18, 1971; Knuth, TAOCP 2, 4.6.1): R starts as A, and the step at
-    each degree d = deg A, ..., deg B = m pops the top entry lc of R,
-    multiplies the rest by ell(B) unless that is 1, and subtracts
-    lc x^(d-m) B from it unless lc is 0, which leaves
+    i.e. len(f) >= len(g) >= 2 (every caller puts the longer list first),
+    each entry free of the main variable: ints for the integer images, and
+    MultiPolys only on the resultant's fallback past the bit guard and in
+    the tests' second gcd route, combined with the same operators.  Each
+    pseudo-division is the classical one (Brown and Traub, JACM 18, 1971;
+    Knuth, TAOCP 2, 4.6.1): R starts as A, and the step at each degree
+    d = deg A, ..., deg B = m pops the top entry lc of R, multiplies the
+    rest by ell(B) unless that is 1, and subtracts lc x^(d-m) B from it
+    unless lc is 0, which leaves
     prem(A, B) = ell(B)^(deg A - m + 1) A mod B.  Each pseudo-division
     yields (A, B, h): A is the previous B, B = prem(A, B) / (g h^delta)
     entry by entry, and the classical g/h divisor bookkeeping keeps every
@@ -695,11 +694,11 @@ def _primitive(terms: Terms) -> Tuple[int, Terms]:
     return content, terms if content == 1 else {key: c // content for key, c in terms.items()}
 
 
-def _heuristic_gcd(a: Terms, b: Terms, n: int) -> Terms | None:
+def _heuristic_gcd(a: Terms, b: Terms, n: int) -> Terms:
     """gcd(a, b) of two nonzero term maps over n variables with int
-    coefficients by the heuristic gcd that ``poly_gcd`` describes, or None
-    when the heuristic gives up.  An image that evaluates to zero counts as
-    a failed candidate.  Where one variable occurs, the answer is exact."""
+    coefficients by the heuristic gcd that ``poly_gcd`` describes.  An image
+    that evaluates to zero counts as a failed candidate.  Where one variable
+    occurs, the answer is exact."""
     ca, a = _primitive(a)
     cb, b = _primitive(b)
     gamma = math.gcd(ca, cb)
@@ -715,20 +714,15 @@ def _heuristic_gcd(a: Terms, b: Terms, n: int) -> Terms | None:
         tail = g or f  # the last nonzero element of the sequence
         content = math.gcd(*tail) if tail[-1] > 0 else -math.gcd(*tail)
         return {k * _unit(i, n): c // content * gamma for k, c in enumerate(tail) if c}
-    ba, bb = _buckets(a, n, i), _buckets(b, n, i)
-    degree = max(max(ba), max(bb))
+    ba, bb, unit = _buckets(a, n, i), _buckets(b, n, i), _unit(i, n)
     xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
-    for _ in range(HEURISTIC_TRIES):
-        if xi.bit_length() * degree > HEURISTIC_BITS:
-            return None
+    while True:
         ea, eb = _evaluate(ba, xi), _evaluate(bb, xi)
-        h = _heuristic_gcd(ea, eb, n) if ea and eb else None
-        if h is not None:
-            g = _primitive(_interpolate(h, xi, _unit(i, n)))[1]
+        if ea and eb:
+            g = _primitive(_interpolate(_heuristic_gcd(ea, eb, n), xi, unit))[1]
             if _divide_terms(a, g, n) is not None and _divide_terms(b, g, n) is not None:
                 return {key: c * gamma for key, c in g.items()}
         xi = xi * 73794 // 27011
-    return None
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -750,52 +744,17 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
     A candidate is accepted only when it divides A and B exactly; given the
     bound on xi, it is then the gcd.  A rejected candidate grows xi by
-    73794/27011, at most ``HEURISTIC_TRIES`` times, and the heuristic gives
-    up at once on a xi whose power xi^deg_v would pass ``HEURISTIC_BITS``
-    bits.  Only then does the subresultant route (``_subresultant_gcd``)
-    answer.
+    73794/27011, and the loop ends because every level below is exact: with
+    G = gcd(A, B), for all but finitely many xi the gcd of the images of
+    A/G and B/G is an integer E bounded independently of xi, so the gcd of
+    the images is E G(xi), and once xi > 2|E G| its lift is +-E G, whose
+    primitive part G divides both sides.  A zero side gives the other,
+    normalized.
     """
-    if not (p.is_zero or q.is_zero):
-        vs, a, b = MultiPoly._merge(normalize(p), normalize(q))
-        g = a if a == b else _heuristic_gcd(a, b, len(vs))
-        if g is not None:
-            return normalize(_trusted(vs, g))
-    return _subresultant_gcd(p, q)
-
-
-def _subresultant_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """A gcd, primitive with positive leading coefficient, by the subresultant
-    route: recursive content/primitive-part reduction over the first
-    occurring variable with a subresultant pseudo-remainder sequence on the
-    primitive parts.
-    """
-    if p.is_zero and q.is_zero:
-        return MultiPoly.zero()
-    if p.is_zero:
-        return normalize(q)
-    if q.is_zero:
-        return normalize(p)
-    occurring = sorted(set(p.occurring_variables()) | set(q.occurring_variables()))
-    if not occurring:
-        return MultiPoly.constant(1)
-    name = occurring[0]
-    cont_p, prim_p = _content_and_primitive(p, name)
-    cont_q, prim_q = _content_and_primitive(q, name)
-    content = poly_gcd(cont_p, cont_q)
-    vs, f, g = _coefficient_lists(name, prim_p, prim_q)
-    if len(f) < len(g):
-        f, g = g, f
-    if len(g) == 1:  # a primitive part free of ``name``
-        return normalize(content)
-    for f, g, _ in _subresultant_prs(f, g):
-        pass
-    tail = g if g else f  # the last nonzero element of the sequence
-    if len(tail) == 1:
-        return normalize(content)
-    unit = _unit(vs.index(name), len(vs))
-    prim = _trusted(vs, {key + k * unit: c for k, coefficient in enumerate(tail)
-                         for key, c in coefficient._terms.items()})
-    return normalize(content * _content_and_primitive(prim, name)[1])
+    if p.is_zero or q.is_zero:
+        return normalize(p + q)
+    vs, a, b = MultiPoly._merge(normalize(p), normalize(q))
+    return normalize(_trusted(vs, a if a == b else _heuristic_gcd(a, b, len(vs))))
 
 
 def _repeated_part(p: MultiPoly) -> MultiPoly:
@@ -821,9 +780,10 @@ def is_squarefree(p: MultiPoly) -> bool:
     with d/dv, so the image of P' is [k F_k for k >= 1], and its bound comes
     from P's, as |k P_k|_1 = k |P_k|_1 and deg_i P bounds deg_i P'.  The
     integer Res(F, F') is 0 exactly when Res_v(P, P') is, so it needs no
-    lift.  Past the bit guard F is P's list of MultiPoly coefficients, and
-    the same list expression gives P'.  A primitive part of degree 1 in v
-    gives its leading coefficient, which is never 0.
+    lift.  A primitive part of degree 1 in v gives its leading coefficient,
+    which is never 0.  The bit guard only chooses the route: past it, P is
+    squarefree iff its gcd with all its partial derivatives is constant
+    (``_repeated_part``), which reads no image.
     """
     if p.is_zero:
         raise ValueError("squarefreeness is undefined for 0")
@@ -838,9 +798,8 @@ def is_squarefree(p: MultiPoly) -> bool:
     degrees, norms = _shape(terms, n, j)
     levels = _levels((degrees, norms), (degrees, [k * x for k, x in enumerate(norms)][1:]), n, j)
     if levels is None:
-        image = _coefficient_lists(name, _trusted(vs, terms))[1]
-    else:
-        image = _image(terms, n, j, len(norms), levels)
+        return _repeated_part(primitive).is_constant
+    image = _image(terms, n, j, len(norms), levels)
     return bool(_sequence_resultant(image, [k * image[k] for k in range(1, len(image))]))
 
 
@@ -922,7 +881,7 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     (_, nf), (_, ng) = shapes = _shape(fi, n, j), _shape(gi, n, j)
     levels = _levels(*shapes, n, j)
     if levels is None:  # the sequence runs on MultiPolys, with nothing to lift
-        fl, gl = _coefficient_lists(name, _trusted(vs, fi), _trusted(vs, gi))[1:]
+        fl, gl = _coefficient_lists(vs, j, fi, gi)
         levels = []
     else:
         fl, gl = _image(fi, n, j, len(nf), levels), _image(gi, n, j, len(ng), levels)

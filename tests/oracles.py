@@ -9,11 +9,12 @@ another way, or a helper only the tests need:
   integers, runs the subresultant remainder sequence on ints and lifts the
   one integer back, or runs the sequence on ``MultiPoly`` coefficients past
   its bit guard;
-- ``modpoints.poly._subresultant_gcd``, not a test helper but the fallback
-  of ``poly_gcd``: the content recursion with a subresultant remainder
-  sequence, which the tests run with the heuristic gcd switched off as the
-  second route to the gcd that ``poly_gcd`` takes by evaluation at large
-  integers;
+- ``subresultant_gcd``: the content recursion over the first occurring
+  variable, with the contents found by the same recursion, and the
+  subresultant remainder sequence of ``modpoints.poly`` on the primitive
+  parts' coefficients as ``MultiPoly`` values, against ``poly_gcd``, whose
+  one route is the heuristic gcd by evaluation at large integers; it calls
+  no ``poly_gcd``, so it is independent of the heuristic;
 - ``reflections``, ``generate_group`` and ``stabilizer``: the 28
   transvections, their breadth-first closure, all 40320 elements, and
   Stab(h) filtered from it, against ``modpoints.fqspace``, which generates
@@ -43,7 +44,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from modpoints.fqspace import IDENTITY, SIZE, _compose, nonisotropic_vectors, reflection
-from modpoints.poly import MultiPoly, _unpack, try_divide
+from modpoints.poly import MultiPoly, _subresultant_prs, _unpack, normalize, try_divide
 from modpoints.record import Record
 
 
@@ -121,6 +122,45 @@ def bareiss_resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
             matrix[i][k] = MultiPoly.zero()
         previous = matrix[k][k]
     return sign * matrix[size - 1][size - 1]
+
+
+def _content(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
+    """(content, primitive part) of a nonzero p in ``name``: the gcd of its
+    coefficients in ``name`` by ``subresultant_gcd``, and p divided by it."""
+    content = MultiPoly.zero()
+    for c in _coefficients_in(p, name).values():
+        content = subresultant_gcd(content, c)
+        if content.is_constant:  # the coefficients are nonzero, so it is 1
+            break
+    return content, p // content
+
+
+def subresultant_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """A gcd, primitive with positive leading coefficient, by the content
+    recursion over the first occurring variable and the subresultant
+    remainder sequence of ``modpoints.poly`` on the coefficients of the
+    primitive parts as MultiPolys; it runs no gcd of ``modpoints.poly``."""
+    if p.is_zero or q.is_zero:
+        return normalize(p + q)
+    occurring = sorted({*p.occurring_variables(), *q.occurring_variables()})
+    if not occurring:
+        return MultiPoly.constant(1)
+    name = occurring[0]
+    (cont_p, prim_p), (cont_q, prim_q) = _content(p, name), _content(q, name)
+    content = subresultant_gcd(cont_p, cont_q)
+    lists = []
+    for prim in (prim_p, prim_q):
+        coefficients = _coefficients_in(prim, name)
+        lists.append([coefficients.get(d, MultiPoly.zero()) for d in range(max(coefficients) + 1)])
+    f, g = sorted(lists, key=len, reverse=True)
+    if len(g) == 1:  # a primitive part free of ``name`` is 1
+        return normalize(content)
+    for f, g, _ in _subresultant_prs(f, g):
+        pass
+    tail = g or f  # the last nonzero element of the sequence
+    x = MultiPoly.variable(name)
+    last = sum((c * x ** k for k, c in enumerate(tail)), MultiPoly.zero())
+    return normalize(content * _content(last, name)[1])
 
 
 def leading(p: MultiPoly) -> Tuple[Tuple[int, ...], Fraction]:

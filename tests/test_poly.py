@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from modpoints import blowup
 from modpoints import poly as poly_module
 from modpoints.blowup import antidiag_fixed_constraint
 from modpoints.poly import (
@@ -28,7 +29,6 @@ from modpoints.poly import (
     _levels,
     _repeated_part,
     _shape,
-    _subresultant_gcd,
     _unit,
     ExponentOverflowError,
     MultiPoly,
@@ -43,7 +43,15 @@ from modpoints.poly import (
     variables,
 )
 
-from oracles import _coefficients_in, bareiss_resultant, degree_in, leading, parse_poly, sylvester_matrix
+from oracles import (
+    _coefficients_in,
+    bareiss_resultant,
+    degree_in,
+    leading,
+    parse_poly,
+    subresultant_gcd,
+    sylvester_matrix,
+)
 
 
 # ----------------------------------------------------------------------
@@ -620,25 +628,18 @@ def _gcd_pairs(draw):
     return p, q
 
 
-def _subresultant_route(p, q):
-    """The gcd by the subresultant route alone: the heuristic is switched off
-    for the content gcds inside it as well."""
-    with mock.patch.object(poly_module, "_heuristic_gcd", lambda a, b, n: None):
-        return _subresultant_gcd(p, q)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_gcd_pairs())
 # at xi = 4, below the bound 6, the primitive sides x^2 - 2x and x - 2 are 8 and
 # 2, and the lift of their gcd 2 is the constant 2, which divides both: x - 2 is missed
 @example((parse_poly("-2*x^2 + 4*x"), parse_poly("3*x - 6")))
 def test_property_gcd_divides_both(pair):
-    # the heuristic route of poly_gcd and the subresultant route give one
-    # normalized gcd, and it divides both sides
+    # the heuristic gcd and the subresultant oracle give one normalized gcd,
+    # and it divides both sides
     p, q = pair
     assume(not (p.is_zero and q.is_zero))
     g = poly_gcd(p, q)
-    assert g == _subresultant_route(p, q)
+    assert g == subresultant_gcd(p, q)
     assert try_divide(p, g) is not None
     assert try_divide(q, g) is not None
 
@@ -1055,9 +1056,7 @@ def _linear_factors(seed, count):
 
 
 @pytest.mark.parametrize("planted_degree", [1, 3])
-def test_gcd_of_degree_10_products_in_two_variables(planted_degree, monkeypatch):
-    # the heuristic answers alone: the subresultant route, whose content
-    # recursion in a grows steeply with the degree, is not reached
+def test_gcd_of_degree_10_products_in_two_variables(planted_degree):
     factors = _linear_factors(planted_degree, 20 - planted_degree)
     h = MultiPoly.constant(1)
     for f in factors[:planted_degree]:
@@ -1067,11 +1066,6 @@ def test_gcd_of_degree_10_products_in_two_variables(planted_degree, monkeypatch)
         p = p * f
     for f in factors[10:]:
         q = q * f
-
-    def unreachable(p, q):
-        raise AssertionError("the heuristic gave up")
-
-    monkeypatch.setattr(poly_module, "_subresultant_gcd", unreachable)
     assert poly_gcd(p, q) == normalize(h)
 
 
@@ -1085,41 +1079,43 @@ def test_the_subresultant_route_gives_the_same_answers(monkeypatch):
 
     expected = answers()
     assert expected[0] == normalize((x + y) * (x - a))
-    monkeypatch.setattr(poly_module, "_heuristic_gcd", lambda a, b, n: None)
+    # every gcd, inside poly and in blowup, by the subresultant oracle
+    oracle = mock.Mock(side_effect=subresultant_gcd)
+    monkeypatch.setattr(poly_module, "poly_gcd", oracle)
+    monkeypatch.setattr(blowup, "poly_gcd", oracle)
     assert answers() == expected
+    assert oracle.called
 
 
 def _no_evaluation(buckets, xi):
     raise AssertionError(f"evaluated at a {xi.bit_length()}-bit point")
 
 
-def test_the_heuristic_gives_up_past_the_bit_guard(monkeypatch):
-    # both sides have max-norm 3, so xi = 8 (4 bits), and 8^5001 would pass the
-    # guard; with a alone, the integer sequence answers before any point is tried
+_NO_COEFFICIENT_LISTS = AssertionError("a sequence on MultiPoly coefficients")
+
+
+def test_the_heuristic_answers_past_the_old_cap(monkeypatch):
+    # both sides have max-norm 3, so xi would be 8 (4 bits), and 8^5001 is past
+    # HEURISTIC_BITS; with a alone, the integer sequence answers before any
+    # point is tried
     p = (_A - 1) * (_A ** 5000 + 3)
     q = (_A - 1) * (_A + 3)
     assert 4 * 5001 > HEURISTIC_BITS
     monkeypatch.setattr(poly_module, "_evaluate", _no_evaluation)
+    monkeypatch.setattr(poly_module, "_coefficient_lists", mock.Mock(side_effect=_NO_COEFFICIENT_LISTS))
     assert poly_gcd(p, q) == _A - 1
 
 
-def test_the_heuristic_gives_up_past_the_bit_guard_in_two_variables(monkeypatch):
-    # a is evaluated first, at xi = 8 (both max-norms are 3), and 8^5000 would
-    # pass the guard: the heuristic gives up, and the subresultant route finds
-    # the gcd as the content in a
+def test_the_heuristic_answers_past_the_old_cap_in_two_variables(monkeypatch):
+    # a is evaluated first, at xi = 8 (both max-norms are 3), and 8^5000 is past
+    # HEURISTIC_BITS, which only the integer images of the resultant and the
+    # squarefree test read: the lift of the images' gcd x - 1 is the gcd, and
+    # no sequence runs on MultiPoly coefficients
     p = (_X - 1) * (_A ** 5000 + 3)
     q = (_X - 1) * (_A + 3)
     assert 4 * 5000 > HEURISTIC_BITS
-    route, calls = poly_module._subresultant_gcd, []
-
-    def subresultant_gcd(p, q):
-        calls.append((p, q))
-        return route(p, q)
-
-    monkeypatch.setattr(poly_module, "_evaluate", _no_evaluation)
-    monkeypatch.setattr(poly_module, "_subresultant_gcd", subresultant_gcd)
+    monkeypatch.setattr(poly_module, "_coefficient_lists", mock.Mock(side_effect=_NO_COEFFICIENT_LISTS))
     assert poly_gcd(p, q) == _X - 1
-    assert calls[0] == (p, q)
 
 
 @pytest.mark.parametrize("p, q", [
@@ -1134,28 +1130,51 @@ def test_the_heuristic_gives_up_past_the_bit_guard_in_two_variables(monkeypatch)
 def test_a_univariate_gcd_is_read_off_the_integer_sequence(p, q, monkeypatch):
     # one variable: the last nonzero remainder answers, with no point
     # evaluated and no candidate lifted
-    expected = _subresultant_route(p, q)
+    expected = subresultant_gcd(p, q)
     monkeypatch.setattr(poly_module, "_evaluate", _no_evaluation)
     monkeypatch.setattr(poly_module, "_interpolate", mock.Mock(side_effect=AssertionError("a lift")))
     assert poly_gcd(p, q) == poly_gcd(q, p) == expected
 
 
-@pytest.mark.parametrize("guard", [HEURISTIC_BITS, 0])
-def test_squarefree_builds_no_derivative_polynomial(guard, monkeypatch):
-    # the image of dP/dv is read off the image of P, by either route
-    cases = [
-        ((_X + 1) ** 2 * (_A + _X), False),
-        ((_X + 1) * (_X + 2) * (_A * _X + 1), True),
-        ((_A * _X - 3) ** 2 * (_X + 2), False),
-        (parse_poly("1/2*a^2*x + 3*x^2*y - 2/3*y^3 + a"), True),
-        (parse_poly("a^2*x^2 - 2*a*x*y^2 + y^4"), False),  # (a*x - y^2)^2
-    ]
+_SQUAREFREE_CASES = [
+    ((_X + 1) ** 2 * (_A + _X), False),
+    ((_X + 1) * (_X + 2) * (_A * _X + 1), True),
+    ((_A * _X - 3) ** 2 * (_X + 2), False),
+    (parse_poly("1/2*a^2*x + 3*x^2*y - 2/3*y^3 + a"), True),
+    (parse_poly("a^2*x^2 - 2*a*x*y^2 + y^4"), False),  # (a*x - y^2)^2
+]
+
+
+def test_squarefree_builds_no_derivative_polynomial(monkeypatch):
+    # under the bit guard the image of dP/dv is read off the image of P
+    cases = _SQUAREFREE_CASES
     assert [_repeated_part(p).is_constant for p, _ in cases] == [squarefree for _, squarefree in cases]
-    monkeypatch.setattr(poly_module, "HEURISTIC_BITS", guard)
     monkeypatch.setattr(MultiPoly, "partial_derivative",
                         mock.Mock(side_effect=AssertionError("a derivative was built")))
     for p, squarefree in cases:
         assert is_squarefree(p) is squarefree
+
+
+def test_squarefree_past_the_bit_guard_takes_the_gcd_route(monkeypatch):
+    # past the guard the gcd of P with its partial derivatives answers: no
+    # image at a point is built and no sequence runs on MultiPoly
+    # coefficients; a primitive part in v alone has no point to pass the
+    # guard, and the gcd reads its one-variable level, both by _image at no
+    # levels
+    image = poly_module._image
+
+    def no_point(terms, n, j, length, levels):
+        assert not levels, f"an image at the levels {levels}"
+        return image(terms, n, j, length, levels)
+
+    monkeypatch.setattr(poly_module, "HEURISTIC_BITS", 0)
+    monkeypatch.setattr(poly_module, "_image", no_point)
+    monkeypatch.setattr(poly_module, "_coefficient_lists", mock.Mock(side_effect=_NO_COEFFICIENT_LISTS))
+    repeated = mock.Mock(side_effect=_repeated_part)
+    monkeypatch.setattr(poly_module, "_repeated_part", repeated)
+    for p, squarefree in _SQUAREFREE_CASES:
+        assert is_squarefree(p) is squarefree
+    assert repeated.called
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1201,11 +1220,13 @@ def _products_in_one_to_three_variables(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_products_in_one_to_three_variables())
 def test_property_squarefree_two_routes(p):
-    # the content split and the last subresultant against the gcd of p with
-    # all its partial derivatives
+    # the content split and the integer image of Res(P, P') against the gcd of
+    # p with all its partial derivatives: once at the bit guard, once with a
+    # guard so large that the image answers every product
     assume(not p.is_constant)
     assert is_squarefree(p) == _repeated_part(p).is_constant
-    with mock.patch.object(poly_module, "HEURISTIC_BITS", 0):
+    with (mock.patch.object(poly_module, "HEURISTIC_BITS", 1 << 40),
+          mock.patch.object(poly_module, "_repeated_part", side_effect=AssertionError("the gcd route"))):
         assert is_squarefree(p) == _repeated_part(p).is_constant
 
 
