@@ -9,8 +9,8 @@ correction is shown to start in degree 6; assembling these and extending
 by duality yields the Betti table of the blown-up quotient.
 Independently, a decomposition rule combines intersection cohomology of a
 cusped compactification with boundary-fiber tables, one per cusp; the
-cusps are counted in ``fqspace``, imported on first use.  The two routes
-must agree.
+cusp counts are arguments, which ``checks.Quantities`` reads off the fq
+space.  The two routes must agree.
 """
 
 from __future__ import annotations
@@ -256,17 +256,11 @@ def boundary_invariants() -> Tuple[int, ...]:
     return invariant_sym_square(PLANE_BETTI)
 
 
-def tor_betti_ordered() -> BettiTable:
+def tor_betti_ordered(cusps: int) -> BettiTable:
     """The ordered table: one cusp per isotropic vector of the fq space (Kondo)."""
-    from . import fqspace
-
-    cusps = len(fqspace.isotropic_vectors())
     return decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), cusps, COMPLEX_DIMENSION)
 
 
-def tor_betti_unordered() -> BettiTable:
+def tor_betti_unordered(cusps: int) -> BettiTable:
     """The unordered table: one cusp per orbit of G on the isotropic vectors."""
-    from . import fqspace
-
-    cusps = len(fqspace.orbits_under(fqspace.coxeter_generators(), fqspace.isotropic_vectors()))
     return decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), cusps, COMPLEX_DIMENSION)

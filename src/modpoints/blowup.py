@@ -245,12 +245,13 @@ def stabilizer_order(ch: Chart, support: Iterable[str]) -> int:
 
 
 def _admissible_supports(ch: Chart) -> List[Tuple[str, ...]]:
-    """Support patterns on the exceptional divisor surviving semistability.
+    """The scanned supports: those meeting both the index-0 and the index-1
+    affine coordinates of the chart.
 
-    The unstable locus in the projectivized slice is the pair of one-sided
-    coordinate subspaces; inside a chart this is enforced on the affine
-    coordinates, so the support has to meet both the index-0 and the
-    index-1 coordinate groups of the chart.
+    This is narrower than the semistable locus: the chart's unit is an
+    index-0 coordinate too, so each chart admits 21 of its 28 semistable
+    supports.  The 7 inside the index-1 side are left out, and their torus
+    orders reach 8, 10, 12, 14 and 16.
     """
     coords = ch.coordinates
     out = []

@@ -10,11 +10,14 @@ routes agree, and beside the second route's disagreeing entries when not.
 floats, and reports are byte-stable run to run.
 
 A quantity read by more than one check, or by a check and a subcommand, is
-a method of ``Quantities``, computed once per instance: ``run_report``
-builds one per run, and a subcommand one that computes only what it
-prints.  ``fqspace``, ``betti`` and ``picard`` are imported on first use:
-without a bytecode cache, compiling the three is ~10 ms of a cold start,
-which ``run slice`` skips.
+a method of ``Quantities``, computed or raised once per instance:
+``run_report`` builds one per run, and a subcommand one that computes only
+what it prints.  It is the package's only memo, and it wires the layers:
+G's generators, order and orbits are quantities, and ``betti`` and
+``picard`` take the cusp counts, the order and T^5 as arguments.
+``fqspace``, ``betti`` and ``picard`` are imported on first use: without a
+bytecode cache, compiling the three is ~10 ms of a cold start, which
+``run slice`` skips.
 """
 
 from __future__ import annotations
@@ -82,14 +85,22 @@ def _module(name: str):
 # quantities read by more than one check, or by a check and a subcommand
 
 def _once(method):
-    """Memoize ``method`` per instance and arguments."""
+    """Memoize ``method`` per instance and arguments, an error it raised as
+    well as a value: every later call raises the same exception again with
+    the traceback of the first, so no frames pile up on it."""
 
     @functools.wraps(method)
     def memoized(self, *args):
         key = (method.__name__, *args)
         if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
+            try:
+                self._memo[key] = method(self, *args), None
+            except Exception as error:
+                self._memo[key] = error, error.__traceback__
+        value, traceback = self._memo[key]
+        if traceback is not None:
+            raise value.with_traceback(traceback)
+        return value
 
     return memoized
 
@@ -98,10 +109,9 @@ class Quantities:
     """The shared quantities of one run, each computed on first use.
 
     A new instance recomputes everything, so it sees the modules as they
-    are when it runs.  The one process-wide cache is that of
-    ``fqspace.coxeter_generators``, so that the path search and the 28
-    relation checks run once however many quantities read the group; it
-    keeps a failed search's error too, which every reading row reports.
+    are when it runs.  A quantity that raised raises again on every read,
+    so a failed path search runs once however many rows read the group,
+    and each of them reports its error.
     """
 
     def __init__(self):
@@ -134,43 +144,71 @@ class Quantities:
         return _fields(self.scan(), "orders", "torus_orders", "effective_orders", "max_order", "e")
 
     @_once
+    def generators(self) -> Tuple[bytes, ...]:
+        """The seven Coxeter generators of G, from one checked path search."""
+        return _module("fqspace").coxeter_generators()
+
+    @_once
+    def order(self) -> int:
+        """|G| = 8!, the cover degree, from the Coxeter presentation."""
+        return _module("fqspace").group_order(self.generators())
+
+    @_once
+    def orbits(self) -> List[frozenset]:
+        """G's orbits on the nonzero vectors: the one walk that the orbit
+        sizes, the unordered cusps and the orbit of h are read from."""
+        fqspace = _module("fqspace")
+        return fqspace.orbits_under(self.generators(), range(1, fqspace.SIZE))
+
+    @_once
     def stab_summary(self) -> Dict[str, int]:
         """Orbits and order of Stab(h) for the first isotropic vector h: the
         G-orbits of pairs (h, x) read off at h, and 8! over the orbit of h."""
         fqspace = _module("fqspace")
-        return fqspace.stab_orbit_summary(fqspace.isotropic_vectors()[0])
+        h = fqspace.isotropic_vectors()[0]
+        orbit = next(o for o in self.orbits() if h in o)
+        return fqspace.stab_orbit_summary(self.generators(), h, self.order(), orbit)
 
     @_once
     def group_summary(self) -> Dict:
         """Order of the reflection group, its orbit sizes on nonzero vectors,
-        and the order of Stab(h) read from ``stab_summary``.
-
-        The order is 8!, from the Coxeter presentation of S_8 that the seven
-        path transvections satisfy; the orbits are those of the same seven
-        on the nonzero vectors, each named by the value of q on it.
-        """
-        fqspace = _module("fqspace")
-        orbits = fqspace.orbits_under(fqspace.coxeter_generators(), range(1, fqspace.SIZE))
+        each named by the value of q on it, and the order of Stab(h) read
+        from ``stab_summary``."""
+        q = _module("fqspace").q
         return {
-            "order": fqspace.group_order(),
-            "orbit_sizes": {("isotropic", "nonisotropic")[fqspace.q(min(o))]: len(o) for o in orbits},
+            "order": self.order(),
+            "orbit_sizes": {("isotropic", "nonisotropic")[q(min(o))]: len(o) for o in self.orbits()},
             "stab_order": self.stab_summary()["stabilizer_order"],
         }
 
     @_once
+    def intersections(self):
+        """T_i^5, T_ord^5 and T^5 (``picard.IntersectionNumbers``): one cusp
+        per isotropic vector, and the cover degree |G|."""
+        cusps = len(_module("fqspace").isotropic_vectors())
+        return _module("picard").top_self_intersections(cusps, self.order())
+
+    @_once
     def obstruction(self):
         """The K-equivalence obstruction, a ``picard.ObstructionCertificate``,
-        over the divisors of the scan's bound e."""
+        from T^5 over the divisors of the scan's bound e."""
         e = self.scan().e
-        return _module("picard").k_equivalence_obstruction(d for d in range(1, e + 1) if e % d == 0)
+        divisors = (d for d in range(1, e + 1) if e % d == 0)
+        return _module("picard").k_equivalence_obstruction(self.intersections().unordered, divisors)
 
     @_once
     def kirwan(self):
         return _module("betti").kirwan_betti()
 
+    def tor_ordered(self):
+        """The decomposition table with one cusp per isotropic vector."""
+        return _module("betti").tor_betti_ordered(len(_module("fqspace").isotropic_vectors()))
+
     @_once
     def tor_unordered(self):
-        return _module("betti").tor_betti_unordered()
+        """The decomposition table with one cusp per G-orbit of isotropic vectors."""
+        q = _module("fqspace").q
+        return _module("betti").tor_betti_unordered(sum(q(min(o)) == 0 for o in self.orbits()))
 
 
 # ----------------------------------------------------------------------
@@ -216,25 +254,6 @@ def _perp(q: Quantities):
         if (census := fqspace.perp_census(h)) != first
     }
     return _unless_contradicted(first, others)
-
-
-def _chart_weights(q: Quantities):
-    """Each chart's weights, against the differences of the Luna slice weights
-    (the source that ``blowup.SLICE_WEIGHTS`` transcribes)."""
-    slice_weights = dict(zip(blowup.SLICE_VARIABLES, stability.luna_slice_basis().weights))
-    weights, differences = {}, {}
-    for name in blowup.CHART_NAMES:
-        ch = blowup.chart(name)
-        weights[name] = dict(ch.weights)
-        unit = slice_weights[ch.exceptional]
-        by_slice = {
-            coord: slice_weights[var] - unit
-            for var, coord in blowup._CHART_COORDINATE.items()
-            if coord in ch.weights
-        }
-        if by_slice != weights[name]:
-            differences[name] = by_slice
-    return _unless_contradicted(weights, differences)
 
 
 def _multiplicities(q: Quantities):
@@ -337,7 +356,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
     ),
     "slice": (
         Check("slice.chart_weights", "chart weights are slice-weight differences",
-              _chart_weights,
+              lambda q: {name: blowup.chart(name).weights for name in blowup.CHART_NAMES},
               {"P": {"s1": -16, "t0": -2, "t1": -14, "u0": -4, "u1": -12},
                "Q": {"s0": 2, "s1": -14, "t1": -12, "u0": -2, "u1": -10},
                "R": {"s0": 4, "s1": -12, "t0": 2, "t1": -10, "u1": -8}}),
@@ -377,7 +396,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
         Check("betti.boundary", "boundary invariants (1,1,2,1,1)",
               lambda q: _module("betti").boundary_invariants(), (1, 1, 2, 1, 1)),
         Check("betti.tor_ordered", "(1,8,29,29,8,1) with 35 fibers (1,2,3,2,1) gives (1,43,99,99,43,1)",
-              lambda q: _module("betti").tor_betti_ordered().even, (1, 43, 99, 99, 43, 1)),
+              lambda q: q.tor_ordered().even, (1, 43, 99, 99, 43, 1)),
         Check("betti.tor_unordered", "(1,1,2,2,1,1) with one fiber (1,1,2,1,1) gives (1,2,3,3,2,1)",
               lambda q: q.tor_unordered().even, (1, 2, 3, 3, 2, 1)),
         Check("betti.routes_agree", "stratification route equals decomposition route",
@@ -393,7 +412,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
         Check("picard.normal_bundle", "boundary normal bundle has bidegree (-1,-1)",
               lambda q: _module("picard").normal_bundle_boundary().bidegree, (Fraction(-1), Fraction(-1))),
         Check("picard.intersections", "T_i^5 = 6, T_ord^5 = 210, T^5 = 1/192",
-              lambda q: _module("picard").top_self_intersections(),
+              lambda q: q.intersections(),
               {"component": Fraction(6), "ordered": Fraction(210), "unordered": Fraction(1, 192)}),
         Check("picard.obstruction", "(5 Delta)^5 = (7 T)^5 is infeasible with a 5-free denominator bound",
               lambda q: q.obstruction(),

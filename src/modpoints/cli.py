@@ -11,7 +11,8 @@ quadratic-space censuses and group data, blow-up chart reports, Betti
 tables and the divisor ledger.  Each handler returns its result; for a
 quantity a suite also checks it calls the function the suite calls,
 through the same ``checks.Quantities`` method where one exists (the
-registry the suites read).  ``main`` encodes the result with
+registry the suites read, which also hands the group's data to ``betti``
+and ``picard``).  ``main`` encodes the result with
 ``checks.encode`` and writes it, as JSON unless ``run`` asks for text.
 All output is exact.
 ``fqspace``, ``betti`` and ``picard`` are imported by the handlers that use
@@ -92,10 +93,11 @@ def _cmd_slice(args):
 def _cmd_betti(args) -> dict:
     from . import betti
 
+    quantities = checks.Quantities()
     if args.action == "kirwan":
-        table = checks.Quantities().kirwan()
+        table = quantities.kirwan()
     elif args.action == "tor":
-        table = betti.tor_betti_ordered() if args.ordered else checks.Quantities().tor_unordered()
+        table = quantities.tor_ordered() if args.ordered else quantities.tor_unordered()
     else:
         table = betti.BettiTable(betti.boundary_invariants())
     return table.by_degree()
@@ -107,7 +109,7 @@ def _cmd_picard(args):
     if args.action == "verify":
         return picard.verify_blowup_identities()
     if args.action == "intersections":
-        numbers = picard.top_self_intersections()
+        numbers = checks.Quantities().intersections()
         return {
             "T_i^5": numbers.component,
             "T_ord^5": numbers.ordered,

@@ -9,15 +9,19 @@ composition is one ``bytes.translate``.  G = S_8, Kondo's relabelling of
 the 8 points, is generated here by one set: the transvections of an A7
 path of seven vectors, whose Coxeter presentation gives the order 8!
 without listing the group.  ``orbits_under`` walks G's orbits, and the
-orbits of Stab(h) are read off the G-orbits of pairs (h, x).
+orbits of Stab(h) are read off the G-orbits of pairs (h, x).  Nothing is
+remembered between calls: the functions that read G take its generators,
+and the order or orbit they need, as arguments, so that a caller
+(``checks.Quantities``, once per run) searches for the path and walks the
+orbits once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 DIMENSION = 6
 SIZE = 64
@@ -116,29 +120,7 @@ def coxeter_generators() -> Tuple[bytes, ...]:
     """The transvections s_1..s_7 of the A7 path.  AssertionError unless
     (s_i s_j)^m = 1 with m = 1, 3 or 2 as j - i is 0, 1 or more (the A7
     Coxeter matrix), and unless they are transitive on the 28 non-isotropic
-    vectors.
-
-    The search runs once per lifetime of the cache of ``_coxeter_search``,
-    which remembers a failure as well as the generators: each call then
-    raises the same error with the traceback of the search, so no frames
-    pile up on it from one call to the next."""
-    generators, error, traceback = _coxeter_search()
-    if error is not None:
-        raise error.with_traceback(traceback)
-    return generators
-
-
-@lru_cache(maxsize=1)
-def _coxeter_search():
-    """(generators, None, None), or (None, error, traceback) when the search
-    or its checks raised."""
-    try:
-        return _checked_generators(), None, None
-    except Exception as error:
-        return None, error, error.__traceback__
-
-
-def _checked_generators() -> Tuple[bytes, ...]:
+    vectors.  Each call searches and checks anew."""
     path = _a7_path()
     s = tuple(map(reflection, path))
     for i, j in combinations_with_replacement(range(len(s)), 2):
@@ -150,20 +132,20 @@ def _checked_generators() -> Tuple[bytes, ...]:
     return s
 
 
-def group_order() -> int:
-    """The order of the group G the 28 reflections generate: 8! = 40320.
+def group_order(generators: Sequence[bytes]) -> int:
+    """The order of the group G the 28 reflections generate, given the
+    ``coxeter_generators`` s_1..s_7: 8! = 40320.
 
-    Proof.  ``coxeter_generators`` satisfy the A7 relations, S_8's
-    presentation by adjacent transpositions, so H = <s_1..s_7> is a
-    quotient of S_8.  Its kernel is 1, A_8 or S_8, and the last two would
-    give s_1 s_2 = 1, checked false here; so H is S_8.  H is transitive on
-    the 28 non-isotropic vectors and g t_v g^-1 = t_{gv} for every isometry
-    g, so H holds all 28 reflections: H = G.
+    Proof.  The s_i satisfy the A7 relations, S_8's presentation by
+    adjacent transpositions, so H = <s_1..s_7> is a quotient of S_8.  Its
+    kernel is 1, A_8 or S_8, and the last two would give s_1 s_2 = 1,
+    checked false here; so H is S_8.  H is transitive on the 28
+    non-isotropic vectors and g t_v g^-1 = t_{gv} for every isometry g, so
+    H holds all 28 reflections: H = G.
     """
-    s = coxeter_generators()
-    if _compose(s[0], s[1]) == IDENTITY:
+    if _compose(generators[0], generators[1]) == IDENTITY:
         raise AssertionError("s1 s2 = 1: the path transvections generate a group of order at most 2")
-    return math.factorial(len(s) + 1)
+    return math.factorial(len(generators) + 1)
 
 
 def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> List[frozenset]:
@@ -185,18 +167,17 @@ def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> List[froze
     return out
 
 
-def _stab_orbits(h: int, points: Iterable[int]) -> List[frozenset]:
+def _stab_orbits(generators: Sequence[bytes], h: int, points: Iterable[int]) -> List[frozenset]:
     """The orbits of Stab(h) through ``points``, in order of their least point:
     x and y share one exactly when (h, y) lies in the G-orbit of (h, x), walked
-    with the Coxeter generators moving both entries and read off at h."""
-    gens = coxeter_generators()
+    with ``generators`` moving both entries and read off at h."""
     remaining = set(points)
     out = []
     while remaining:
         walk = [(h, min(remaining))]
         seen = set(walk)
         for u, x in walk:  # breadth-first, as in ``orbits_under``
-            for g in gens:
+            for g in generators:
                 pair = (g[u], g[x])
                 if pair not in seen:
                     seen.add(pair)
@@ -206,15 +187,17 @@ def _stab_orbits(h: int, points: Iterable[int]) -> List[frozenset]:
     return out
 
 
-def stab_orbit_summary(h: int) -> Dict[str, int]:
-    """Orbit counts of Stab(h) on the isotropic and non-isotropic parts of h-perp.
+def stab_orbit_summary(generators: Sequence[bytes], h: int, order: int, orbit: frozenset) -> Dict[str, int]:
+    """Orbit counts of Stab(h) on the isotropic and non-isotropic parts of
+    h-perp, and its order, where G is the group ``generators`` generate,
+    ``order`` is |G| and ``orbit`` is the G-orbit of h.
 
     The orbits are read off the G-orbits of pairs (h, x), and the order is
     |G| / |orbit of h| by orbit-stabilizer.
     """
     iso_perp, noniso_perp = _perp(h)  # validates h
     return {
-        "isotropic_orbits": len(_stab_orbits(h, iso_perp)),
-        "nonisotropic_orbits": len(_stab_orbits(h, noniso_perp)),
-        "stabilizer_order": group_order() // len(orbits_under(coxeter_generators(), [h])[0]),
+        "isotropic_orbits": len(_stab_orbits(generators, h, iso_perp)),
+        "nonisotropic_orbits": len(_stab_orbits(generators, h, noniso_perp)),
+        "stabilizer_order": order // len(orbit),
     }

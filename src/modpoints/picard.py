@@ -9,8 +9,9 @@ symbol.  Applying a map and reducing by the relations are
 equal.  No geometry happens here by design: the geometric inputs
 (pullback formulas, canonical classes, the weight-14 modular form
 relation, boundary normal bundles) are transcribed, the cusp count and
-covering degree are read from ``fqspace`` and the dimension from
-``betti``, and this module only checks their arithmetic consequences:
+covering degree are arguments (``checks.Quantities`` reads them off the
+fq space) and the dimension is read from ``betti``, and this module only
+checks their arithmetic consequences:
 canonical-bundle identities, top self-intersection numbers (one
 coefficient of a ``MultiPoly`` power), the obstruction to a common
 crepant resolution, and discrepancies.
@@ -225,19 +226,17 @@ class IntersectionNumbers(Record):
     unordered: Fraction  # T^5
 
 
-def top_self_intersections() -> IntersectionNumbers:
+def top_self_intersections(cusps: int, cover_degree: int) -> IntersectionNumbers:
     """T_i^5 = N^4 on the component, summed over the cusps, divided by the cover.
 
     The 35 cusps are the (4,4) splittings of the 8 points, one per isotropic
     vector of the fq space (Kondo), and the cover degree is the order 8! of
     its group, which relabels the points.
     """
-    from . import fqspace
-
     n = normal_bundle_boundary().bidegree
     component = _plane_pair_top_intersection(n[0], n[1])
-    ordered = len(fqspace.isotropic_vectors()) * component
-    unordered = Fraction(ordered, fqspace.group_order())
+    ordered = cusps * component
+    unordered = Fraction(ordered, cover_degree)
     return IntersectionNumbers(component, ordered, unordered)
 
 
@@ -252,10 +251,11 @@ class ObstructionCertificate(Record):
     feasible: bool
 
 
-def k_equivalence_obstruction(e_candidates: Iterable[int]) -> ObstructionCertificate:
+def k_equivalence_obstruction(t5: Fraction, e_candidates: Iterable[int]) -> ObstructionCertificate:
     """No 5-free denominator bound e admits (5 Delta)^5 = (7 T)^5.
 
-    The toroidal side gives (7T)^5 = 16807/192; equality would force
+    The toroidal side gives (7T)^5 = 16807/192 from T^5 = ``t5`` = 1/192
+    (``top_self_intersections``); equality would force
     Delta^5 = 16807/600000 whose reduced denominator carries 5^5, while
     Delta^5 lies in (1/e)Z with e free of the prime 5.  The candidates
     must be positive ints, at least one of them.
@@ -269,7 +269,7 @@ def k_equivalence_obstruction(e_candidates: Iterable[int]) -> ObstructionCertifi
         if e < 1:
             raise ValueError("denominator bounds must be positive")
     candidates = tuple(sorted(set(candidates)))
-    toroidal = Fraction(7) ** 5 * top_self_intersections().unordered
+    toroidal = Fraction(7) ** 5 * t5
     required = toroidal / Fraction(5) ** 5
     denominator = required.denominator
     valuation = 0

@@ -6,11 +6,7 @@ from modpoints import fqspace
 
 
 @pytest.fixture
-def fresh_coxeter_generators():
-    """Rebuild the cached Coxeter generators or the error of their search, the
-    package's one process-wide cache, before and after a test that replaces
-    the path search or counts the searches."""
-    cached = fqspace._coxeter_search
-    cached.cache_clear()
-    yield
-    cached.cache_clear()
+def broken_coxeter_path(monkeypatch):
+    """The A7 path with its first two vectors swapped, which fails the Coxeter relations."""
+    path = fqspace._a7_path()
+    monkeypatch.setattr(fqspace, "_a7_path", lambda: (path[1], path[0]) + path[2:])

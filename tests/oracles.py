@@ -27,6 +27,10 @@ another way, or a helper only the tests need:
 - ``q_planes`` and ``plane_census``: the form and its census on the first
   1, 2 or 3 hyperbolic planes, against the table ``modpoints.fqspace.q``
   and ``fqspace.census``;
+- ``semistable_supports``: the nonempty affine supports of a blow-up
+  chart whose points, with the chart's unit coordinate beside them, lie in
+  neither unstable subspace of ``modpoints.blowup.unstable_supports``,
+  against the supports that ``blowup._admissible_supports`` scans;
 - ``invert_unit``: the inverse of a truncated series (a coefficient
   tuple, as in ``modpoints.betti``) with constant term +-1, term by term;
   1/(1 - t^2) times 1/(1 - t^4) is a second route to the series
@@ -41,8 +45,10 @@ another way, or a helper only the tests need:
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List, Tuple
 
+from modpoints.blowup import PROJECTIVE_COORDINATES, Chart, unstable_supports
 from modpoints.fqspace import IDENTITY, SIZE, _compose, nonisotropic_vectors, reflection
 from modpoints.poly import MultiPoly, _subresultant_prs, _unpack, normalize, try_divide
 from modpoints.record import Record
@@ -252,6 +258,22 @@ def plane_census(planes: int) -> Tuple[int, int, int]:
     size = 1 << (2 * planes)
     isotropic = sum(1 for v in range(1, size) if q_planes(v, planes) == 0)
     return 1, isotropic, size - 1 - isotropic
+
+
+# ----------------------------------------------------------------------
+# the semistable locus in a blow-up chart
+
+def semistable_supports(ch: Chart) -> List[Tuple[str, ...]]:
+    """The nonempty supports on ``ch``'s affine coordinates whose projective
+    support, the unit coordinate included, lies in no unstable support."""
+    (unit,) = {c.lower() for c in PROJECTIVE_COORDINATES} - set(ch.coordinates)
+    unstable = unstable_supports()
+    return [
+        support
+        for size in range(1, len(ch.coordinates) + 1)
+        for support in combinations(ch.coordinates, size)
+        if not any({unit, *support} <= {c.lower() for c in side} for side in unstable)
+    ]
 
 
 # ----------------------------------------------------------------------

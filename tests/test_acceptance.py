@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from modpoints import betti, blowup, fqspace, picard, stability
+from modpoints import betti, blowup, checks, fqspace, picard, stability
 from modpoints.poly import MultiPoly, discriminant_quartic, resultant, variables
 
 from oracles import bareiss_resultant, generate_group, stabilizer
@@ -107,7 +107,9 @@ def test_c06_quadratic_space():
     assert group.order == 40320
     h = fqspace.isotropic_vectors()[0]
     assert len(stabilizer(h)) == 1152
-    assert fqspace.stab_orbit_summary(h)["nonisotropic_orbits"] == 1
+    generators = fqspace.coxeter_generators()
+    orbit = fqspace.orbits_under(generators, [h])[0]
+    assert fqspace.stab_orbit_summary(generators, h, group.order, orbit)["nonisotropic_orbits"] == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(f"C6 quadratic-space census and group: PASS ({elapsed:.2f}s)")
@@ -136,14 +138,16 @@ def test_c08_decomposition_assembly():
 
 
 def test_c09_picard_ledger():
-    checks = picard.verify_blowup_identities()
-    assert all(c.holds for c in checks)
+    identities = picard.verify_blowup_identities()
+    assert all(c.holds for c in identities)
     assert picard.normal_bundle_boundary().bidegree == (Fraction(-1), Fraction(-1))
-    numbers = picard.top_self_intersections()
+    numbers = picard.top_self_intersections(
+        len(fqspace.isotropic_vectors()), fqspace.group_order(fqspace.coxeter_generators())
+    )
     assert numbers.component == 6
     assert numbers.ordered == 210
     assert numbers.unordered == Fraction(1, 192)
-    cert = picard.k_equivalence_obstruction((1, 2, 4, 8))
+    cert = picard.k_equivalence_obstruction(numbers.unordered, (1, 2, 4, 8))
     assert not cert.feasible
     assert cert.required_exceptional_power == Fraction(16807, 600000)
     assert picard.discrepancy(5, 6, Fraction(3, 4)) == Fraction(1, 2)
@@ -159,5 +163,5 @@ def test_c10_cross_module_consistency():
     }
     assert set(multiplicities.values()) == {6}
     assert picard.exceptional_pullback_coefficient() == 6
-    assert betti.kirwan_betti().even == betti.tor_betti_unordered().even
+    assert betti.kirwan_betti().even == checks.Quantities().tor_unordered().even
     _report("C10 cross-module consistency (multiplicity 6; Betti routes agree): PASS")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpoints import betti, fqspace
+from modpoints import betti, checks, fqspace
 from modpoints.betti import (
     IH_BB_ORDERED,
     IH_BB_UNORDERED,
@@ -34,8 +34,6 @@ from modpoints.betti import (
     series,
     series_text,
     slice_normal_weights,
-    tor_betti_ordered,
-    tor_betti_unordered,
     truncate,
 )
 from modpoints.poly import MultiPoly
@@ -284,23 +282,27 @@ def test_decomposition_assembly_validates_lengths():
 
 
 def test_cusp_counts_are_read_from_the_fq_space(monkeypatch):
-    # one cusp per isotropic vector, and one per orbit of G on them; 34 of the
-    # 35 vectors still make one orbit under G, and 34 under the identity alone
-    assert tor_betti_ordered() == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 35, 5)
+    # through checks.Quantities: one cusp per isotropic vector, and one per orbit
+    # of G on them; the 35 isotropic vectors make one orbit under G, and 35 under
+    # the identity alone
+    quantities = checks.Quantities()
+    assert quantities.tor_ordered() == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 35, 5)
+    assert quantities.tor_unordered() == decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 1, 5)
     fewer = fqspace.isotropic_vectors()[1:]
     monkeypatch.setattr(fqspace, "isotropic_vectors", lambda: fewer)
-    assert tor_betti_ordered().even == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 34, 5).even
-    assert tor_betti_unordered().even == (1, 2, 3, 3, 2, 1)
     monkeypatch.setattr(fqspace, "coxeter_generators", lambda: (fqspace.IDENTITY,))
-    assert tor_betti_unordered().even == decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 34, 5).even
+    quantities = checks.Quantities()
+    assert quantities.tor_ordered() == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 34, 5)
+    assert quantities.tor_unordered() == decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 35, 5)
 
 
 def test_both_routes_agree():
-    assert kirwan_betti().even == tor_betti_unordered().even
+    assert kirwan_betti().even == checks.Quantities().tor_unordered().even
 
 
 def test_tables_are_palindromic():
-    for table in (kirwan_betti(), tor_betti_ordered(), tor_betti_unordered()):
+    quantities = checks.Quantities()
+    for table in (kirwan_betti(), quantities.tor_ordered(), quantities.tor_unordered()):
         assert table.is_palindromic()
 
 

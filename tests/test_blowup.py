@@ -23,7 +23,7 @@ from modpoints.blowup import (
 )
 from modpoints.poly import MultiPoly, is_squarefree, variables
 
-from oracles import parse_poly
+from oracles import parse_poly, semistable_supports
 
 
 def test_chart_names():
@@ -272,6 +272,23 @@ def test_scan_respects_the_semistability_filter():
             s = set(support)
             assert s & ch.zero_side and s & ch.one_side
             assert order == stabilizer_order(ch, support)
+
+
+def test_the_scan_leaves_out_the_semistable_supports_inside_the_index_1_side():
+    # measured against the semistable locus, not the paper: the unit coordinate
+    # is of index 0, so a support inside the index-1 side is semistable, but
+    # _admissible_supports requires both sides among the affine coordinates
+    left_out_orders = {"P": {2, 4, 12, 14, 16}, "Q": {2, 10, 12, 14}, "R": {2, 4, 8, 10, 12}}
+    for name in blowup.CHART_NAMES:
+        ch = chart(name)
+        semistable, admitted = semistable_supports(ch), blowup._admissible_supports(ch)
+        assert (len(semistable), len(admitted)) == (28, 21)
+        assert set(admitted) <= set(semistable)
+        left_out = set(semistable) - set(admitted)
+        one_side = sorted(ch.one_side)
+        assert left_out == {s for k in (1, 2, 3) for s in combinations(one_side, k)}
+        assert one_side == ["s1", "t1", "u1"]
+        assert {stabilizer_order(ch, s) for s in left_out} == left_out_orders[name]
 
 
 def test_antidiag_fixed_constraint():

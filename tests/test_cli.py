@@ -225,7 +225,7 @@ def test_importing_a_module_loads_no_other():
     assert _probe("import sys, modpoints.poly" + LOADED) == "['modpoints', 'modpoints.poly']"
 
 
-def test_run_all_computes_each_shared_quantity_once(monkeypatch, fresh_coxeter_generators):
+def test_run_all_computes_each_shared_quantity_once(monkeypatch):
     calls = {}
 
     def count(module, name):
@@ -238,18 +238,22 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch, fresh_coxeter_g
 
         monkeypatch.setattr(module, name, counted)
 
+    count(fqspace, "coxeter_generators")
     count(fqspace, "orbits_under")
     count(stability, "classify")
     count(blowup, "discriminant_pullback")
     count(blowup, "scan_stabilizers")
     checks.run_report(list(checks.SUITE_NAMES))
-    # one pullback per chart and one scan, which slice and picard both read; four
-    # orbit walks, all under the Coxeter generators: their transitivity, their
-    # partition of the nonzero vectors, the orbit of h, whose length gives the
-    # order of Stab(h), and the unordered cusps; Stab(h)'s orbits on h-perp are
-    # walked as orbits of pairs, outside orbits_under
-    assert calls == {"orbits_under": 4, "classify": 130, "discriminant_pullback": 3, "scan_stabilizers": 1}
-    assert fqspace._coxeter_search.cache_info().misses == 1  # one path search and relation check
+    # one pullback per chart and one scan, which slice and picard both read; one
+    # path search and relation check; two orbit walks under the Coxeter
+    # generators: their transitivity, inside the search, and their orbits on the
+    # nonzero vectors, which give the orbit sizes, the orbit of h, whose length
+    # gives the order of Stab(h), and the unordered cusps; Stab(h)'s orbits on
+    # h-perp are walked as orbits of pairs, outside orbits_under
+    assert calls == {
+        "coxeter_generators": 1, "orbits_under": 2, "classify": 130, "discriminant_pullback": 3,
+        "scan_stabilizers": 1,
+    }
 
 
 def test_a_subcommand_builds_only_the_chart_it_prints(monkeypatch, capsys):
@@ -315,13 +319,6 @@ def test_the_text_report_prints_what_a_check_raised_under_its_row(monkeypatch, c
         "         raised ZeroDivisionError: forced",
         "0/1 checks passed",
     ]
-
-
-@pytest.fixture
-def broken_coxeter_path(monkeypatch, fresh_coxeter_generators):
-    """The A7 path with its first two vectors swapped, which fails the Coxeter relations."""
-    path = fqspace._a7_path()
-    monkeypatch.setattr(fqspace, "_a7_path", lambda: (path[1], path[0]) + path[2:])
 
 
 def test_a_broken_coxeter_path_is_reported_as_an_error(broken_coxeter_path, monkeypatch, capsys):
@@ -470,8 +467,8 @@ def test_chart_weight_check_reads_the_luna_slice_weights(monkeypatch):
     monkeypatch.setitem(blowup.SLICE_WEIGHTS, "beta1", -8)
     check = _only_check("slice", "slice.chart_weights")
     assert check["status"] == "fail"
-    assert [check["payload"]["value"][name]["t1"] for name in "PQR"] == [-16, -14, -12]
-    assert check["payload"]["second_route"] == check["expected"]
+    assert [check["payload"][name]["t1"] for name in "PQR"] == [-16, -14, -12]
+    assert [check["expected"][name]["t1"] for name in "PQR"] == [-14, -12, -10]
 
 
 def test_text_format_lists_every_check(capsys):

@@ -1,7 +1,5 @@
 """Censuses, reflections and the orthogonal group of the GF(2) space."""
 
-import traceback
-
 import pytest
 
 from modpoints import fqspace
@@ -151,8 +149,14 @@ def test_stabilizer_order_1152():
     assert len(stabilizer(isotropic_vectors()[0])) == 1152
 
 
+def _stab_summary(h):
+    """``stab_orbit_summary`` with the data it takes built here."""
+    generators = coxeter_generators()
+    return stab_orbit_summary(generators, h, group_order(generators), orbits_under(generators, [h])[0])
+
+
 def test_stabilizer_orbit_summary():
-    summary = stab_orbit_summary(isotropic_vectors()[0])
+    summary = _stab_summary(isotropic_vectors()[0])
     assert summary["nonisotropic_orbits"] == 1
     # the 19 isotropic perp vectors split as {h} plus one orbit of 18
     assert summary["isotropic_orbits"] == 2
@@ -180,7 +184,7 @@ def test_element_numbering_is_deterministic():
 
 
 def test_chain_order_equals_enumerated_order():
-    assert group_order() == generate_group().order == 40320
+    assert group_order(coxeter_generators()) == generate_group().order == 40320
 
 
 def test_path_search_finds_the_first_a7_path():
@@ -193,12 +197,13 @@ def test_path_search_finds_the_first_a7_path():
 
 
 def test_the_path_transvections_generate_the_enumerated_group():
+    generators = coxeter_generators()
     seen = {fqspace.IDENTITY}
     frontier = [fqspace.IDENTITY]
     while frontier:
         nxt = []
         for p in frontier:
-            for s in coxeter_generators():
+            for s in generators:
                 g = fqspace._compose(s, p)
                 if g not in seen:
                     seen.add(g)
@@ -213,14 +218,14 @@ def test_chain_stabilizer_agrees_with_enumeration(h):
     iso_perp = [v for v in isotropic_vectors() if b(v, h) == 0]
     noniso_perp = [v for v in nonisotropic_vectors() if b(v, h) == 0]
     for points in (iso_perp, noniso_perp):
-        assert set(fqspace._stab_orbits(h, points)) == set(orbits_under(stab, points))
-    summary = stab_orbit_summary(h)
+        assert set(fqspace._stab_orbits(coxeter_generators(), h, points)) == set(orbits_under(stab, points))
+    summary = _stab_summary(h)
     assert summary["stabilizer_order"] == len(stab)
     assert summary["isotropic_orbits"] == len(orbits_under(stab, iso_perp))
     assert summary["nonisotropic_orbits"] == len(orbits_under(stab, noniso_perp))
 
 
-def test_a_broken_path_fails_the_coxeter_relations(monkeypatch, fresh_coxeter_generators):
+def test_a_broken_path_fails_the_coxeter_relations(monkeypatch):
     path = fqspace._a7_path()
     broken = (path[1], path[0]) + path[2:]
     monkeypatch.setattr(fqspace, "_a7_path", lambda: broken)
@@ -228,31 +233,13 @@ def test_a_broken_path_fails_the_coxeter_relations(monkeypatch, fresh_coxeter_ge
         coxeter_generators()
 
 
-def test_a_failed_search_runs_once_and_raises_with_its_own_traceback(monkeypatch, fresh_coxeter_generators):
-    path, calls = fqspace._a7_path(), []
-    monkeypatch.setattr(fqspace, "_a7_path", lambda: (path[1], path[0]) + path[2:])
-    monkeypatch.setattr(fqspace, "reflection", lambda v: calls.append(v) or reflection(v))
-    raised, frames = [], []
-    for _ in range(3):
-        with pytest.raises(AssertionError, match="fails on the path") as info:
-            coxeter_generators()
-        raised.append(info.value)
-        frames.append([(f.name, f.lineno) for f in traceback.extract_tb(info.value.__traceback__)])
-    assert len(calls) == 7  # one search: seven transvections
-    assert raised[0] is raised[1] is raised[2]
-    # every call raises from the same frames, down to the failed relation
-    assert frames[0] == frames[1] == frames[2]
-    assert frames[0][-1][0] == "_checked_generators"
-
-
-def test_seven_equal_vectors_pass_the_relations_but_not_the_order(monkeypatch, fresh_coxeter_generators):
+def test_seven_equal_vectors_pass_the_relations_but_not_the_order(monkeypatch):
     v = nonisotropic_vectors()[0]
     monkeypatch.setattr(fqspace, "_a7_path", lambda: (v,) * 7)
     with pytest.raises(AssertionError, match="not transitive"):
         coxeter_generators()  # every relation holds, so the relations alone prove nothing
-    monkeypatch.setattr(fqspace, "coxeter_generators", lambda: (reflection(v),) * 7)
     with pytest.raises(AssertionError, match="s1 s2 = 1"):
-        group_order()
+        group_order((reflection(v),) * 7)
 
 
 def test_is_linear_rejects_every_transposition():

@@ -29,6 +29,8 @@ from modpoints.picard import (
 )
 from modpoints.poly import MultiPoly
 
+T5 = Fraction(1, 192)  # the toroidal T^5 that the obstruction reads
+
 
 def form(coeffs):
     """The linear form sum c * s over a {symbol: coefficient} map."""
@@ -116,14 +118,14 @@ def test_normal_bundle_multiplier_reads_the_canonical_class(monkeypatch):
 
 
 def test_top_self_intersections():
-    numbers = top_self_intersections()
+    numbers = top_self_intersections(35, 40320)
     assert numbers.component == 6
     assert numbers.ordered == 210
     assert numbers.unordered == Fraction(1, 192)
 
 
 def test_obstruction_certificate():
-    cert = k_equivalence_obstruction((1, 2, 4, 8))
+    cert = k_equivalence_obstruction(T5, (1, 2, 4, 8))
     assert cert.toroidal_power == Fraction(16807, 192)
     assert cert.required_exceptional_power == Fraction(16807, 600000)
     assert cert.denominator_five_valuation == 5
@@ -132,30 +134,30 @@ def test_obstruction_certificate():
 
 def test_obstruction_stable_under_more_five_free_candidates():
     candidates = [e for e in range(1, 400) if e % 5 != 0]
-    assert not k_equivalence_obstruction(candidates).feasible
+    assert not k_equivalence_obstruction(T5, candidates).feasible
 
 
 def test_obstruction_rejects_nonpositive_candidates():
     with pytest.raises(ValueError):
-        k_equivalence_obstruction((0, 2))
+        k_equivalence_obstruction(T5, (0, 2))
 
 
 def test_obstruction_rejects_an_empty_candidate_set():
     # no candidate at all would certify infeasibility vacuously
     with pytest.raises(ValueError, match="no denominator bounds"):
-        k_equivalence_obstruction(())
+        k_equivalence_obstruction(T5, ())
     with pytest.raises(ValueError, match="no denominator bounds"):
-        k_equivalence_obstruction(e for e in ())
+        k_equivalence_obstruction(T5, (e for e in ()))
 
 
 @pytest.mark.parametrize("candidates", [(2.5, 4), (True,), (2, False), ("4",), (Fraction(4),)])
 def test_obstruction_rejects_candidates_that_are_not_ints(candidates):
     with pytest.raises(ValueError, match="is not an int"):
-        k_equivalence_obstruction(candidates)
+        k_equivalence_obstruction(T5, candidates)
 
 
 def test_obstruction_keeps_its_candidates_sorted_and_distinct():
-    assert k_equivalence_obstruction((8, 1, 4, 2, 4)).e_candidates == (1, 2, 4, 8)
+    assert k_equivalence_obstruction(T5, (8, 1, 4, 2, 4)).e_candidates == (1, 2, 4, 8)
 
 
 def test_discrepancies():
@@ -214,4 +216,4 @@ def test_e_candidates_flow_from_the_stabilizer_scan():
     scan = blowup.scan_stabilizers()
     candidates = [e for e in range(1, scan.e + 1) if scan.e % e == 0]
     assert candidates == [1, 2, 4, 8]
-    assert not k_equivalence_obstruction(candidates).feasible
+    assert not k_equivalence_obstruction(T5, candidates).feasible
