@@ -33,10 +33,10 @@ resultant sets the other variables to powers of two past a Hadamard-type
 bound (Collins, with a Kronecker substitution), so that the image of a term
 is its coefficient shifted left, runs the sequence on ints and lifts the
 one integer back by the same expansion, with shifts for digits.
-``is_squarefree`` images its primitive part once, reads the derivative's
-image off it and needs only whether that integer is 0.  Past a fixed bit
-length the resultant runs the sequence on MultiPoly coefficients, and the
-squarefree test takes the gcd of P with its derivatives.  An exact division
+``is_squarefree`` images p once per occurring variable v, reads the image
+of dp/dv off it and needs only whether Res_v(p, dp/dv) is 0.  Past a fixed
+bit length the resultant runs the sequence on MultiPoly coefficients, and
+the squarefree test takes the gcd of p with its derivatives.  An exact division
 bounds its quotient's exponents by one OR of the dividend's keys less the
 divisor's degrees.
 A field is read by masking whole keys, and a map of plain ints has lcm 1,
@@ -487,26 +487,6 @@ def _buckets(terms: Terms, n: int, i: int) -> Dict[int, Terms]:
     return out
 
 
-def _content_and_primitive(p: MultiPoly, name: str) -> Tuple[MultiPoly, MultiPoly]:
-    """(content, primitive part) of p as a polynomial in ``name``.
-
-    The content is the gcd of the coefficients in ``name``.  It is 1, with no
-    gcd and no division run, as soon as one coefficient is a nonzero constant
-    (a term map whose only key is 0); otherwise the gcd is folded over the
-    coefficients with the fewest terms first, and stops once it reaches 1.
-    """
-    vs = tuple(sorted({name, *p._vars}))
-    coefficients = _buckets(p._embedded(vs), len(vs), vs.index(name)).values()
-    if not all(map(any, coefficients)):
-        return MultiPoly.constant(1), p
-    content = MultiPoly.zero()
-    for terms in sorted(coefficients, key=len):
-        content = poly_gcd(content, _trusted(vs, terms))
-        if content.is_constant:
-            break  # the coefficients are nonzero, so content is 1 and stays 1
-    return content, p // content
-
-
 # ----------------------------------------------------------------------
 # the subresultant remainder sequence, on lists of coefficients
 
@@ -770,47 +750,47 @@ def _repeated_part(p: MultiPoly) -> MultiPoly:
 def is_squarefree(p: MultiPoly) -> bool:
     """True iff no irreducible factor repeats (characteristic zero).
 
-    With v the first occurring variable, p = content * primitive in v, and
-    no factor of the content (free of v) divides the primitive part.  So p is
-    squarefree iff the content is, checked recursively, and the primitive
-    part P shares no factor with its derivative in v, that is, Res_v(P, P')
-    is not 0 (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
-    8.2).  P, scaled to integer coefficients, is imaged once at the point of
-    ``resultant``: F = [F_0, ..., F_d].  Setting the other variables commutes
-    with d/dv, so the image of P' is [k F_k for k >= 1], and its bound comes
-    from P's, as |k P_k|_1 = k |P_k|_1 and deg_i P bounds deg_i P'.  The
-    integer Res(F, F') is 0 exactly when Res_v(P, P') is, so it needs no
-    lift.  A primitive part of degree 1 in v gives its leading coefficient,
-    which is never 0.  The bit guard only chooses the route: past it, P is
-    squarefree iff its gcd with all its partial derivatives is constant
-    (``_repeated_part``), which reads no image.
+    p is squarefree iff Res_v(p, dp/dv) is not 0 for every variable v that
+    occurs in p (Geddes, Czapor and Labahn, *Algorithms for Computer
+    Algebra*, 8.2).  If f^2 divides p with f irreducible, f contains some v,
+    so f divides p and dp/dv and Res_v is 0.  If p is squarefree and an
+    irreducible f with deg_v f > 0 divides p = f h and dp/dv = f_v h + f h_v,
+    then f divides f_v h, and as f does not divide h it divides f_v, which is
+    impossible: f_v != 0 and deg_v f_v < deg_v f.  p, scaled to integer
+    coefficients once, is imaged at the point of ``resultant`` once per
+    variable: F = [F_0, ..., F_d].  Setting the other variables commutes with
+    d/dv, so the image of dp/dv is [k F_k for k >= 1], and its bound comes
+    from p's, as |k p_k|_1 = k |p_k|_1 and deg_i p bounds deg_i dp/dv.  The
+    leading coefficient of dp/dv in v is d lc_v(p), never 0, so, as in
+    ``resultant``, no degree drops at the point and the integer Res(F, F')
+    is 0 exactly when Res_v(p, dp/dv) is; it needs no lift, and the first 0
+    answers False.  The bit guard only chooses the route: past it for any
+    variable, p is squarefree iff its gcd with all its partial derivatives
+    is constant (``_repeated_part``), which reads no image.
     """
     if p.is_zero:
         raise ValueError("squarefreeness is undefined for 0")
     if p.is_constant:
         raise ValueError("squarefreeness is undefined for constants")
-    name = p.occurring_variables()[0]
-    content, primitive = _content_and_primitive(p, name)
-    if not (content.is_constant or is_squarefree(content)):
-        return False
-    vs, terms = primitive._vars, _integral(primitive._terms)[1]
-    n, j = len(vs), vs.index(name)
-    degrees, norms = _shape(terms, n, j)
-    levels = _levels((degrees, norms), (degrees, [k * x for k, x in enumerate(norms)][1:]), n, j)
-    if levels is None:
-        return _repeated_part(primitive).is_constant
-    image = _image(terms, n, j, len(norms), levels)
-    return bool(_sequence_resultant(image, [k * image[k] for k in range(1, len(image))]))
+    vs, terms = p._vars, _integral(p._terms)[1]
+    n = len(vs)
+    for name in p.occurring_variables():
+        j = vs.index(name)
+        degrees, norms = _shape(terms, n, j)
+        levels = _levels((degrees, norms), (degrees, [k * x for k, x in enumerate(norms)][1:]), n, j)
+        if levels is None:
+            return _repeated_part(p).is_constant
+        image = _image(terms, n, j, len(norms), levels)
+        if not _sequence_resultant(image, [k * image[k] for k in range(1, len(image))]):
+            return False
+    return True
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
     """The radical of p, normalized."""
     if p.is_zero:
         raise ValueError("radical of 0 is undefined")
-    rep = _repeated_part(p)
-    if rep.is_constant:
-        return normalize(p)
-    return normalize(p // rep)
+    return normalize(p // _repeated_part(p))
 
 
 def extract_exceptional(p: MultiPoly, name: str) -> Tuple[int, MultiPoly]:

@@ -20,7 +20,6 @@ from modpoints.blowup import antidiag_fixed_constraint
 from modpoints.poly import (
     EXPONENT_LIMIT,
     HEURISTIC_BITS,
-    _content_and_primitive,
     _degrees,
     _divide_terms,
     _image,
@@ -644,22 +643,6 @@ def test_property_gcd_divides_both(pair):
     assert try_divide(q, g) is not None
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(small_polys)
-def test_property_content_is_the_gcd_of_every_coefficient(p):
-    for name in p.occurring_variables():
-        content, primitive = _content_and_primitive(p, name)
-        assert content * primitive == p
-        i = p.variables.index(name)
-        coefficients = {}
-        for exp, c in p.terms.items():
-            coefficients.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = c
-        folded = MultiPoly.zero()
-        for terms in coefficients.values():  # every coefficient, with no early exit
-            folded = poly_gcd(folded, MultiPoly(p.variables, terms))
-        assert content == folded
-
-
 # ----------------------------------------------------------------------
 # properties over Q[a, x, y]: coefficients are stored as int where integral
 # and as Fraction otherwise, so both halves of that storage are drawn
@@ -905,7 +888,7 @@ def test_property_images_are_the_coefficients_at_the_reported_levels(pair):
             assert coefficient.constant_value == value
 
 
-_A, _X = variables("a", "x")
+_A, _X, _Y = variables("a", "x", "y")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1027,10 +1010,6 @@ def test_interpolate_reads_digits_in_the_symmetric_range(xi):
 def test_content_in_the_first_variable_is_a_gcd_of_polynomials_in_x():
     a, x = variables("a", "x")
     p, q = (x + 1) * (a * x + 2), (x + 1) * (a * x - 3)
-    # in a, p = (x^2 + x) a + (2x + 2): no coefficient is constant
-    assert _content_and_primitive(p, "a") == (x + 1, a * x + 2)
-    # in a, a*x + 2 has the constant coefficient 2, so its content is 1 at once
-    assert _content_and_primitive(a * x + 2, "a") == (1, a * x + 2)
     assert poly_gcd(p, q) == x + 1
 
 
@@ -1156,11 +1135,10 @@ def test_squarefree_builds_no_derivative_polynomial(monkeypatch):
 
 
 def test_squarefree_past_the_bit_guard_takes_the_gcd_route(monkeypatch):
-    # past the guard the gcd of P with its partial derivatives answers: no
+    # past the guard the gcd of p with its partial derivatives answers: no
     # image at a point is built and no sequence runs on MultiPoly
-    # coefficients; a primitive part in v alone has no point to pass the
-    # guard, and the gcd reads its one-variable level, both by _image at no
-    # levels
+    # coefficients; a p in one variable has no point to pass the guard, and
+    # the gcd reads its one-variable level, both by _image at no levels
     image = poly_module._image
 
     def no_point(terms, n, j, length, levels):
@@ -1175,6 +1153,21 @@ def test_squarefree_past_the_bit_guard_takes_the_gcd_route(monkeypatch):
     for p, squarefree in _SQUAREFREE_CASES:
         assert is_squarefree(p) is squarefree
     assert repeated.called
+
+
+@pytest.mark.parametrize("p, images, squarefree", [
+    (parse_poly("a*x + y^2 + 1") * (_X - _Y), 3, True),
+    ((_A + 1) ** 2 * (_X + _Y), 1, False),  # Res_a is 0
+    ((_Y + 1) ** 2 * (_A * _X + 1), 3, False),  # only Res_y is 0
+])
+def test_squarefree_images_once_per_variable_below_the_guard(p, images, squarefree, monkeypatch):
+    # one image per occurring variable up to the first zero resultant, and
+    # no gcd
+    image = mock.Mock(side_effect=_image)
+    monkeypatch.setattr(poly_module, "_image", image)
+    monkeypatch.setattr(poly_module, "_repeated_part", mock.Mock(side_effect=AssertionError("the gcd route")))
+    assert is_squarefree(p) is squarefree
+    assert image.call_count == images
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1220,9 +1213,9 @@ def _products_in_one_to_three_variables(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_products_in_one_to_three_variables())
 def test_property_squarefree_two_routes(p):
-    # the content split and the integer image of Res(P, P') against the gcd of
-    # p with all its partial derivatives: once at the bit guard, once with a
-    # guard so large that the image answers every product
+    # the integer images of Res_v(p, dp/dv) for every variable v against the
+    # gcd of p with all its partial derivatives: once at the bit guard, once
+    # with a guard so large that the images answer every product
     assume(not p.is_constant)
     assert is_squarefree(p) == _repeated_part(p).is_constant
     with (mock.patch.object(poly_module, "HEURISTIC_BITS", 1 << 40),
@@ -1234,6 +1227,9 @@ def test_property_squarefree_two_routes(p):
     ((_X + 1) ** 2 * (_A + _X), False),  # the repeated factor is free of a, the first variable
     ((_X + 1) * (_X + 2) * (_A * _X + 1), True),
     (_A * _X + 1, True),  # degree 1 in a
+    ((_A + 1) ** 2 * (_X + _Y), False),
+    ((_Y + 1) ** 2 * (_A * _X + 1), False),  # the repeated factor is free of a and x: only Res_y finds it
+    ((_A + 1) * (_A + 2) * (_X + _Y), True),  # its content in a is x + y, not a constant
 ])
 def test_squarefree_pinned_cases_by_both_routes(p, squarefree):
     assert is_squarefree(p) is squarefree
@@ -1258,6 +1254,7 @@ def test_squarefree_rejects_constants():
 def test_squarefree_part_strips_multiplicity():
     x, y = variables("x", "y")
     assert squarefree_part((x + y) ** 3 * (x - y)) == (x + y) * (x - y)
+    assert squarefree_part(-3 * (x + y) * (x - y)) == (x + y) * (x - y)
 
 
 # ----------------------------------------------------------------------
