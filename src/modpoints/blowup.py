@@ -12,7 +12,9 @@ power (exactly 6) and restricting the strict transform to the exceptional
 hyperplane yields a polynomial whose squarefreeness decides generic
 transversality; the failures along u0 and u1 are what the reports record.
 Torus stabilizers of exceptional points are gcds of chart weights over the
-support of the point.
+support of the point.  The pullbacks, the tangent cone, the stabilizer scan
+and the antidiagonal constraint take the factors, charts and resultants
+they read as arguments, so that ``checks.Quantities`` computes each once.
 """
 
 from __future__ import annotations
@@ -104,10 +106,10 @@ def discriminant_factors() -> Tuple[MultiPoly, MultiPoly]:
     return discriminant_quartic(a0, b0, g0), discriminant_quartic(a1, b1, g1)
 
 
-def tangent_cone() -> Tuple[int, MultiPoly]:
-    """(multiplicity, lowest form) of the discriminant Disc0 * Disc1 at the
-    origin of the slice: the least total degree of its terms, and the sum of
-    its terms of that degree.
+def tangent_cone(factors: Tuple[MultiPoly, MultiPoly]) -> Tuple[int, MultiPoly]:
+    """(multiplicity, lowest form) at the origin of the slice of the
+    discriminant, the product of ``discriminant_factors``: the least total
+    degree of its terms, and the sum of its terms of that degree.
 
     Blown up at a point, a hypersurface pulls back with the exceptional
     divisor to its multiplicity there, and its strict transform meets that
@@ -117,8 +119,7 @@ def tangent_cone() -> Tuple[int, MultiPoly]:
     ``cone_in_chart``, to its restriction, with no chart pullback and no
     exceptional power stripped.
     """
-    d0, d1 = discriminant_factors()
-    product = d0 * d1
+    product = factors[0] * factors[1]
     terms = product.terms
     degree = min(map(sum, terms))
     return degree, MultiPoly(product.variables, {e: c for e, c in terms.items() if sum(e) == degree})
@@ -188,22 +189,18 @@ def _factor_report(ch: Chart, factor: MultiPoly) -> FactorReport:
     )
 
 
-def discriminant_pullback(ch: Chart) -> TransversalityReport:
-    """Pull the discriminant into a chart and test the exceptional crossing."""
-    reports = tuple(_factor_report(ch, f) for f in discriminant_factors())
+def discriminant_pullback(ch: Chart, factors: Tuple[MultiPoly, MultiPoly]) -> TransversalityReport:
+    """Pull the discriminant, given by ``discriminant_factors``, into a chart
+    and test the exceptional crossing."""
+    reports = tuple(_factor_report(ch, f) for f in factors)
     multiplicity = sum(r.multiplicity for r in reports)
     restriction = reports[0].restriction * reports[1].restriction
-    if restriction.is_constant:
-        squarefree = True
-        offending: Tuple[str, ...] = ()
-    else:
-        offending = tuple(_offending_factors(restriction))
-        squarefree = not offending
+    offending = () if restriction.is_constant else tuple(_offending_factors(restriction))
     return TransversalityReport(
         chart=ch.name,
         exceptional_multiplicity=multiplicity,
         restriction=restriction,
-        squarefree=squarefree,
+        squarefree=not offending,
         offending=offending,
         factors=reports,
     )
@@ -273,8 +270,9 @@ class StabilizerScan(Record):
     per_chart: Mapping[str, Tuple[Tuple[Tuple[str, ...], int], ...]]
 
 
-def scan_stabilizers() -> StabilizerScan:
-    """Stabilizer census over all admissible supports in charts P, Q, R.
+def scan_stabilizers(charts: Iterable[Chart]) -> StabilizerScan:
+    """Stabilizer census over all admissible supports in the given charts,
+    P, Q and R for the census the reports record.
 
     Every subgroup order g collected in the matrix torus contains the
     ineffective central element of order 2, so the faithful image on the
@@ -282,16 +280,10 @@ def scan_stabilizers() -> StabilizerScan:
     The bound e on denominators multiplies the lcm by the component-group
     order 2 and must stay free of the prime 5.
     """
-    per_chart: Dict[str, Tuple[Tuple[Tuple[str, ...], int], ...]] = {}
-    torus_orders = set()
-    for name in CHART_NAMES:
-        ch = chart(name)
-        rows = []
-        for support in _admissible_supports(ch):
-            order = stabilizer_order(ch, support)
-            rows.append((support, order))
-            torus_orders.add(order)
-        per_chart[name] = tuple(rows)
+    per_chart = {
+        ch.name: tuple((s, stabilizer_order(ch, s)) for s in _admissible_supports(ch)) for ch in charts
+    }
+    torus_orders = {order for rows in per_chart.values() for _, order in rows}
     if not torus_orders:
         raise AssertionError("no semistable supports found")
     if any(order % 2 for order in torus_orders):
@@ -323,16 +315,16 @@ def antidiag_resultants() -> Tuple[MultiPoly, MultiPoly]:
     return resultant(eq_t0, slice_closure, "lam"), resultant(eq_t1, slice_closure, "lam")
 
 
-def antidiag_fixed_constraint() -> MultiPoly:
+def antidiag_fixed_constraint(resultants: Tuple[MultiPoly, MultiPoly]) -> MultiPoly:
     """Locus of residual-slice points fixed by an antidiagonal element.
 
     On the residual slice of chart P the antidiagonal action sends
     (t0, t1) to (-l^2 t1, -l^14 t0) with l^16 = 1.  Eliminating l from the
-    fixed-point equations by resultants against l^16 - 1 and taking the
-    radical of the common factor leaves t0^8 - t1^8, so a point with
-    t0^8 != t1^8 is not fixed.
+    fixed-point equations by resultants against l^16 - 1
+    (``antidiag_resultants``) and taking the radical of the common factor
+    leaves t0^8 - t1^8, so a point with t0^8 != t1^8 is not fixed.
     """
-    return squarefree_part(poly_gcd(*antidiag_resultants()))
+    return squarefree_part(poly_gcd(*resultants))
 
 
 def _restricts_transversally(hyperplane_var: str, divisor: MultiPoly) -> bool:
@@ -351,7 +343,6 @@ def _restricts_transversally(hyperplane_var: str, divisor: MultiPoly) -> bool:
 
 class QuotientTransversality(Record):
     transversal: bool
-    quotient_coordinate_invariant: bool
     upstairs_double: bool
     independent_pair: bool
 
@@ -364,18 +355,13 @@ def quotient_chart_transversality() -> QuotientTransversality:
     (z1^2=0) carry a double structure, downstairs (t=0) and (w1=0) are
     independent coordinates and meet transversally.
     """
-    z1 = MultiPoly.variable("z1")
-    z2 = MultiPoly.variable("z2")
-    w1 = MultiPoly.variable("w1")
+    z1, z2, w1 = (MultiPoly.variable(v) for v in ("z1", "z2", "w1"))
     downstairs = z1 ** 2  # w1 expressed upstairs
     invariant = downstairs.substitute({"z1": -z1}) == downstairs
     not_invariant_linear = z1.substitute({"z1": -z1}) != z1
     quotient_ok = _restricts_transversally("t", w1)
-    upstairs_double = not _restricts_transversally("t", downstairs)
-    independent = _restricts_transversally("t", z2)
     return QuotientTransversality(
         transversal=quotient_ok and invariant and not_invariant_linear,
-        quotient_coordinate_invariant=invariant,
-        upstairs_double=upstairs_double,
-        independent_pair=independent,
+        upstairs_double=not _restricts_transversally("t", downstairs),
+        independent_pair=_restricts_transversally("t", z2),
     )

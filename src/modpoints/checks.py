@@ -14,7 +14,10 @@ a method of ``Quantities``, computed or raised once per instance:
 ``run_report`` builds one per run, and a subcommand one that computes only
 what it prints.  It is the package's only memo, and it wires the layers:
 G's generators, order and orbits are quantities, and ``betti`` and
-``picard`` take the cusp counts, the order and T^5 as arguments.
+``picard`` take the cusp counts, the order and T^5 as arguments.  The
+discriminant factors and each chart are quantities too, which ``blowup``
+takes as arguments; the antidiagonal resultants have one reader, which
+passes them on.
 ``fqspace``, ``betti`` and ``picard`` are imported on first use: without a
 bytecode cache, compiling the three is ~10 ms of a cold start, which
 ``run slice`` skips.
@@ -126,18 +129,26 @@ class Quantities:
         }
 
     @_once
+    def factors(self) -> Tuple[MultiPoly, MultiPoly]:
+        return blowup.discriminant_factors()
+
+    @_once
+    def chart(self, name: str) -> blowup.Chart:
+        return blowup.chart(name)
+
+    @_once
     def pullback(self, name: str) -> blowup.TransversalityReport:
         """The discriminant pulled back into chart ``name``."""
-        return blowup.discriminant_pullback(blowup.chart(name))
+        return blowup.discriminant_pullback(self.chart(name), self.factors())
 
     @_once
     def tangent_cone(self) -> Tuple[int, MultiPoly]:
         """The multiplicity and lowest form of the discriminant at the origin."""
-        return blowup.tangent_cone()
+        return blowup.tangent_cone(self.factors())
 
     @_once
     def scan(self) -> blowup.StabilizerScan:
-        return blowup.scan_stabilizers()
+        return blowup.scan_stabilizers([self.chart(name) for name in blowup.CHART_NAMES])
 
     def scan_summary(self) -> Dict:
         """The stabilizer census of ``scan`` without its per-chart rows."""
@@ -286,12 +297,13 @@ def _antidiagonal_locus(q: Quantities):
     the 16th roots of unity, l^2 and l^14 = l^-2 each run twice over the 8th
     roots mu, so each is Res_mu(mu t0 + t1, mu^8 - 1)^2, and that resultant
     is t0^8 ((-t1/t0)^8 - 1), read off the root mu = -t1/t0."""
-    constraint = blowup.antidiag_fixed_constraint()
+    resultants = blowup.antidiag_resultants()
+    constraint = blowup.antidiag_fixed_constraint(resultants)
     off, origin = constraint.evaluate({"t0": 1, "t1": 2}), constraint.evaluate({"t0": 0, "t1": 0})
     second = {} if off != 0 and origin == 0 else {"1,2": off, "0,0": origin}
     t0, t1 = MultiPoly.variable("t0"), MultiPoly.variable("t1")
     composed = ((-t1) ** 8 - t0 ** 8) ** 2
-    for power, r in zip(("lam^2", "lam^14"), blowup.antidiag_resultants()):
+    for power, r in zip(("lam^2", "lam^14"), resultants):
         if r != composed:
             second[power] = r
     return _unless_contradicted(constraint, second)
@@ -356,7 +368,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
     ),
     "slice": (
         Check("slice.chart_weights", "chart weights are slice-weight differences",
-              lambda q: {name: blowup.chart(name).weights for name in blowup.CHART_NAMES},
+              lambda q: {name: q.chart(name).weights for name in blowup.CHART_NAMES},
               {"P": {"s1": -16, "t0": -2, "t1": -14, "u0": -4, "u1": -12},
                "Q": {"s0": 2, "s1": -14, "t1": -12, "u0": -2, "u1": -10},
                "R": {"s0": 4, "s1": -12, "t0": 2, "t1": -10, "u1": -8}}),
@@ -380,8 +392,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
               _antidiagonal_locus, "t0^8 - t1^8"),
         Check("slice.quotient_transversality",
               "boundary and discriminant meet transversally in quotient coordinates",
-              lambda q: _fields(blowup.quotient_chart_transversality(),
-                                "transversal", "upstairs_double", "independent_pair"),
+              lambda q: blowup.quotient_chart_transversality(),
               {"transversal": True, "upstairs_double": True, "independent_pair": True}),
     ),
     "betti": (

@@ -8,14 +8,14 @@ subcommand whose computation raises prints the traceback and exits 3
 too, leaving ``--out`` as malformed input leaves it.  The remaining
 subcommands expose individual computations: stability verdicts,
 quadratic-space censuses and group data, blow-up chart reports, Betti
-tables and the divisor ledger.  Each handler returns its result; for a
-quantity a suite also checks it calls the function the suite calls,
-through the same ``checks.Quantities`` method where one exists (the
-registry the suites read, which also hands the group's data to ``betti``
-and ``picard``).  ``main`` encodes the result with
-``checks.encode`` and writes it, as JSON unless ``run`` asks for text.
-All output is exact.
-``fqspace``, ``betti`` and ``picard`` are imported by the handlers that use
+tables and the divisor ledger.  Each leaf subcommand binds the function
+that computes what it prints: for a quantity a suite also checks, the
+function the suite calls, through the same ``checks.Quantities`` method
+where one exists (the registry the suites read, which also hands the
+group's data to ``betti`` and ``picard``).  ``main`` encodes the result
+with ``checks.encode`` and writes it, as JSON unless ``run`` asks for
+text.  All output is exact.
+``fqspace``, ``betti`` and ``picard`` are imported by the functions that use
 them, so that a command loads only what it runs.
 """
 
@@ -38,12 +38,12 @@ class InputError(ValueError):
     """Malformed command line input, reported in one line with exit code 2."""
 
 
-def _cmd_run(args) -> dict:
+def _run(args) -> dict:
     names = checks.SUITE_NAMES if args.suite == "all" else (args.suite,)
     return checks.run_report(names)
 
 
-def _cmd_stability(args) -> dict:
+def _stability(args) -> dict:
     # int() would also take "4_4", spaces and non-ASCII digits
     if args.config is not None:
         if not re.fullmatch("[0-9]+(,[0-9]+)*", args.config):
@@ -59,30 +59,35 @@ def _cmd_stability(args) -> dict:
     return checks.Quantities().verdict_table(int(args.table))
 
 
-def _cmd_fq(args) -> dict:
+def _census(args) -> dict:
     from . import fqspace
 
-    if args.action == "census":
-        zero, iso, non = fqspace.census()
-        return {"zero": zero, "isotropic": iso, "nonisotropic": non}
-    if args.action == "perp":
-        # int(..., 16) would also take "1_0", spaces and non-ASCII digits
-        if not re.fullmatch("(0x)?[0-9a-fA-F]+", args.vector):
-            raise InputError(f"fq perp {args.vector}: expected hex digits, optionally after 0x")
-        vector = int(args.vector, 16)
-        try:
-            iso, non = fqspace.perp_census(vector)
-        except ValueError as exc:
-            raise InputError(f"fq perp {args.vector}: {exc}") from None
-        return {"vector": f"0x{vector:02x}", "isotropic": iso, "nonisotropic": non}
-    return checks.Quantities().group_summary()
+    zero, iso, non = fqspace.census()
+    return {"zero": zero, "isotropic": iso, "nonisotropic": non}
 
 
-def _cmd_slice(args):
+def _perp(args) -> dict:
+    from . import fqspace
+
+    # int(..., 16) would also take "1_0", spaces and non-ASCII digits
+    if not re.fullmatch("(0x)?[0-9a-fA-F]+", args.vector):
+        raise InputError(f"fq perp {args.vector}: expected hex digits, optionally after 0x")
+    vector = int(args.vector, 16)
+    try:
+        iso, non = fqspace.perp_census(vector)
+    except ValueError as exc:
+        raise InputError(f"fq perp {args.vector}: {exc}") from None
+    return {"vector": f"0x{vector:02x}", "isotropic": iso, "nonisotropic": non}
+
+
+def _transversality(args) -> list:
     quantities = checks.Quantities()
-    if args.action == "transversality":
-        names = blowup.CHART_NAMES if args.chart == "all" else (args.chart,)
-        return [quantities.pullback(name) for name in names]
+    names = blowup.CHART_NAMES if args.chart == "all" else (args.chart,)
+    return [quantities.pullback(name) for name in names]
+
+
+def _stabilizers(args) -> dict:
+    quantities = checks.Quantities()
     per_chart = {
         name: [{"support": support, "order": order} for support, order in rows]
         for name, rows in quantities.scan().per_chart.items()
@@ -90,32 +95,26 @@ def _cmd_slice(args):
     return {**quantities.scan_summary(), "per_chart": per_chart}
 
 
-def _cmd_betti(args) -> dict:
+def _tor(args) -> dict:
+    quantities = checks.Quantities()
+    return (quantities.tor_ordered() if args.ordered else quantities.tor_unordered()).by_degree()
+
+
+def _boundary(args) -> dict:
     from . import betti
 
-    quantities = checks.Quantities()
-    if args.action == "kirwan":
-        table = quantities.kirwan()
-    elif args.action == "tor":
-        table = quantities.tor_ordered() if args.ordered else quantities.tor_unordered()
-    else:
-        table = betti.BettiTable(betti.boundary_invariants())
-    return table.by_degree()
+    return betti.BettiTable(betti.boundary_invariants()).by_degree()
 
 
-def _cmd_picard(args):
+def _verify(args) -> list:
     from . import picard
 
-    if args.action == "verify":
-        return picard.verify_blowup_identities()
-    if args.action == "intersections":
-        numbers = checks.Quantities().intersections()
-        return {
-            "T_i^5": numbers.component,
-            "T_ord^5": numbers.ordered,
-            "T^5": numbers.unordered,
-        }
-    return checks.Quantities().obstruction()
+    return picard.verify_blowup_identities()
+
+
+def _intersections(args) -> dict:
+    numbers = checks.Quantities().intersections()
+    return {"T_i^5": numbers.component, "T_ord^5": numbers.ordered, "T^5": numbers.unordered}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,39 +133,40 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     def actions(name, help):
-        return commands.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+        return commands.add_parser(name, help=help).add_subparsers(required=True)
 
-    run = leaf(commands, "run", _cmd_run, help="run verification suites")
+    run = leaf(commands, "run", _run, help="run verification suites")
     suites = ("all",) + checks.SUITE_NAMES
     run.add_argument("suite", nargs="?", default="all", choices=suites)
     run.add_argument("--format", choices=("text", "json"), default="text")
 
-    stab = leaf(commands, "stability", _cmd_stability, help="classify a configuration")
+    stab = leaf(commands, "stability", _stability, help="classify a configuration")
     group = stab.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="comma-separated multiplicities, e.g. 4,4")
     group.add_argument("--table", help=f"verdicts for degree N <= {MAX_TABLE_DEGREE}")
 
     fq = actions("fq", "quadratic space over GF(2)")
-    leaf(fq, "census", _cmd_fq)
-    perp = leaf(fq, "perp", _cmd_fq)
+    leaf(fq, "census", _census)
+    perp = leaf(fq, "perp", _perp)
     perp.add_argument("vector", help="hex-encoded isotropic vector, bit i = coordinate i+1")
-    leaf(fq, "group", _cmd_fq)
+    leaf(fq, "group", lambda args: checks.Quantities().group_summary())
 
     slc = actions("slice", "blow-up charts of the normal slice")
-    trans = leaf(slc, "transversality", _cmd_slice)
+    trans = leaf(slc, "transversality", _transversality)
     trans.add_argument("--chart", choices=blowup.CHART_NAMES + ("all",), default="all")
-    leaf(slc, "stabilizers", _cmd_slice)
+    leaf(slc, "stabilizers", _stabilizers)
 
     bt = actions("betti", "Betti tables")
-    leaf(bt, "kirwan", _cmd_betti)
-    side = leaf(bt, "tor", _cmd_betti).add_mutually_exclusive_group(required=True)
+    leaf(bt, "kirwan", lambda args: checks.Quantities().kirwan().by_degree())
+    side = leaf(bt, "tor", _tor).add_mutually_exclusive_group(required=True)
     side.add_argument("--ordered", action="store_true")
     side.add_argument("--unordered", action="store_true")
-    leaf(bt, "boundary", _cmd_betti)
+    leaf(bt, "boundary", _boundary)
 
     pc = actions("picard", "divisor-class ledger")
-    for action in ("verify", "intersections", "obstruction"):
-        leaf(pc, action, _cmd_picard)
+    leaf(pc, "verify", _verify)
+    leaf(pc, "intersections", _intersections)
+    leaf(pc, "obstruction", lambda args: checks.Quantities().obstruction())
 
     return parser
 

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from modpoints import betti, blowup, checks, fqspace, picard, stability
+from modpoints import betti, checks, fqspace, picard, stability
 from modpoints.poly import MultiPoly, discriminant_quartic, resultant, variables
 
 from oracles import bareiss_resultant, generate_group, stabilizer
@@ -50,7 +50,8 @@ def test_c02_luna_slice():
 
 def test_c03_chart_transversality():
     start = time.perf_counter()
-    reports = {name: blowup.discriminant_pullback(blowup.chart(name)) for name in "PQR"}
+    quantities = checks.Quantities()
+    reports = {name: quantities.pullback(name) for name in "PQR"}
     assert all(r.exceptional_multiplicity == 6 for r in reports.values())
     assert set(reports["P"].offending) == {"u0", "u1"} and not reports["P"].squarefree
     assert set(reports["Q"].offending) == {"u0", "u1"} and not reports["Q"].squarefree
@@ -89,7 +90,7 @@ def test_c04_discriminant_oracle():
 
 def test_c05_stabilizer_scan():
     start = time.perf_counter()
-    scan = blowup.scan_stabilizers()
+    scan = checks.Quantities().scan()
     assert scan.orders == (1, 2, 4)
     assert scan.e == 2 * scan.lcm_torus == 8
     assert scan.e % 5 != 0
@@ -157,11 +158,9 @@ def test_c09_picard_ledger():
 
 
 def test_c10_cross_module_consistency():
-    multiplicities = {
-        name: blowup.discriminant_pullback(blowup.chart(name)).exceptional_multiplicity
-        for name in "PQR"
-    }
+    quantities = checks.Quantities()
+    multiplicities = {name: quantities.pullback(name).exceptional_multiplicity for name in "PQR"}
     assert set(multiplicities.values()) == {6}
     assert picard.exceptional_pullback_coefficient() == 6
-    assert betti.kirwan_betti().even == checks.Quantities().tor_unordered().even
+    assert betti.kirwan_betti().even == quantities.tor_unordered().even
     _report("C10 cross-module consistency (multiplicity 6; Betti routes agree): PASS")

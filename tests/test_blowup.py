@@ -11,6 +11,7 @@ from modpoints.blowup import (
     PositiveDimensionalStabilizerError,
     SLICE_WEIGHTS,
     antidiag_fixed_constraint,
+    antidiag_resultants,
     chart,
     cone_in_chart,
     discriminant_factors,
@@ -97,47 +98,47 @@ def test_chart_p_pullback_matches_displayed_factorization():
         - 4 * a0 ** 2 * s1 ** 3 * t1 ** 2
     )
     ch = chart("P")
-    f0, f1 = discriminant_factors()
+    f0, f1 = factors = discriminant_factors()
     pulled = (f0 * f1).substitute(ch.substitution)
     assert pulled == a0 ** 6 * first * second
-    report = discriminant_pullback(ch)
+    report = discriminant_pullback(ch, factors)
     assert report.factors[0].strict_transform == first
     assert report.factors[1].strict_transform == second
 
 
 def test_exceptional_multiplicity_is_six_in_every_chart():
     for name in "PQR":
-        report = discriminant_pullback(chart(name))
+        report = discriminant_pullback(chart(name), discriminant_factors())
         assert report.exceptional_multiplicity == 6
         assert [f.multiplicity for f in report.factors] == [3, 3]
 
 
 def test_the_tangent_cone_gives_each_charts_multiplicity_and_restriction():
     # each factor's lowest form is 256*gamma^3
-    degree, form = tangent_cone()
+    degree, form = tangent_cone(discriminant_factors())
     assert (degree, form) == (6, parse_poly("65536*gamma0^3*gamma1^3"))
     for name in "PQR":
-        report = discriminant_pullback(chart(name))
+        report = discriminant_pullback(chart(name), discriminant_factors())
         assert report.exceptional_multiplicity == degree
         assert cone_in_chart(name, form) == report.restriction
     assert cone_in_chart("R", parse_poly("alpha0*beta1 + gamma0^2")) == parse_poly("s0*t1 + 1")
 
 
 def test_transversality_chart_p():
-    report = discriminant_pullback(chart("P"))
+    report = discriminant_pullback(chart("P"), discriminant_factors())
     assert not report.squarefree
     assert set(report.offending) == {"u0", "u1"}
     assert report.restriction == parse_poly("65536*u0^3*u1^3")
 
 
 def test_transversality_chart_q():
-    report = discriminant_pullback(chart("Q"))
+    report = discriminant_pullback(chart("Q"), discriminant_factors())
     assert not report.squarefree
     assert set(report.offending) == {"u0", "u1"}
 
 
 def test_transversality_chart_r():
-    report = discriminant_pullback(chart("R"))
+    report = discriminant_pullback(chart("R"), discriminant_factors())
     assert report.factors[0].constant
     assert report.factors[0].restriction == MultiPoly.constant(256)
     assert not report.factors[1].constant
@@ -146,7 +147,7 @@ def test_transversality_chart_r():
 
 def test_report_invariant_squarefree_iff_no_offenders():
     for name in "PQR":
-        report = discriminant_pullback(chart(name))
+        report = discriminant_pullback(chart(name), discriminant_factors())
         assert report.squarefree == (not report.offending)
 
 
@@ -182,7 +183,7 @@ def test_property_no_offenders_iff_squarefree(p):
 def test_factors_are_swap_symmetric_in_charts_p_and_q():
     swap = {"t0": "t1", "u0": "u1"}
     for name in "PQ":
-        report = discriminant_pullback(chart(name))
+        report = discriminant_pullback(chart(name), discriminant_factors())
         first = report.factors[0].strict_transform
         second_residual = report.factors[1].residual_form
         renames = {}
@@ -252,7 +253,7 @@ def test_positive_dimensional_stabilizer_signalled():
 
 
 def test_scan_stabilizers():
-    scan = scan_stabilizers()
+    scan = scan_stabilizers(map(chart, blowup.CHART_NAMES))
     assert scan.orders == (1, 2, 4)
     assert scan.torus_orders == (2, 4)
     assert scan.effective_orders == (1, 2)
@@ -265,7 +266,7 @@ def test_scan_stabilizers():
 
 
 def test_scan_respects_the_semistability_filter():
-    scan = scan_stabilizers()
+    scan = scan_stabilizers(map(chart, blowup.CHART_NAMES))
     for name, rows in scan.per_chart.items():
         ch = chart(name)
         for support, order in rows:
@@ -293,15 +294,21 @@ def test_the_scan_leaves_out_the_semistable_supports_inside_the_index_1_side():
 
 def test_antidiag_fixed_constraint():
     t0, t1 = variables("t0", "t1")
-    constraint = antidiag_fixed_constraint()
+    constraint = antidiag_fixed_constraint(antidiag_resultants())
     assert constraint == t0 ** 8 - t1 ** 8
     assert constraint.evaluate({"t0": 1, "t1": 2}) != 0
     assert constraint.evaluate({"t0": 0, "t1": 0}) == 0
 
 
-def test_quotient_chart_transversality():
+def test_quotient_chart_transversality(monkeypatch):
     report = quotient_chart_transversality()
     assert report.transversal
-    assert report.quotient_coordinate_invariant
     assert report.upstairs_double
     assert report.independent_pair
+    # transversal requires w1 = z1^2 to be invariant under z1 -> -z1: shifting
+    # every substituted image by 1 breaks that invariance, and nothing else
+    substitute = MultiPoly.substitute
+    monkeypatch.setattr(MultiPoly, "substitute", lambda p, values: substitute(p, values) + 1)
+    broken = quotient_chart_transversality()
+    assert not broken.transversal
+    assert (broken.upstairs_double, broken.independent_pair) == (True, True)

@@ -119,6 +119,14 @@ def test_an_unrecognized_trailing_argument_prints_the_full_usage(capsys):
         assert err.endswith("error: unrecognized arguments: extra\n"), err
 
 
+@pytest.mark.parametrize("command", ["fq", "slice", "betti", "picard"])
+def test_a_command_without_its_subcommand_exits_2(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command])
+    assert info.value.code == 2
+    assert "error: the following arguments are required: {" in capsys.readouterr().err
+
+
 def test_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["run", "nosuchsuite"])
@@ -241,18 +249,25 @@ def test_run_all_computes_each_shared_quantity_once(monkeypatch):
     count(fqspace, "coxeter_generators")
     count(fqspace, "orbits_under")
     count(stability, "classify")
+    count(blowup, "discriminant_factors")
+    count(blowup, "chart")
     count(blowup, "discriminant_pullback")
     count(blowup, "scan_stabilizers")
+    count(blowup, "antidiag_resultants")
     checks.run_report(list(checks.SUITE_NAMES))
-    # one pullback per chart and one scan, which slice and picard both read; one
-    # path search and relation check; two orbit walks under the Coxeter
-    # generators: their transitivity, inside the search, and their orbits on the
-    # nonzero vectors, which give the orbit sizes, the orbit of h, whose length
-    # gives the order of Stab(h), and the unordered cusps; Stab(h)'s orbits on
-    # h-perp are walked as orbits of pairs, outside orbits_under
+    # one pair of discriminant factors, which the pullbacks and the tangent cone
+    # read; each chart once, for its weights, its pullback and the scan; one
+    # pullback per chart and one scan, which slice and picard both read; the
+    # antidiagonal resultants once, for the constraint and their own second
+    # route; one path search and relation check; two orbit walks under the
+    # Coxeter generators: their transitivity, inside the search, and their
+    # orbits on the nonzero vectors, which give the orbit sizes, the orbit of
+    # h, whose length gives the order of Stab(h), and the unordered cusps;
+    # Stab(h)'s orbits on h-perp are walked as orbits of pairs, outside
+    # orbits_under
     assert calls == {
-        "coxeter_generators": 1, "orbits_under": 2, "classify": 130, "discriminant_pullback": 3,
-        "scan_stabilizers": 1,
+        "coxeter_generators": 1, "orbits_under": 2, "classify": 130, "discriminant_factors": 1, "chart": 3,
+        "discriminant_pullback": 3, "scan_stabilizers": 1, "antidiag_resultants": 1,
     }
 
 
@@ -417,7 +432,7 @@ def test_odd_degree_check_reads_every_verdict(monkeypatch):
 
 def test_antidiagonal_check_reads_two_points(monkeypatch):
     t0, t1 = poly.variables("t0", "t1")
-    monkeypatch.setattr(blowup, "antidiag_fixed_constraint", lambda: t0 ** 8 - t1 ** 8 + 1)
+    monkeypatch.setattr(blowup, "antidiag_fixed_constraint", lambda resultants: t0 ** 8 - t1 ** 8 + 1)
     check = _only_check("slice", "slice.antidiag")
     assert check["status"] == "fail"
     assert check["payload"] == {"value": "t0^8 - t1^8 + 1", "second_route": {"1,2": "-254", "0,0": "1"}}
@@ -456,7 +471,7 @@ def test_slice_checks_read_the_tangent_cone(monkeypatch):
 
 def test_a_wrong_tangent_cone_is_reported_beside_each_chart(monkeypatch):
     gamma0 = poly.MultiPoly.variable("gamma0")
-    monkeypatch.setattr(blowup, "tangent_cone", lambda: (5, gamma0 ** 5))
+    monkeypatch.setattr(blowup, "tangent_cone", lambda factors: (5, gamma0 ** 5))
     multiplicity = _only_check("slice", "slice.multiplicity")
     assert multiplicity["payload"] == {"value": multiplicity["expected"], "second_route": dict.fromkeys("PQR", 5)}
     crossing = _only_check("slice", "slice.transversality")

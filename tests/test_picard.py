@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modpoints import blowup, picard
+from modpoints import checks, picard
 from modpoints.picard import (
     D2_0,
     D2_1,
@@ -99,7 +99,7 @@ def test_projection_formula_instance():
 
 def test_exceptional_pullback_coefficient_matches_chart_multiplicity():
     assert exceptional_pullback_coefficient() == 6
-    report = blowup.discriminant_pullback(blowup.chart("P"))
+    report = checks.Quantities().pullback("P")
     assert report.exceptional_multiplicity == exceptional_pullback_coefficient()
 
 
@@ -213,7 +213,7 @@ def test_property_maps_are_linear(name, data):
 
 
 def test_e_candidates_flow_from_the_stabilizer_scan():
-    scan = blowup.scan_stabilizers()
+    scan = checks.Quantities().scan()
     candidates = [e for e in range(1, scan.e + 1) if scan.e % e == 0]
     assert candidates == [1, 2, 4, 8]
     assert not k_equivalence_obstruction(T5, candidates).feasible

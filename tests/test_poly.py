@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from modpoints import blowup
 from modpoints import poly as poly_module
-from modpoints.blowup import antidiag_fixed_constraint
+from modpoints.blowup import antidiag_fixed_constraint, antidiag_resultants
 from modpoints.poly import (
     EXPONENT_LIMIT,
     HEURISTIC_BITS,
@@ -1054,7 +1054,7 @@ def test_the_subresultant_route_gives_the_same_answers(monkeypatch):
     q = (x + y) * (x - a) ** 2 * (2 * y + 1)
 
     def answers():
-        return poly_gcd(p, q), squarefree_part(p * q), antidiag_fixed_constraint()
+        return poly_gcd(p, q), squarefree_part(p * q), antidiag_fixed_constraint(antidiag_resultants())
 
     expected = answers()
     assert expected[0] == normalize((x + y) * (x - a))
