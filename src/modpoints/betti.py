@@ -21,7 +21,7 @@ from .poly import MultiPoly
 from .record import Record
 from .stability import luna_slice_basis, torus_monomial_weights
 
-SLICE_CODIMENSION = 6
+SLICE_CODIMENSION = len(luna_slice_basis().monomials)
 COMPLEX_DIMENSION = 5
 STRATIFICATION_BOUND_BASE = 7
 # Modulo t^6 the series fixes b_0, b_2 and b_4, which duality completes.

@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 DIMENSION = 6
-SIZE = 64
+SIZE = 1 << DIMENSION
 
 IDENTITY = bytes(range(SIZE))
 _PAD = bytes(256 - SIZE)  # fills a permutation out to a translate table

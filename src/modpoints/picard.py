@@ -254,7 +254,9 @@ class ObstructionCertificate(Record):
 def k_equivalence_obstruction(t5: Fraction, e_candidates: Iterable[int]) -> ObstructionCertificate:
     """No 5-free denominator bound e admits (5 Delta)^5 = (7 T)^5.
 
-    The toroidal side gives (7T)^5 = 16807/192 from T^5 = ``t5`` = 1/192
+    The coefficients 7 of T and 5 of Delta are those of the canonical
+    classes of TOR and K in ``CANONICAL``.  The toroidal side gives
+    (7T)^5 = 16807/192 from T^5 = ``t5`` = 1/192
     (``top_self_intersections``); equality would force
     Delta^5 = 16807/600000 whose reduced denominator carries 5^5, while
     Delta^5 lies in (1/e)Z with e free of the prime 5.  The candidates
@@ -269,8 +271,8 @@ def k_equivalence_obstruction(t5: Fraction, e_candidates: Iterable[int]) -> Obst
         if e < 1:
             raise ValueError("denominator bounds must be positive")
     candidates = tuple(sorted(set(candidates)))
-    toroidal = Fraction(7) ** 5 * t5
-    required = toroidal / Fraction(5) ** 5
+    toroidal = coefficients(CANONICAL[TOR])["T"] ** 5 * t5
+    required = toroidal / coefficients(CANONICAL[K])["Delta"] ** 5
     denominator = required.denominator
     valuation = 0
     while denominator % 5 == 0:

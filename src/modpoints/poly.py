@@ -19,24 +19,23 @@ coordinate power (for strict transforms under a blow-up), squarefreeness
 tests, the closed-form discriminant of a depressed quartic, and one
 subresultant pseudo-remainder sequence.  The sequence is written once with
 Python's operators (``*``, ``-``, ``**``, exact ``//``) on lists of the
-coefficients in the eliminated variable: bare ints for the integer images
-of the resultant, the squarefreeness test and the gcd's last variable,
-MultiPolys on the resultant's fallback, so that it shares MultiPoly's one
-product loop (``_mul_terms``) and one exact-division loop (``_divide_terms``).
+coefficients in the eliminated variable: the package runs it on the ints
+of the integer images of the resultant, the squarefreeness test and the
+gcd's last variable.
 
 Both the gcd and the resultant evaluate at large integers.  The gcd is the
 heuristic gcd of Char, Geddes and Gonnet, its one route: the images down to
 one variable, whose gcd the sequence gives, lifted back by a symmetric
 xi-adic expansion and accepted only when ``_divide_terms`` divides both
 sides, with a larger point after each rejected candidate.  The
-resultant sets the other variables to powers of two past a Hadamard-type
-bound (Collins, with a Kronecker substitution), so that the image of a term
-is its coefficient shifted left, runs the sequence on ints and lifts the
-one integer back by the same expansion, with shifts for digits.
-``is_squarefree`` images p once per occurring variable v, reads the image
-of dp/dv off it and needs only whether Res_v(p, dp/dv) is 0.  Past a fixed
-bit length the resultant runs the sequence on MultiPoly coefficients, and
-the squarefree test takes the gcd of p with its derivatives.  An exact division
+resultant, also by one route at every size, sets the other variables to
+powers of two past a Hadamard-type bound (Collins, with a Kronecker
+substitution), so that the image of a term is its coefficient shifted
+left, runs the sequence on ints and lifts the one integer back by the same
+expansion, with shifts for digits.  ``is_squarefree`` images p once per
+occurring variable v, reads the image of dp/dv off it and needs only
+whether Res_v(p, dp/dv) is 0; past a fixed bit length it takes the gcd of
+p with its derivatives instead.  An exact division
 bounds its quotient's exponents by one OR of the dividend's keys less the
 divisor's degrees.
 A field is read by masking whole keys, and a map of plain ints has lcm 1,
@@ -65,10 +64,9 @@ EXPONENT_LIMIT = 1 << 15
 FIELD = 17
 MASK = (1 << FIELD) - 1
 
-# The integer image of a resultant or a squarefree test is taken only while
-# each power xi^deg stays within this many bits (about 5000 decimal digits);
-# past it the resultant runs its sequence on MultiPoly coefficients and the
-# squarefree test takes the gcd route.  The heuristic gcd has no such cap.
+# The squarefree test takes its integer images only while each power xi^deg
+# stays within this many bits (about 5000 decimal digits); past it the test
+# takes the gcd route.  The resultant and the heuristic gcd have no such cap.
 HEURISTIC_BITS = 1 << 14
 
 
@@ -490,30 +488,18 @@ def _buckets(terms: Terms, n: int, i: int) -> Dict[int, Terms]:
 # ----------------------------------------------------------------------
 # the subresultant remainder sequence, on lists of coefficients
 
-def _coefficient_lists(vs: Tuple[str, ...], j: int, *maps: Terms) -> List[List[MultiPoly]]:
-    """[p_0, ..., p_n] for each nonempty term map p = sum p_k v^k over the
-    variables vs, v the j-th: its coefficients in v as MultiPolys over vs,
-    with p_n != 0."""
-    lists = []
-    for terms in maps:
-        buckets = _buckets(terms, len(vs), j)
-        lists.append([_trusted(vs, buckets.get(d, {})) for d in range(max(buckets) + 1)])
-    return lists
-
-
 def _subresultant_prs(f: list, g: list):
     """The subresultant remainder sequence of the lists of coefficients f and g.
 
     ``f`` and ``g`` are [c_0, ..., c_n] and [c_0, ..., c_m] with n >= m > 0,
     i.e. len(f) >= len(g) >= 2 (every caller puts the longer list first),
     each entry free of the main variable: ints for the integer images, and
-    MultiPolys only on the resultant's fallback past the bit guard and in
-    the tests' second gcd route, combined with the same operators.  Each
-    pseudo-division is the classical one (Brown and Traub, JACM 18, 1971;
-    Knuth, TAOCP 2, 4.6.1): R starts as A, and the step at each degree
-    d = deg A, ..., deg B = m pops the top entry lc of R, multiplies the
-    rest by ell(B) unless that is 1, and subtracts lc x^(d-m) B from it
-    unless lc is 0, which leaves
+    MultiPolys in the tests' second gcd route, combined with the same
+    operators.  Each pseudo-division is the classical one (Brown and
+    Traub, JACM 18, 1971; Knuth, TAOCP 2, 4.6.1): R starts as A, and the
+    step at each degree d = deg A, ..., deg B = m pops the top entry lc of
+    R, multiplies the rest by ell(B) unless that is 1, and subtracts
+    lc x^(d-m) B from it unless lc is 0, which leaves
     prem(A, B) = ell(B)^(deg A - m + 1) A mod B.  Each pseudo-division
     yields (A, B, h): A is the previous B, B = prem(A, B) / (g h^delta)
     entry by entry, and the classical g/h divisor bookkeeping keeps every
@@ -593,10 +579,10 @@ def _shape(terms: Terms, n: int, j: int) -> Tuple[List[int], List[int]]:
 
 
 def _levels(f, g, n: int, j: int):
-    """The (field shift, bit count, variable index) of each level of the
-    point of ``resultant`` for two sides of the shapes f and g (``_shape``;
-    the degree in the j-th of n variables is read from the norms alone), or
-    None past the bit guard."""
+    """The (field shift, bit count, variable index, degree bound D_i) of
+    each level of the point of ``resultant`` for two sides of the shapes f
+    and g (``_shape``; the degree in the j-th of n variables is read from
+    the norms alone)."""
     (ef, nf), (eg, ng) = f, g
     df, dg = len(nf) - 1, len(ng) - 1
     bound = math.isqrt(sum(map(mul, nf, nf)) ** dg * sum(map(mul, ng, ng)) ** df)
@@ -605,9 +591,7 @@ def _levels(f, g, n: int, j: int):
     for i in range(n):
         if i != j and (ef[i] or eg[i]):
             degree = dg * ef[i] + df * eg[i]
-            if (bits + 1) * (degree + 1) > HEURISTIC_BITS:
-                return None
-            levels.append((FIELD * (n - 1 - i), bits, i))
+            levels.append((FIELD * (n - 1 - i), bits, i, degree))
             bits *= degree + 1
     return levels
 
@@ -620,7 +604,7 @@ def _image(terms: Terms, n: int, j: int, length: int, levels) -> List[int]:
     image = [0] * length
     for key, c in terms.items():
         shift = 0
-        for si, w, _ in levels:
+        for si, w, _, _ in levels:
             shift += (key >> si & MASK) * w
         image[key >> sj & MASK] += c << shift
     return image
@@ -764,9 +748,10 @@ def is_squarefree(p: MultiPoly) -> bool:
     leading coefficient of dp/dv in v is d lc_v(p), never 0, so, as in
     ``resultant``, no degree drops at the point and the integer Res(F, F')
     is 0 exactly when Res_v(p, dp/dv) is; it needs no lift, and the first 0
-    answers False.  The bit guard only chooses the route: past it for any
-    variable, p is squarefree iff its gcd with all its partial derivatives
-    is constant (``_repeated_part``), which reads no image.
+    answers False.  The bit guard only chooses the route: once a power
+    xi^(D_i + 1) of any level needs more than ``HEURISTIC_BITS`` bits, p is
+    squarefree iff its gcd with all its partial derivatives is constant
+    (``_repeated_part``), which reads no image.
     """
     if p.is_zero:
         raise ValueError("squarefreeness is undefined for 0")
@@ -778,7 +763,7 @@ def is_squarefree(p: MultiPoly) -> bool:
         j = vs.index(name)
         degrees, norms = _shape(terms, n, j)
         levels = _levels((degrees, norms), (degrees, [k * x for k, x in enumerate(norms)][1:]), n, j)
-        if levels is None:
+        if any((bits + 1) * (degree + 1) > HEURISTIC_BITS for _, bits, _, degree in levels):
             return _repeated_part(p).is_constant
         image = _image(terms, n, j, len(norms), levels)
         if not _sequence_resultant(image, [k * image[k] for k in range(1, len(image))]):
@@ -847,11 +832,10 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     Kronecker substitution*, JSC 44, 2009, packs at powers of two the same
     way).  The sequence runs on the two lists of ints, and ``_interpolate``
     lifts the one integer back, largest power first, by shifts since every
-    level is a power of two.  Past the bit guard (a
-    power p with p^(D_i + 1) over ``HEURISTIC_BITS`` bits, which also keeps
-    every exponent below ``EXPONENT_LIMIT``) the sequence runs on the
-    coefficients of the scaled polynomials as MultiPolys.  A side of degree
-    0 in ``name`` gives its constant's power, by either route.
+    level is a power of two.  The lift gives each variable exponents up to
+    D_i, so a D_i past ``EXPONENT_LIMIT`` raises ``ExponentOverflowError``
+    before anything is imaged; the degrees in ``name`` have no such bound.
+    A side of degree 0 in ``name`` gives its constant's power.
     """
     if f.is_zero or g.is_zero:
         return MultiPoly.zero()
@@ -860,14 +844,11 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     (cf, fi), (cg, gi) = _integral(f._embedded(vs)), _integral(g._embedded(vs))
     (_, nf), (_, ng) = shapes = _shape(fi, n, j), _shape(gi, n, j)
     levels = _levels(*shapes, n, j)
-    if levels is None:  # the sequence runs on MultiPolys, with nothing to lift
-        fl, gl = _coefficient_lists(vs, j, fi, gi)
-        levels = []
-    else:
-        fl, gl = _image(fi, n, j, len(nf), levels), _image(gi, n, j, len(ng), levels)
-    value = _sequence_resultant(fl, gl)  # Res(c f, d g), at the levels' point if any
-    terms = value._embedded(vs) if isinstance(value, MultiPoly) else {0: value}
-    for _, bits, i in reversed(levels):
+    if any(degree > EXPONENT_LIMIT for *_, degree in levels):
+        raise ExponentOverflowError(f"a resultant exponent exceeds {EXPONENT_LIMIT}")
+    fl, gl = _image(fi, n, j, len(nf), levels), _image(gi, n, j, len(ng), levels)
+    terms = {0: _sequence_resultant(fl, gl)}  # Res(c f, d g) at the levels' point
+    for _, bits, i, _ in reversed(levels):
         terms = _interpolate(terms, 1 << bits, _unit(i, n))
     scale = cf ** (len(gl) - 1) * cg ** (len(fl) - 1)
     return _trusted(vs, terms if scale == 1 else {key: _divide(c, scale) for key, c in terms.items()})

@@ -7,8 +7,7 @@ another way, or a helper only the tests need:
   fraction-free Bareiss elimination over Q[other variables], against
   ``modpoints.poly.resultant``, which evaluates the other variables at large
   integers, runs the subresultant remainder sequence on ints and lifts the
-  one integer back, or runs the sequence on ``MultiPoly`` coefficients past
-  its bit guard;
+  one integer back, at every size;
 - ``subresultant_gcd``: the content recursion over the first occurring
   variable, with the contents found by the same recursion, and the
   subresultant remainder sequence of ``modpoints.poly`` on the primitive

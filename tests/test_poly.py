@@ -143,15 +143,20 @@ def test_exponent_overflow_is_hard_error():
     at_limit = (x ** (EXPONENT_LIMIT - 3) * y) * (x ** 3 + y ** (EXPONENT_LIMIT - 1))
     assert degree_in(at_limit, "x") == degree_in(at_limit, "y") == EXPONENT_LIMIT
     assert degree_in(x ** EXPONENT_LIMIT, "x") == EXPONENT_LIMIT
-    # the remainder sequence multiplies MultiPoly coefficients with the same guard: here
-    # prem(x^2 + 1, a^k x + 1) = a^2k + 1 is the resultant
+    # the resultant bounds the exponents of its lift by D_a = m deg_a f + n deg_a g
+    # before it builds an image: here Res(a^k x + 1, x^2 + 1) = a^2k + 1, and D_a = 2k
     a, = variables("a")
     f, g = a ** (EXPONENT_LIMIT // 2) * x + 1, x ** 2 + 1
     assert resultant(f, g, "x") == resultant(g, f, "x") == a ** EXPONENT_LIMIT + 1
     f = a ** (EXPONENT_LIMIT // 2 + 1) * x + 1
-    for pair in ((f, g), (g, f)):
-        with pytest.raises(ExponentOverflowError):
-            resultant(*pair, "x")
+    with mock.patch.object(poly_module, "_image", side_effect=AssertionError("an image was built")):
+        for pair in ((f, g), (g, f)):
+            with pytest.raises(ExponentOverflowError):
+                resultant(*pair, "x")
+    # the degrees in the eliminated variable are not bounded: 2 m n = 40000 is
+    # past the limit, but D_a = 100 * 1
+    assert 2 * 200 * 100 > EXPONENT_LIMIT
+    assert resultant(x ** 200 - a, x ** 100 + 1, "x") == (a - 1) ** 100
 
 
 def test_constructor_rejects_malformed_input():
@@ -876,14 +881,13 @@ def test_property_images_are_the_coefficients_at_the_reported_levels(pair):
     n, j = len(vs), vs.index("x")
     shapes = [_shape(p._terms, n, j) for p in (f, g)]
     levels = _levels(*shapes, n, j)
-    assume(levels is not None)
     for p, (_, norms) in zip((f, g), shapes):
         image = _image(p._terms, n, j, len(norms), levels)
         coefficients = _coefficients_in(p, "x")
         assert len(image) == max(coefficients) + 1
         for d, value in enumerate(image):
             coefficient = coefficients.get(d, MultiPoly.zero())
-            for _, bits, i in levels:
+            for _, bits, i, _ in levels:
                 coefficient = coefficient.specialize(vs[i], 1 << bits)
             assert coefficient.constant_value == value
 
@@ -894,13 +898,10 @@ _A, _X, _Y = variables("a", "x", "y")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_pairs_in_two_or_three_variables())
 def test_property_resultant_by_evaluation_matches_bareiss(pair):
-    # once by evaluation at large integers, once with the bit guard tripped
-    # at every level, so that the sequence runs on MultiPoly coefficients
+    # by evaluation at large integers, and by the Bareiss determinant of the
+    # Sylvester matrix over Q[a, y]
     f, g = pair
-    expected = bareiss_resultant(f, g, "x")
-    assert resultant(f, g, "x") == expected
-    with mock.patch.object(poly_module, "HEURISTIC_BITS", 0):
-        assert resultant(f, g, "x") == expected
+    assert resultant(f, g, "x") == bareiss_resultant(f, g, "x")
 
 
 @pytest.mark.parametrize("f, g, expected", [
@@ -913,32 +914,9 @@ def test_property_resultant_by_evaluation_matches_bareiss(pair):
     ((_A - 2) * (_A - 3) * _X ** 2 + Fraction(1, 2), _A * _X ** 3 - Fraction(2, 3) * _X, None),
 ])
 def test_resultant_pinned_cases_by_both_routes(f, g, expected):
+    # by evaluation, and by the Bareiss determinant of the Sylvester matrix
     expected = bareiss_resultant(f, g, "x") if expected is None else expected
-    sequence_on_term_maps = AssertionError("the bit guard tripped")
-    with mock.patch.object(poly_module, "_coefficient_lists", side_effect=sequence_on_term_maps):
-        assert resultant(f, g, "x") == expected
-    with mock.patch.object(poly_module, "HEURISTIC_BITS", 0):
-        assert resultant(f, g, "x") == expected
-
-
-def test_resultants_past_the_bit_guard_take_the_sequence_route(monkeypatch):
-    # deg_a Res reaches 2^15 here, so every (2^bits)^(deg + 1) passes the guard
-    levels = poly_module._levels
-
-    def no_levels(f, g, n, j):
-        found = levels(f, g, n, j)
-        assert found is None, f"an integer image at the levels {found}"
-        return found
-
-    monkeypatch.setattr(poly_module, "_levels", no_levels)
-    a, x = variables("a", "x")
-    f, g = a ** (EXPONENT_LIMIT // 2) * x + 1, x ** 2 + 1
-    assert resultant(f, g, "x") == resultant(g, f, "x") == a ** EXPONENT_LIMIT + 1
-    f = a ** (EXPONENT_LIMIT // 2 + 1) * x + 1
-    for pair in ((f, g), (g, f)):
-        with pytest.raises(ExponentOverflowError):
-            resultant(*pair, "x")
-    assert is_squarefree(x ** 2 + a ** 200) and not is_squarefree((x ** 2 + a ** 200) ** 2)
+    assert resultant(f, g, "x") == bareiss_resultant(f, g, "x") == expected
 
 
 @st.composite
@@ -1070,9 +1048,6 @@ def _no_evaluation(buckets, xi):
     raise AssertionError(f"evaluated at a {xi.bit_length()}-bit point")
 
 
-_NO_COEFFICIENT_LISTS = AssertionError("a sequence on MultiPoly coefficients")
-
-
 def test_the_heuristic_answers_past_the_old_cap(monkeypatch):
     # both sides have max-norm 3, so xi would be 8 (4 bits), and 8^5001 is past
     # HEURISTIC_BITS; with a alone, the integer sequence answers before any
@@ -1081,19 +1056,16 @@ def test_the_heuristic_answers_past_the_old_cap(monkeypatch):
     q = (_A - 1) * (_A + 3)
     assert 4 * 5001 > HEURISTIC_BITS
     monkeypatch.setattr(poly_module, "_evaluate", _no_evaluation)
-    monkeypatch.setattr(poly_module, "_coefficient_lists", mock.Mock(side_effect=_NO_COEFFICIENT_LISTS))
     assert poly_gcd(p, q) == _A - 1
 
 
-def test_the_heuristic_answers_past_the_old_cap_in_two_variables(monkeypatch):
+def test_the_heuristic_answers_past_the_old_cap_in_two_variables():
     # a is evaluated first, at xi = 8 (both max-norms are 3), and 8^5000 is past
-    # HEURISTIC_BITS, which only the integer images of the resultant and the
-    # squarefree test read: the lift of the images' gcd x - 1 is the gcd, and
-    # no sequence runs on MultiPoly coefficients
+    # HEURISTIC_BITS, which only the integer images of the squarefree test
+    # read: the lift of the images' gcd x - 1 is the gcd
     p = (_X - 1) * (_A ** 5000 + 3)
     q = (_X - 1) * (_A + 3)
     assert 4 * 5000 > HEURISTIC_BITS
-    monkeypatch.setattr(poly_module, "_coefficient_lists", mock.Mock(side_effect=_NO_COEFFICIENT_LISTS))
     assert poly_gcd(p, q) == _X - 1
 
 
@@ -1136,9 +1108,9 @@ def test_squarefree_builds_no_derivative_polynomial(monkeypatch):
 
 def test_squarefree_past_the_bit_guard_takes_the_gcd_route(monkeypatch):
     # past the guard the gcd of p with its partial derivatives answers: no
-    # image at a point is built and no sequence runs on MultiPoly
-    # coefficients; a p in one variable has no point to pass the guard, and
-    # the gcd reads its one-variable level, both by _image at no levels
+    # image at a point is built; a p in one variable has no point to pass
+    # the guard, and the gcd reads its one-variable level, both by _image at
+    # no levels
     image = poly_module._image
 
     def no_point(terms, n, j, length, levels):
@@ -1147,7 +1119,6 @@ def test_squarefree_past_the_bit_guard_takes_the_gcd_route(monkeypatch):
 
     monkeypatch.setattr(poly_module, "HEURISTIC_BITS", 0)
     monkeypatch.setattr(poly_module, "_image", no_point)
-    monkeypatch.setattr(poly_module, "_coefficient_lists", mock.Mock(side_effect=_NO_COEFFICIENT_LISTS))
     repeated = mock.Mock(side_effect=_repeated_part)
     monkeypatch.setattr(poly_module, "_repeated_part", repeated)
     for p, squarefree in _SQUAREFREE_CASES:
@@ -1230,6 +1201,9 @@ def test_property_squarefree_two_routes(p):
     ((_A + 1) ** 2 * (_X + _Y), False),
     ((_Y + 1) ** 2 * (_A * _X + 1), False),  # the repeated factor is free of a and x: only Res_y finds it
     ((_A + 1) * (_A + 2) * (_X + _Y), True),  # its content in a is x + y, not a constant
+    # Res_a is past the bit guard, so is_squarefree takes the gcd route as well
+    (_X ** 2 + _A ** 200, True),
+    ((_X ** 2 + _A ** 200) ** 2, False),
 ])
 def test_squarefree_pinned_cases_by_both_routes(p, squarefree):
     assert is_squarefree(p) is squarefree

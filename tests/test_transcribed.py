@@ -32,7 +32,6 @@ SMALL = (0, 1, 2)
 
 TRANSCRIBED = {
     # betti: the Betti-number side of the paper
-    ("betti", "SLICE_CODIMENSION"): ("claim", "the normal slice has codimension 6"),
     ("betti", "COMPLEX_DIMENSION"): ("claim", "the moduli space has complex dimension 5"),
     ("betti", "STRATIFICATION_BOUND_BASE"): ("claim", "a stratum's codimension is at least 7 - r"),
     ("betti", "TRUNCATION_ORDER"): ("parameter", "the series are compared modulo t^6"),
@@ -57,7 +56,6 @@ TRANSCRIBED = {
     ("cli", "main"): ("parameter", "exit code 3 when a computation raised"),
     # fqspace: the quadratic space (F_2)^6
     ("fqspace", "DIMENSION"): ("claim", "the quadratic space has dimension 6"),
-    ("fqspace", "SIZE"): ("claim", "2^6 = 64 vectors"),
     ("fqspace", "_PAD"): ("parameter", "a bytes.translate table has 256 entries"),
     ("fqspace", "_Q"): ("claim", "the form x1 x2 + x3 x4 + x5 x6 read off bits 0 to 5"),
     ("fqspace", "_a7_path"): ("claim", "the A7 Dynkin diagram has 7 nodes"),
@@ -69,11 +67,11 @@ TRANSCRIBED = {
     ("picard", "verify_blowup_identities"): ("claim", "the coefficients -2/7 and 3/4 of the identities"),
     ("picard", "normal_bundle_boundary"): ("formula", "adjunction on P^1 x P^1 gives (-3, -3)"),
     ("picard", "_plane_pair_top_intersection"): ("formula", "the top power (a h1 + b h2)^4 on P^2 x P^2"),
-    ("picard", "k_equivalence_obstruction"): ("claim", "the coefficients 5 Delta and 7 T and the prime 5"),
+    ("picard", "k_equivalence_obstruction"): ("claim", "the prime 5"),
     # poly: algorithm parameters and one classical formula
     ("poly", "EXPONENT_LIMIT"): ("parameter", "exponents stay below 2^15 in a packed monomial"),
     ("poly", "FIELD"): ("parameter", "17 bits per variable in a packed monomial"),
-    ("poly", "HEURISTIC_BITS"): ("parameter", "the 2^14-bit guard of the integer images"),
+    ("poly", "HEURISTIC_BITS"): ("parameter", "the 2^14-bit guard of the squarefree test's integer images"),
     ("poly", "_levels"): ("parameter", "2^bits >= 2B + 2 bounds the balanced residues"),
     ("poly", "_heuristic_gcd"): ("parameter", "the heuristic gcd grows its point by 73794/27011"),
     ("poly", "discriminant_quartic"): ("formula", "the discriminant of a depressed quartic"),
