@@ -15,7 +15,7 @@ space.  The two routes must agree.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from collections.abc import Sequence
 
 from .poly import MultiPoly
 from .record import Record
@@ -38,7 +38,7 @@ def series(coefficients: Sequence[int]) -> MultiPoly:
     return MultiPoly((T,), {(k,): c for k, c in enumerate(coefficients)})
 
 
-def truncate(p: MultiPoly, order: int) -> Tuple[int, ...]:
+def truncate(p: MultiPoly, order: int) -> tuple[int, ...]:
     """The coefficients of t^0, ..., t^(order-1) in p."""
     terms = p.terms
     return tuple(int(terms.get((k,), 0)) for k in range(order))
@@ -54,7 +54,7 @@ def series_text(coefficients: Sequence[int]) -> str:
     return f"{' + '.join(pieces) or '0'} (mod t^{len(coefficients)})"
 
 
-def geometric(m: int, order: int) -> Tuple[int, ...]:
+def geometric(m: int, order: int) -> tuple[int, ...]:
     """1/(1 - t^m) modulo t^order."""
     if m < 1:
         raise ValueError("period must be positive")
@@ -76,7 +76,7 @@ class IndexEntry(Record):
     codim_bound: int
 
 
-def kirwan_index_set(weights: Sequence[int]) -> Tuple[IndexEntry, ...]:
+def kirwan_index_set(weights: Sequence[int]) -> tuple[IndexEntry, ...]:
     """Nonzero stratification indices for a one-parameter torus action.
 
     Candidates are the points closest to 0 of convex hulls of one-sided
@@ -94,7 +94,7 @@ def kirwan_index_set(weights: Sequence[int]) -> Tuple[IndexEntry, ...]:
     return tuple(entries)
 
 
-def semistable_series(n: int = 8, order: int = 6) -> Tuple[int, ...]:
+def semistable_series(n: int = 8, order: int = 6) -> tuple[int, ...]:
     """Equivariant Poincare series of the semistable locus modulo t^order.
 
     Valid while every nonzero stratum has real codimension at least the
@@ -112,7 +112,7 @@ def semistable_series(n: int = 8, order: int = 6) -> Tuple[int, ...]:
 
 def main_correction(
     normalizer_series: Sequence[int], codimension: int, order: int
-) -> Tuple[int, ...]:
+) -> tuple[int, ...]:
     """Blow-up main correction: invariants series times sum of t^(2i), 0<i<c.
 
     The product is known only as far as the normalizer series is.
@@ -123,12 +123,12 @@ def main_correction(
     return truncate(series(normalizer_series) * tail, min(order, len(normalizer_series)))
 
 
-def normalizer_invariants_series(order: int) -> Tuple[int, ...]:
+def normalizer_invariants_series(order: int) -> tuple[int, ...]:
     """Invariants of the normalizer at the closed orbit: a free algebra on c^4."""
     return geometric(4, order)
 
 
-def slice_normal_weights() -> Tuple[int, ...]:
+def slice_normal_weights() -> tuple[int, ...]:
     """Weights on the normal slice: all degree-8 weights minus the orbit tangent."""
     full = list(torus_monomial_weights(8))
     slice_data = luna_slice_basis()
@@ -159,12 +159,12 @@ def extra_correction_min_degree(weights: Sequence[int] | None = None) -> int:
 class BettiTable(Record):
     """Even-degree Betti numbers b_0, b_2, ..., b_(2n); odd ones vanish."""
 
-    even: Tuple[int, ...]
+    even: tuple[int, ...]
 
     def is_palindromic(self) -> bool:
         return self.even == tuple(reversed(self.even))
 
-    def by_degree(self) -> Dict[int, int]:
+    def by_degree(self) -> dict[int, int]:
         return {2 * i: v for i, v in enumerate(self.even)}
 
 
@@ -194,7 +194,7 @@ def kirwan_betti() -> BettiTable:
     return extend_by_duality(total[0::2], COMPLEX_DIMENSION)
 
 
-def invariant_sym_square(dims: Sequence[int]) -> Tuple[int, ...]:
+def invariant_sym_square(dims: Sequence[int]) -> tuple[int, ...]:
     """Swap-invariant dimensions of the tensor square of an even-graded space.
 
     All degrees are even, so the swap carries no signs and the invariants
@@ -206,7 +206,7 @@ def invariant_sym_square(dims: Sequence[int]) -> Tuple[int, ...]:
     return tuple(c // 2 for c in truncate(doubled, 2 * len(dims) - 1))
 
 
-def kunneth_square(dims: Sequence[int]) -> Tuple[int, ...]:
+def kunneth_square(dims: Sequence[int]) -> tuple[int, ...]:
     """Even Betti numbers of a product of a space with itself: P(u)^2."""
     p = series(dims)
     return truncate(p * p, 2 * len(dims) - 1)
@@ -246,12 +246,12 @@ IH_BB_UNORDERED = (1, 1, 2, 2, 1, 1)
 PLANE_BETTI = (1, 1, 1)  # one projective plane, even degrees 0..4
 
 
-def boundary_fiber_ordered() -> Tuple[int, ...]:
+def boundary_fiber_ordered() -> tuple[int, ...]:
     """Even Betti numbers of the product of two planes: (1, 2, 3, 2, 1)."""
     return kunneth_square(PLANE_BETTI)
 
 
-def boundary_invariants() -> Tuple[int, ...]:
+def boundary_invariants() -> tuple[int, ...]:
     """Swap-invariant boundary cohomology: (1, 1, 2, 1, 1)."""
     return invariant_sym_square(PLANE_BETTI)
 

@@ -20,8 +20,8 @@ they read as arguments, so that ``checks.Quantities`` computes each once.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from .poly import (
     MultiPoly,
@@ -37,7 +37,7 @@ from .stability import COMPONENT_GROUP_ORDER, luna_slice_basis
 
 SLICE_VARIABLES = ("alpha0", "alpha1", "beta0", "beta1", "gamma0", "gamma1")
 PROJECTIVE_WEIGHTS = luna_slice_basis().weights
-SLICE_WEIGHTS: Dict[str, int] = dict(zip(SLICE_VARIABLES, PROJECTIVE_WEIGHTS))
+SLICE_WEIGHTS: dict[str, int] = dict(zip(SLICE_VARIABLES, PROJECTIVE_WEIGHTS))
 PROJECTIVE_COORDINATES = ("S0", "S1", "T0", "T1", "U0", "U1")
 
 _CHART_COORDINATE = {
@@ -63,11 +63,11 @@ class Chart(Record):
     name: str
     exceptional: str
     substitution: Mapping[str, MultiPoly]
-    coordinates: Tuple[str, ...]
+    coordinates: tuple[str, ...]
     weights: Mapping[str, int]
     residual: str
-    zero_side: FrozenSet[str]
-    one_side: FrozenSet[str]
+    zero_side: frozenset[str]
+    one_side: frozenset[str]
 
 
 def chart(name: str) -> Chart:
@@ -75,9 +75,9 @@ def chart(name: str) -> Chart:
         raise ValueError(f"unknown chart {name!r}; expected one of {', '.join(CHART_NAMES)}")
     unit = _CHART_UNIT[name]
     exceptional = MultiPoly.variable(unit)
-    substitution: Dict[str, MultiPoly] = {}
-    weights: Dict[str, int] = {}
-    coords: List[str] = []
+    substitution: dict[str, MultiPoly] = {}
+    weights: dict[str, int] = {}
+    coords: list[str] = []
     for slice_var in SLICE_VARIABLES:
         if slice_var == unit:
             substitution[slice_var] = exceptional
@@ -100,13 +100,13 @@ def chart(name: str) -> Chart:
     )
 
 
-def discriminant_factors() -> Tuple[MultiPoly, MultiPoly]:
+def discriminant_factors() -> tuple[MultiPoly, MultiPoly]:
     """The two quartic discriminants cutting out the local discriminant."""
     a0, a1, b0, b1, g0, g1 = (MultiPoly.variable(v) for v in SLICE_VARIABLES)
     return discriminant_quartic(a0, b0, g0), discriminant_quartic(a1, b1, g1)
 
 
-def tangent_cone(factors: Tuple[MultiPoly, MultiPoly]) -> Tuple[int, MultiPoly]:
+def tangent_cone(factors: tuple[MultiPoly, MultiPoly]) -> tuple[int, MultiPoly]:
     """(multiplicity, lowest form) at the origin of the slice of the
     discriminant, the product of ``discriminant_factors``: the least total
     degree of its terms, and the sum of its terms of that degree.
@@ -132,11 +132,11 @@ def cone_in_chart(name: str, form: MultiPoly) -> MultiPoly:
     return form.substitute({v: 1 if v == unit else MultiPoly.variable(c) for v, c in _CHART_COORDINATE.items()})
 
 
-def _monomial_offenders(p: MultiPoly) -> List[str]:
+def _monomial_offenders(p: MultiPoly) -> list[str]:
     return [v for v in p.occurring_variables() if extract_exceptional(p, v)[0] >= 2]
 
 
-def _offending_factors(p: MultiPoly) -> List[str]:
+def _offending_factors(p: MultiPoly) -> list[str]:
     """Repeated factors of p, as strings; pure coordinates come out by name.
 
     A squarefree p has no coordinate with exponent 2 or more, so it reaches
@@ -156,7 +156,7 @@ class FactorReport(Record):
     strict_transform: MultiPoly
     restriction: MultiPoly
     constant: bool
-    offending: Tuple[str, ...]
+    offending: tuple[str, ...]
     residual_form: MultiPoly
 
 
@@ -165,8 +165,8 @@ class TransversalityReport(Record):
     exceptional_multiplicity: int
     restriction: MultiPoly
     squarefree: bool
-    offending: Tuple[str, ...]
-    factors: Tuple[FactorReport, ...]
+    offending: tuple[str, ...]
+    factors: tuple[FactorReport, ...]
 
 
 def _factor_report(ch: Chart, factor: MultiPoly) -> FactorReport:
@@ -189,7 +189,7 @@ def _factor_report(ch: Chart, factor: MultiPoly) -> FactorReport:
     )
 
 
-def discriminant_pullback(ch: Chart, factors: Tuple[MultiPoly, MultiPoly]) -> TransversalityReport:
+def discriminant_pullback(ch: Chart, factors: tuple[MultiPoly, MultiPoly]) -> TransversalityReport:
     """Pull the discriminant, given by ``discriminant_factors``, into a chart
     and test the exceptional crossing."""
     reports = tuple(_factor_report(ch, f) for f in factors)
@@ -206,7 +206,7 @@ def discriminant_pullback(ch: Chart, factors: Tuple[MultiPoly, MultiPoly]) -> Tr
     )
 
 
-def unstable_supports() -> List[FrozenSet[str]]:
+def unstable_supports() -> list[frozenset[str]]:
     """Maximal unstable support patterns of the projective coordinates under
     the one-parameter torus with weights ``PROJECTIVE_WEIGHTS``.
 
@@ -241,7 +241,7 @@ def stabilizer_order(ch: Chart, support: Iterable[str]) -> int:
     return math.gcd(*constraints)
 
 
-def _admissible_supports(ch: Chart) -> List[Tuple[str, ...]]:
+def _admissible_supports(ch: Chart) -> list[tuple[str, ...]]:
     """The scanned supports: those meeting both the index-0 and the index-1
     affine coordinates of the chart.
 
@@ -261,13 +261,13 @@ def _admissible_supports(ch: Chart) -> List[Tuple[str, ...]]:
 
 
 class StabilizerScan(Record):
-    orders: Tuple[int, ...]
-    torus_orders: Tuple[int, ...]
-    effective_orders: Tuple[int, ...]
+    orders: tuple[int, ...]
+    torus_orders: tuple[int, ...]
+    effective_orders: tuple[int, ...]
     max_order: int
     lcm_torus: int
     e: int
-    per_chart: Mapping[str, Tuple[Tuple[Tuple[str, ...], int], ...]]
+    per_chart: Mapping[str, tuple[tuple[tuple[str, ...], int], ...]]
 
 
 def scan_stabilizers(charts: Iterable[Chart]) -> StabilizerScan:
@@ -305,7 +305,7 @@ def scan_stabilizers(charts: Iterable[Chart]) -> StabilizerScan:
     )
 
 
-def antidiag_resultants() -> Tuple[MultiPoly, MultiPoly]:
+def antidiag_resultants() -> tuple[MultiPoly, MultiPoly]:
     """The fixed-point equations of ``antidiag_fixed_constraint`` with l
     eliminated: Res_l(l^2 t0 + t1, l^16 - 1) and Res_l(l^14 t0 + t1, l^16 - 1)."""
     lam, t0, t1 = (MultiPoly.variable(v) for v in ("lam", "t0", "t1"))
@@ -315,7 +315,7 @@ def antidiag_resultants() -> Tuple[MultiPoly, MultiPoly]:
     return resultant(eq_t0, slice_closure, "lam"), resultant(eq_t1, slice_closure, "lam")
 
 
-def antidiag_fixed_constraint(resultants: Tuple[MultiPoly, MultiPoly]) -> MultiPoly:
+def antidiag_fixed_constraint(resultants: tuple[MultiPoly, MultiPoly]) -> MultiPoly:
     """Locus of residual-slice points fixed by an antidiagonal element.
 
     On the residual slice of chart P the antidiagonal action sends

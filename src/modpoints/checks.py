@@ -19,8 +19,8 @@ discriminant factors and each chart are quantities too, which ``blowup``
 takes as arguments; the antidiagonal resultants have one reader, which
 passes them on.
 ``fqspace``, ``betti`` and ``picard`` are imported on first use: without a
-bytecode cache, compiling the three is ~10 ms of a cold start, which
-``run slice`` skips.
+bytecode cache, compiling the three takes ~6 ms (the median ``compile()`` of
+each source, on Python 3.11), which ``run slice`` skips.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from __future__ import annotations
 import functools
 import importlib
 import json
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import blowup, stability
 from .poly import MultiPoly
@@ -118,10 +118,10 @@ class Quantities:
     """
 
     def __init__(self):
-        self._memo: Dict[tuple, object] = {}
+        self._memo: dict[tuple, object] = {}
 
     @_once
-    def verdict_table(self, n: int) -> Dict[Tuple[int, ...], stability.StabilityVerdict]:
+    def verdict_table(self, n: int) -> dict[tuple[int, ...], stability.StabilityVerdict]:
         """The stability verdict of every partition of n, keyed by its parts."""
         return {
             parts: stability.classify(stability.PointConfig.from_parts(parts))
@@ -129,7 +129,7 @@ class Quantities:
         }
 
     @_once
-    def factors(self) -> Tuple[MultiPoly, MultiPoly]:
+    def factors(self) -> tuple[MultiPoly, MultiPoly]:
         return blowup.discriminant_factors()
 
     @_once
@@ -142,7 +142,7 @@ class Quantities:
         return blowup.discriminant_pullback(self.chart(name), self.factors())
 
     @_once
-    def tangent_cone(self) -> Tuple[int, MultiPoly]:
+    def tangent_cone(self) -> tuple[int, MultiPoly]:
         """The multiplicity and lowest form of the discriminant at the origin."""
         return blowup.tangent_cone(self.factors())
 
@@ -150,12 +150,12 @@ class Quantities:
     def scan(self) -> blowup.StabilizerScan:
         return blowup.scan_stabilizers([self.chart(name) for name in blowup.CHART_NAMES])
 
-    def scan_summary(self) -> Dict:
+    def scan_summary(self) -> dict:
         """The stabilizer census of ``scan`` without its per-chart rows."""
         return _fields(self.scan(), "orders", "torus_orders", "effective_orders", "max_order", "e")
 
     @_once
-    def generators(self) -> Tuple[bytes, ...]:
+    def generators(self) -> tuple[bytes, ...]:
         """The seven Coxeter generators of G, from one checked path search."""
         return _module("fqspace").coxeter_generators()
 
@@ -165,14 +165,14 @@ class Quantities:
         return _module("fqspace").group_order(self.generators())
 
     @_once
-    def orbits(self) -> List[frozenset]:
+    def orbits(self) -> list[frozenset]:
         """G's orbits on the nonzero vectors: the one walk that the orbit
         sizes, the unordered cusps and the orbit of h are read from."""
         fqspace = _module("fqspace")
         return fqspace.orbits_under(self.generators(), range(1, fqspace.SIZE))
 
     @_once
-    def stab_summary(self) -> Dict[str, int]:
+    def stab_summary(self) -> dict[str, int]:
         """Orbits and order of Stab(h) for the first isotropic vector h: the
         G-orbits of pairs (h, x) read off at h, and 8! over the orbit of h."""
         fqspace = _module("fqspace")
@@ -181,7 +181,7 @@ class Quantities:
         return fqspace.stab_orbit_summary(self.generators(), h, self.order(), orbit)
 
     @_once
-    def group_summary(self) -> Dict:
+    def group_summary(self) -> dict:
         """Order of the reflection group, its orbit sizes on nonzero vectors,
         each named by the value of q on it, and the order of Stab(h) read
         from ``stab_summary``."""
@@ -225,16 +225,16 @@ class Quantities:
 # ----------------------------------------------------------------------
 # computations of more than one line, and stated values built by a rule
 
-def _fields(record: Record, *names: str) -> Dict:
+def _fields(record: Record, *names: str) -> dict:
     return {name: getattr(record, name) for name in names}
 
 
-def _unless_contradicted(value, second_route: Dict):
+def _unless_contradicted(value, second_route: dict):
     """``value``, or ``value`` beside the entries where a second route disagrees."""
     return {"value": value, "second_route": second_route} if second_route else value
 
 
-def _stated_verdict(parts: Tuple[int, ...]) -> stability.StabilityVerdict:
+def _stated_verdict(parts: tuple[int, ...]) -> stability.StabilityVerdict:
     """Eight points are stable when no 4 coincide, strictly semistable when
     exactly 4 do and unstable when 5 do; polystable when stable or (4, 4)."""
     biggest = max(parts)
@@ -332,7 +332,7 @@ _DISCREPANCY_INPUTS = ((5, 6, Fraction(3, 4)), (5, 6, 0), (2, 6, Fraction(1, 2))
 # ----------------------------------------------------------------------
 # suites: each row is Check(id, anchor, computation, expected value)
 
-SUITES: Dict[str, Tuple[Check, ...]] = {
+SUITES: dict[str, tuple[Check, ...]] = {
     "stability": (
         Check("stability.table", "stable iff no 4 coincide; semistable iff no 5",
               lambda q: q.verdict_table(8),
@@ -441,7 +441,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def _run_suite(name: str, quantities: Quantities) -> List[CheckResult]:
+def _run_suite(name: str, quantities: Quantities) -> list[CheckResult]:
     """The suite's results; a check that raised is reported as an error.
 
     Its traceback goes to stderr, so that the report stays deterministic
@@ -452,7 +452,7 @@ def _run_suite(name: str, quantities: Quantities) -> List[CheckResult]:
         try:
             payload, expected = encode(check.compute(quantities)), encode(check.expected)
         except Exception as exc:
-            # imported here: with textwrap it is ~5 ms of a ~110 ms cold `run slice`
+            # imported here: ~3 ms with textwrap (median of 21 fresh Python 3.11 processes)
             import traceback
 
             traceback.print_exc()
@@ -464,7 +464,7 @@ def _run_suite(name: str, quantities: Quantities) -> List[CheckResult]:
     return results
 
 
-def run_report(names: Sequence[str]) -> Dict:
+def run_report(names: Sequence[str]) -> dict:
     """Execute the named suites and assemble the deterministic report."""
     unknown = [n for n in names if n not in SUITES]
     if unknown:
@@ -476,20 +476,20 @@ def run_report(names: Sequence[str]) -> Dict:
     }
 
 
-def _statuses(report: Dict) -> set:
+def _statuses(report: dict) -> set:
     return {check["status"] for suite in report["suites"] for check in suite["checks"]}
 
 
-def report_passed(report: Dict) -> bool:
+def report_passed(report: dict) -> bool:
     return _statuses(report) <= {"pass"}
 
 
-def report_errored(report: Dict) -> bool:
+def report_errored(report: dict) -> bool:
     """Did a check raise instead of giving its value?"""
     return "error" in _statuses(report)
 
 
-def render_text(report: Dict) -> str:
+def render_text(report: dict) -> str:
     """One line per check; under each failing one its expected and actual
     value, and under each that raised the type and message of what it raised."""
     lines = []

@@ -26,8 +26,8 @@ import json
 import os
 import re
 import sys
+from collections.abc import Sequence
 from contextlib import nullcontext
-from typing import Optional, Sequence
 
 from . import blowup, checks, stability
 
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     created = bool(args.out) and not os.path.exists(args.out)

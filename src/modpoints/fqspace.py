@@ -19,9 +19,9 @@ orbits once.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, List, Sequence, Tuple
 
 DIMENSION = 6
 SIZE = 1 << DIMENSION
@@ -49,21 +49,21 @@ def b(u: int, v: int) -> int:
     return q(u ^ v) ^ q(u) ^ q(v)
 
 
-def isotropic_vectors() -> Tuple[int, ...]:
+def isotropic_vectors() -> tuple[int, ...]:
     return tuple(v for v in range(1, SIZE) if q(v) == 0)
 
 
-def nonisotropic_vectors() -> Tuple[int, ...]:
+def nonisotropic_vectors() -> tuple[int, ...]:
     return tuple(v for v in range(1, SIZE) if q(v) == 1)
 
 
-def census() -> Tuple[int, int, int]:
+def census() -> tuple[int, int, int]:
     """(zero, isotropic nonzero, non-isotropic) counts, by enumeration."""
     isotropic = len(isotropic_vectors())
     return 1, isotropic, SIZE - 1 - isotropic
 
 
-def _perp(h: int) -> Tuple[List[int], List[int]]:
+def _perp(h: int) -> tuple[list[int], list[int]]:
     """The isotropic and the non-isotropic nonzero vectors of h-perp."""
     if not 0 < h < SIZE:
         raise ValueError(f"h must be a nonzero vector below {SIZE}")
@@ -73,7 +73,7 @@ def _perp(h: int) -> Tuple[List[int], List[int]]:
     return [v for v in perp if q(v) == 0], [v for v in perp if q(v) == 1]
 
 
-def perp_census(h: int) -> Tuple[int, int]:
+def perp_census(h: int) -> tuple[int, int]:
     """(isotropic, non-isotropic) counts among nonzero vectors of h-perp."""
     isotropic, nonisotropic = _perp(h)
     return len(isotropic), len(nonisotropic)
@@ -103,7 +103,7 @@ def reflection(v: int) -> bytes:
     return perm
 
 
-def _a7_path(path: Tuple[int, ...] = ()) -> Tuple[int, ...]:
+def _a7_path(path: tuple[int, ...] = ()) -> tuple[int, ...]:
     """The first path of 7 non-isotropic vectors, depth-first in ascending
     order: b(v_i, v_j) = 1 exactly when |i - j| = 1.  Empty when none exists."""
     if len(path) == 7:
@@ -116,7 +116,7 @@ def _a7_path(path: Tuple[int, ...] = ()) -> Tuple[int, ...]:
     return ()
 
 
-def coxeter_generators() -> Tuple[bytes, ...]:
+def coxeter_generators() -> tuple[bytes, ...]:
     """The transvections s_1..s_7 of the A7 path.  AssertionError unless
     (s_i s_j)^m = 1 with m = 1, 3 or 2 as j - i is 0, 1 or more (the A7
     Coxeter matrix), and unless they are transitive on the 28 non-isotropic
@@ -148,7 +148,7 @@ def group_order(generators: Sequence[bytes]) -> int:
     return math.factorial(len(generators) + 1)
 
 
-def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> List[frozenset]:
+def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> list[frozenset]:
     """The orbits through ``points`` of the group that ``elements`` generate,
     in order of their least point in ``points``; each is walked breadth-first."""
     elements = tuple(elements)
@@ -167,7 +167,7 @@ def orbits_under(elements: Iterable[bytes], points: Iterable[int]) -> List[froze
     return out
 
 
-def _stab_orbits(generators: Sequence[bytes], h: int, points: Iterable[int]) -> List[frozenset]:
+def _stab_orbits(generators: Sequence[bytes], h: int, points: Iterable[int]) -> list[frozenset]:
     """The orbits of Stab(h) through ``points``, in order of their least point:
     x and y share one exactly when (h, y) lies in the G-orbit of (h, x), walked
     with ``generators`` moving both entries and read off at h."""
@@ -187,7 +187,7 @@ def _stab_orbits(generators: Sequence[bytes], h: int, points: Iterable[int]) -> 
     return out
 
 
-def stab_orbit_summary(generators: Sequence[bytes], h: int, order: int, orbit: frozenset) -> Dict[str, int]:
+def stab_orbit_summary(generators: Sequence[bytes], h: int, order: int, orbit: frozenset) -> dict[str, int]:
     """Orbit counts of Stab(h) on the isotropic and non-isotropic parts of
     h-perp, and its order, where G is the group ``generators`` generate,
     ``order`` is |G| and ``orbit`` is the G-orbit of h.

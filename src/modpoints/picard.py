@@ -20,8 +20,8 @@ crepant resolution, and discrepancies.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
 
 from .betti import COMPLEX_DIMENSION
 from .poly import MultiPoly, Scalar, variables
@@ -37,7 +37,7 @@ K = "K"
 BB = "BB"
 TOR = "TOR"
 
-SPACES: Dict[str, Tuple[str, ...]] = {
+SPACES: dict[str, tuple[str, ...]] = {
     GIT_ORD: ("D2_0",),
     K_ORD: ("D2_1", "D4_1"),
     M08BAR: ("D2_2", "D3_2", "D4_2"),
@@ -55,7 +55,7 @@ SPACES: Dict[str, Tuple[str, ...]] = {
     "D2_0", "D2_1", "D4_1", "D2_2", "D3_2", "D4_2", "L_ord", "H_ord", "Htilde_ord", "T_ord",
     "K_GIT", "D", "fK_GIT", "Dtilde", "Delta", "pK_BB", "T")
 
-CANONICAL: Dict[str, MultiPoly] = {
+CANONICAL: dict[str, MultiPoly] = {
     GIT_ORD: Fraction(-2, 7) * D2_0,
     K_ORD: Fraction(-2, 7) * D2_1 + Fraction(2, 7) * D4_1,
     M08BAR: Fraction(-2, 7) * D2_2 + Fraction(1, 7) * D3_2 + Fraction(2, 7) * D4_2,
@@ -68,14 +68,14 @@ CANONICAL: Dict[str, MultiPoly] = {
 # Each derived symbol in terms of the rest of its space's basis.  The
 # weight-14 modular form vanishing to order 1/2 on the discriminant gives
 # 14 L = (1/2) H, i.e. H = 28 L.
-RELATIONS: Dict[str, MultiPoly] = {
+RELATIONS: dict[str, MultiPoly] = {
     "H_ord": 28 * L_ord,
     "Htilde_ord": 28 * L_ord - 6 * T_ord,
 }
 
 # name -> (source space, target space, image of each source symbol).  Each
 # triple-point boundary divisor D3_2 contains the C(3, 2) diagonals of its triple.
-MAPS: Dict[str, Tuple[str, str, Dict[str, MultiPoly]]] = {
+MAPS: dict[str, tuple[str, str, dict[str, MultiPoly]]] = {
     "phi1_pullback": (GIT_ORD, K_ORD, {"D2_0": D2_1 + 6 * D4_1}),
     "phi1_pushforward": (K_ORD, GIT_ORD, {"D2_1": D2_0, "D4_1": MultiPoly.zero()}),
     "phi2_pullback": (K_ORD, M08BAR, {"D2_1": D2_2 + math.comb(3, 2) * D3_2, "D4_1": D4_2}),
@@ -91,13 +91,13 @@ MAPS: Dict[str, Tuple[str, str, Dict[str, MultiPoly]]] = {
 }
 
 
-def _basis(space: str) -> Tuple[str, ...]:
+def _basis(space: str) -> tuple[str, ...]:
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     return SPACES[space]
 
 
-def coefficients(form: MultiPoly) -> Dict[str, Fraction]:
+def coefficients(form: MultiPoly) -> dict[str, Fraction]:
     """The nonzero coefficient of each symbol of a linear form, by symbol."""
     return dict(sorted((form.variables[e.index(1)], c) for e, c in form.terms.items()))
 
@@ -142,9 +142,9 @@ class IdentityCheck(Record):
     rhs: str
 
 
-def verify_blowup_identities() -> List[IdentityCheck]:
+def verify_blowup_identities() -> list[IdentityCheck]:
     """Recheck every registered canonical-bundle identity exactly."""
-    checks: List[IdentityCheck] = []
+    checks: list[IdentityCheck] = []
 
     def record(name: str, space: str, lhs: MultiPoly, rhs: MultiPoly):
         lhs, rhs = reduced(lhs), reduced(rhs)
@@ -191,8 +191,8 @@ def exceptional_pullback_coefficient() -> Fraction:
 # boundary normal bundle and intersection numbers
 
 class NormalBundleResult(Record):
-    bidegree: Tuple[Fraction, Fraction]
-    adjunction_bidegree: Tuple[int, int]
+    bidegree: tuple[Fraction, Fraction]
+    adjunction_bidegree: tuple[int, int]
     multiplier: int
 
 
@@ -247,7 +247,7 @@ class ObstructionCertificate(Record):
     toroidal_power: Fraction  # (7T)^5
     required_exceptional_power: Fraction  # what Delta^5 would have to be
     denominator_five_valuation: int
-    e_candidates: Tuple[int, ...]
+    e_candidates: tuple[int, ...]
     feasible: bool
 
 

@@ -45,14 +45,14 @@ so both scans run over a whole term map in C.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul, or_
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-Exponent = Tuple[int, ...]
-Scalar = Union[int, Fraction]
-Terms = Dict[int, Scalar]  # packed monomial -> nonzero coefficient
+Exponent = tuple[int, ...]
+Scalar = int | Fraction
+Terms = dict[int, Scalar]  # packed monomial -> nonzero coefficient
 
 # Exponents are fixed-width; all computations here live in tiny degrees,
 # so anything past this bound is a bug, never a value to wrap around.
@@ -104,7 +104,7 @@ def _unit(i: int, n: int) -> int:
     return 1 << FIELD * n | 1 << FIELD * (n - 1 - i)
 
 
-def _degrees(keys, n: int) -> List[int]:
+def _degrees(keys, n: int) -> list[int]:
     """The largest exponent of each of the n variables over nonempty ``keys``:
     a field is read by masking whole keys, as the largest masked key."""
     return [max(map((MASK << s).__and__, keys)) >> s for s in range(FIELD * (n - 1), -1, -FIELD)]
@@ -120,7 +120,7 @@ class MultiPoly:
         vs = tuple(variables)
         if list(vs) != sorted(set(vs)):
             raise ValueError("variables must be sorted and distinct")
-        cleaned: Dict[int, Scalar] = {}
+        cleaned: dict[int, Scalar] = {}
         for exponent, coefficient in terms.items():
             exponent = tuple(exponent)
             if len(exponent) != len(vs):
@@ -160,11 +160,11 @@ class MultiPoly:
     # basic queries
 
     @property
-    def variables(self) -> Tuple[str, ...]:
+    def variables(self) -> tuple[str, ...]:
         return self._vars
 
     @property
-    def terms(self) -> Dict[Exponent, Fraction]:
+    def terms(self) -> dict[Exponent, Fraction]:
         n = len(self._vars)
         return {_unpack(key, n): Fraction(c) for key, c in self._terms.items()}
 
@@ -184,7 +184,7 @@ class MultiPoly:
             raise ValueError(f"{self} is not constant")
         return Fraction(self._terms[0])
 
-    def occurring_variables(self) -> Tuple[str, ...]:
+    def occurring_variables(self) -> tuple[str, ...]:
         seen = reduce(or_, self._terms, 0)
         n = len(self._vars)
         return tuple(v for i, v in enumerate(self._vars) if seen >> FIELD * (n - 1 - i) & MASK)
@@ -192,7 +192,7 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # universe management
 
-    def _embedded(self, variables: Tuple[str, ...]) -> Dict[int, Scalar]:
+    def _embedded(self, variables: tuple[str, ...]) -> dict[int, Scalar]:
         """The terms over ``variables``, not a copy; a name left out must not occur."""
         if variables == self._vars or not any(self._terms):
             return self._terms  # a constant has the key 0 over every variable list
@@ -291,7 +291,7 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # calculus and substitution
 
-    def substitute(self, mapping: Mapping[str, Union["MultiPoly", Scalar]]) -> "MultiPoly":
+    def substitute(self, mapping: Mapping[str, MultiPoly | Scalar]) -> "MultiPoly":
         """Compose with the given (total on occurring variables) assignment:
         the sum over the terms of each coefficient times each image raised
         to the term's exponent of its variable."""
@@ -327,7 +327,7 @@ class MultiPoly:
             raise ValueError(f"unknown variable {name!r}")
         n, i = len(self._vars), self._vars.index(name)
         shift, unit = FIELD * (n - 1 - i), _unit(i, n)
-        out: Dict[int, Scalar] = {}
+        out: dict[int, Scalar] = {}
         for key, coeff in self._terms.items():
             e = key >> shift & MASK
             if e:
@@ -369,7 +369,7 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _trusted(variables: Tuple[str, ...], terms: Mapping[int, Scalar]) -> MultiPoly:
+def _trusted(variables: tuple[str, ...], terms: Mapping[int, Scalar]) -> MultiPoly:
     """An arithmetic result, unchecked: ``variables`` sorted, keys packed over
     them with exponents in range.  Zeros are dropped and an integral Fraction
     is stored as its int."""
@@ -380,12 +380,12 @@ def _trusted(variables: Tuple[str, ...], terms: Mapping[int, Scalar]) -> MultiPo
     return p
 
 
-def _as_poly(value: Union["MultiPoly", Scalar]) -> MultiPoly:
+def _as_poly(value: MultiPoly | Scalar) -> MultiPoly:
     """``value`` as a MultiPoly; a scalar becomes a constant."""
     return value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
 
 
-def variables(*names: str) -> Tuple[MultiPoly, ...]:
+def variables(*names: str) -> tuple[MultiPoly, ...]:
     return tuple(MultiPoly.variable(n) for n in names)
 
 
@@ -474,11 +474,11 @@ def normalize(p: MultiPoly) -> MultiPoly:
     return p if terms is p._terms else _trusted(p._vars, terms)
 
 
-def _buckets(terms: Terms, n: int, i: int) -> Dict[int, Terms]:
+def _buckets(terms: Terms, n: int, i: int) -> dict[int, Terms]:
     """The terms over n variables grouped by the exponent d of the i-th,
     each with that exponent removed: the coefficients in it, by degree."""
     shift, unit = FIELD * (n - 1 - i), _unit(i, n)
-    out: Dict[int, Terms] = {}
+    out: dict[int, Terms] = {}
     for key, coeff in terms.items():
         d = key >> shift & MASK
         out.setdefault(d, {})[key - d * unit] = coeff
@@ -559,7 +559,7 @@ def _sequence_resultant(f: list, g: list):
     return value if sign > 0 else -value
 
 
-def _integral(terms: Terms) -> Tuple[int, Terms]:
+def _integral(terms: Terms) -> tuple[int, Terms]:
     """(c, c * terms) with c the lcm of the denominators of ``terms``; a map
     of plain ints has lcm 1 and is returned as it is."""
     if set(map(type, terms.values())) <= {int}:
@@ -568,7 +568,7 @@ def _integral(terms: Terms) -> Tuple[int, Terms]:
     return c, terms if c == 1 else {key: (v * c).numerator for key, v in terms.items()}
 
 
-def _shape(terms: Terms, n: int, j: int) -> Tuple[List[int], List[int]]:
+def _shape(terms: Terms, n: int, j: int) -> tuple[list[int], list[int]]:
     """(degrees, norms) of a nonempty int term map over n variables: each
     variable's largest exponent, and the 1-norm of each coefficient in the j-th."""
     degrees, sj = _degrees(terms, n), FIELD * (n - 1 - j)
@@ -596,7 +596,7 @@ def _levels(f, g, n: int, j: int):
     return levels
 
 
-def _image(terms: Terms, n: int, j: int, length: int, levels) -> List[int]:
+def _image(terms: Terms, n: int, j: int, length: int, levels) -> list[int]:
     """The ``length`` int coefficients in the j-th of n variables of an int
     term map at the powers of two of ``levels``: each coefficient is added,
     shifted left by sum e_i k_i, to its degree's entry."""
@@ -610,7 +610,7 @@ def _image(terms: Terms, n: int, j: int, length: int, levels) -> List[int]:
     return image
 
 
-def _evaluate(buckets: Dict[int, Terms], xi: Scalar) -> Terms:
+def _evaluate(buckets: dict[int, Terms], xi: Scalar) -> Terms:
     """The sum of bucket_d * xi^d over the coefficients by degree from
     ``_buckets``, without zero coefficients: a variable set to the scalar
     ``xi``, as the heuristic gcd and ``MultiPoly.specialize`` evaluate."""
@@ -651,7 +651,7 @@ def _interpolate(h: Terms, xi: int, unit: int) -> Terms:
     return out
 
 
-def _primitive(terms: Terms) -> Tuple[int, Terms]:
+def _primitive(terms: Terms) -> tuple[int, Terms]:
     """(integer content, primitive part) of a nonzero term map with int
     coefficients; the content is positive."""
     content = math.gcd(*terms.values())
@@ -778,7 +778,7 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     return normalize(p // _repeated_part(p))
 
 
-def extract_exceptional(p: MultiPoly, name: str) -> Tuple[int, MultiPoly]:
+def extract_exceptional(p: MultiPoly, name: str) -> tuple[int, MultiPoly]:
     """Write p = name^k * q with name not dividing q."""
     if p.is_zero:
         raise ValueError("cannot extract a coordinate power from 0")

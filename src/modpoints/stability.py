@@ -11,7 +11,7 @@ its weights, and the component group of that point's stabilizer.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from collections.abc import Iterable, Iterator
 
 from .record import Record
 
@@ -28,7 +28,7 @@ class PointConfig(Record):
     """A multiset of point multiplicities summing to the total degree."""
 
     n: int
-    parts: Tuple[int, ...]
+    parts: tuple[int, ...]
 
     def __post_init__(self):
         if any(p < 1 for p in self.parts):
@@ -71,7 +71,7 @@ def classify(config: PointConfig) -> StabilityVerdict:
     return StabilityVerdict(STRICTLY_SEMISTABLE, config.parts == (half, half))
 
 
-def partitions(n: int, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+def partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of n, parts weakly decreasing."""
     cap = n if cap is None else cap
     if n == 0:
@@ -82,7 +82,7 @@ def partitions(n: int, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
-def torus_monomial_weights(n: int) -> Tuple[int, ...]:
+def torus_monomial_weights(n: int) -> tuple[int, ...]:
     """diag(l, 1/l) weights on degree-n monomials, sorted ascending."""
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -92,9 +92,9 @@ def torus_monomial_weights(n: int) -> Tuple[int, ...]:
 class LunaSlice(Record):
     """Normal slice to the orbit of x0^4*x1^4 inside degree-8 forms."""
 
-    monomials: Tuple[str, ...]
-    weights: Tuple[int, ...]
-    tangent_weights: Tuple[int, ...]
+    monomials: tuple[str, ...]
+    weights: tuple[int, ...]
+    tangent_weights: tuple[int, ...]
 
 
 def luna_slice_basis() -> LunaSlice:

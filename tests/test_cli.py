@@ -220,6 +220,13 @@ def test_cli_import_needs_no_dataclasses():
     assert _probe(probe) == "[]"
 
 
+def test_run_all_needs_no_typing():
+    # -S matters here: a site-packages .pth file may import typing before the
+    # package does, which would hide an annotation that needs it at run time
+    probe = "import sys, modpoints.cli; code = modpoints.cli.main(['run', 'all', '--format', 'json'])"
+    assert _probe(probe + "; print(code, 'typing' in sys.modules)") == "0 False"
+
+
 LOADED = "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'modpoints'))"
 
 

@@ -1,15 +1,11 @@
 """The divisor-class ledger: maps, canonical identities, intersections."""
 
-import importlib
-import pkgutil
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import modpoints
 from modpoints import checks, picard
 from modpoints.picard import (
     D2_0,
@@ -221,15 +217,3 @@ def test_e_candidates_flow_from_the_stabilizer_scan():
     candidates = [e for e in range(1, scan.e + 1) if scan.e % e == 0]
     assert candidates == [1, 2, 4, 8]
     assert not k_equivalence_obstruction(T5, candidates).feasible
-
-
-def test_the_obstruction_reads_the_toroidal_coefficient_from_the_registry():
-    # with K_TOR = pK_BB + 6 T, (6 T)^5 is not the row's (7 T)^5; every module
-    # is imported first, so that no lazy import in the report binds a name
-    # while the registry is patched, and run_report reads a fresh Quantities
-    for info in pkgutil.iter_modules(modpoints.__path__):
-        importlib.import_module(f"modpoints.{info.name}")
-    with mock.patch.dict(picard.CANONICAL, {picard.TOR: picard.pK_BB + 6 * picard.T}):
-        report = checks.run_report(list(checks.SUITE_NAMES))
-    failed = {check["id"] for suite in report["suites"] for check in suite["checks"] if check["status"] != "pass"}
-    assert failed == {"picard.obstruction"}
