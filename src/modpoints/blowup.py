@@ -12,9 +12,12 @@ power (exactly 6) and restricting the strict transform to the exceptional
 hyperplane yields a polynomial whose squarefreeness decides generic
 transversality; the failures along u0 and u1 are what the reports record.
 Torus stabilizers of exceptional points are gcds of chart weights over the
-support of the point.  The pullbacks, the tangent cone, the stabilizer scan
-and the antidiagonal constraint take the factors, charts and resultants
-they read as arguments, so that ``checks.Quantities`` computes each once.
+support of the point.  The scan reads the semistable supports, from
+``unstable_supports``, less those that miss the positive side among the
+chart's affine coordinates: the census the paper's bound e = 8 rests on.
+The pullbacks, the tangent cone, the stabilizer scan and the antidiagonal
+constraint take the factors, charts and resultants they read as arguments,
+so that ``checks.Quantities`` computes each once.
 """
 
 from __future__ import annotations
@@ -40,14 +43,7 @@ PROJECTIVE_WEIGHTS = luna_slice_basis().weights
 SLICE_WEIGHTS: dict[str, int] = dict(zip(SLICE_VARIABLES, PROJECTIVE_WEIGHTS))
 PROJECTIVE_COORDINATES = ("S0", "S1", "T0", "T1", "U0", "U1")
 
-_CHART_COORDINATE = {
-    "alpha0": "s0",
-    "alpha1": "s1",
-    "beta0": "t0",
-    "beta1": "t1",
-    "gamma0": "u0",
-    "gamma1": "u1",
-}
+_CHART_COORDINATE = {v: c.lower() for v, c in zip(SLICE_VARIABLES, PROJECTIVE_COORDINATES)}
 _CHART_UNIT = {"P": "alpha0", "Q": "beta0", "R": "gamma0"}
 CHART_NAMES = tuple(_CHART_UNIT)
 _RESIDUAL = {"P": "s1", "Q": "t1", "R": "u1"}
@@ -66,8 +62,6 @@ class Chart(Record):
     coordinates: tuple[str, ...]
     weights: Mapping[str, int]
     residual: str
-    zero_side: frozenset[str]
-    one_side: frozenset[str]
 
 
 def chart(name: str) -> Chart:
@@ -86,8 +80,6 @@ def chart(name: str) -> Chart:
         coords.append(coord)
         substitution[slice_var] = exceptional * MultiPoly.variable(coord)
         weights[coord] = SLICE_WEIGHTS[slice_var] - SLICE_WEIGHTS[unit]
-    zero_side = frozenset(c for c in coords if c.endswith("0"))
-    one_side = frozenset(c for c in coords if c.endswith("1"))
     return Chart(
         name=name,
         exceptional=unit,
@@ -95,8 +87,6 @@ def chart(name: str) -> Chart:
         coordinates=tuple(coords),
         weights=weights,
         residual=_RESIDUAL[name],
-        zero_side=zero_side,
-        one_side=one_side,
     )
 
 
@@ -241,23 +231,24 @@ def stabilizer_order(ch: Chart, support: Iterable[str]) -> int:
     return math.gcd(*constraints)
 
 
-def _admissible_supports(ch: Chart) -> list[tuple[str, ...]]:
-    """The scanned supports: those meeting both the index-0 and the index-1
-    affine coordinates of the chart.
+def _unstable_sides() -> list[set[str]]:
+    """The sides of ``unstable_supports``, named as chart coordinates."""
+    named = dict(zip(PROJECTIVE_COORDINATES, _CHART_COORDINATE.values()))
+    return [{named[c] for c in side} for side in unstable_supports()]
 
-    This is narrower than the semistable locus: the chart's unit is an
-    index-0 coordinate too, so each chart admits 21 of its 28 semistable
-    supports.  The 7 inside the index-1 side are left out, and their torus
-    orders reach 8, 10, 12, 14 and 16.
-    """
-    coords = ch.coordinates
-    out = []
-    for size in range(1, len(coords) + 1):
-        for combo in combinations(coords, size):
-            s = set(combo)
-            if s & ch.zero_side and s & ch.one_side:
-                out.append(combo)
-    return out
+
+def semistable_supports(ch: Chart) -> list[tuple[str, ...]]:
+    """The nonempty supports on the chart's affine coordinates whose
+    projective support, the chart's unit included, lies in no side of
+    ``unstable_supports``: 28 of the 31 in each of P, Q and R."""
+    unit = _CHART_COORDINATE[ch.exceptional]
+    sides = _unstable_sides()
+    return [
+        support
+        for size in range(1, len(ch.coordinates) + 1)
+        for support in combinations(ch.coordinates, size)
+        if not any({unit, *support} <= side for side in sides)
+    ]
 
 
 class StabilizerScan(Record):
@@ -265,14 +256,17 @@ class StabilizerScan(Record):
     torus_orders: tuple[int, ...]
     effective_orders: tuple[int, ...]
     max_order: int
-    lcm_torus: int
     e: int
     per_chart: Mapping[str, tuple[tuple[tuple[str, ...], int], ...]]
 
 
 def scan_stabilizers(charts: Iterable[Chart]) -> StabilizerScan:
-    """Stabilizer census over all admissible supports in the given charts,
-    P, Q and R for the census the reports record.
+    """Stabilizer census over the semistable supports of the given charts,
+    P, Q and R for the census the reports record, less the 7 per chart that
+    meet the positive side of ``unstable_supports`` only at the unit: this
+    keeps the census the paper's bound e = 8 rests on.  The 7 reach torus
+    orders up to 16, 10 among them, so the full census's e is divisible by
+    5; no row reports it yet.
 
     Every subgroup order g collected in the matrix torus contains the
     ineffective central element of order 2, so the faithful image on the
@@ -280,9 +274,11 @@ def scan_stabilizers(charts: Iterable[Chart]) -> StabilizerScan:
     The bound e on denominators multiplies the lcm by the component-group
     order 2 and must stay free of the prime 5.
     """
-    per_chart = {
-        ch.name: tuple((s, stabilizer_order(ch, s)) for s in _admissible_supports(ch)) for ch in charts
-    }
+    sides = _unstable_sides()
+    per_chart = {}
+    for ch in charts:
+        scanned = [s for s in semistable_supports(ch) if not any(set(s) <= side for side in sides)]
+        per_chart[ch.name] = tuple((s, stabilizer_order(ch, s)) for s in scanned)
     torus_orders = {order for rows in per_chart.values() for _, order in rows}
     if not torus_orders:
         raise AssertionError("no semistable supports found")
@@ -290,8 +286,7 @@ def scan_stabilizers(charts: Iterable[Chart]) -> StabilizerScan:
         raise AssertionError("every torus stabilizer contains the central involution")
     effective = {order // 2 for order in torus_orders}
     census = tuple(sorted(torus_orders | effective))
-    lcm_torus = math.lcm(*torus_orders)
-    e = COMPONENT_GROUP_ORDER * lcm_torus
+    e = COMPONENT_GROUP_ORDER * math.lcm(*torus_orders)
     if e % 5 == 0:
         raise AssertionError("stabilizer bound unexpectedly divisible by 5")
     return StabilizerScan(
@@ -299,7 +294,6 @@ def scan_stabilizers(charts: Iterable[Chart]) -> StabilizerScan:
         torus_orders=tuple(sorted(torus_orders)),
         effective_orders=tuple(sorted(effective)),
         max_order=max(census),
-        lcm_torus=lcm_torus,
         e=e,
         per_chart=per_chart,
     )

@@ -44,19 +44,23 @@ def _run(args) -> dict:
 
 
 def _stability(args) -> dict:
-    # int() would also take "4_4", spaces and non-ASCII digits
+    # int() would also take "4_4", spaces and non-ASCII digits, and raises past a digit limit
     if args.config is not None:
         if not re.fullmatch("[0-9]+(,[0-9]+)*", args.config):
             raise InputError(f"--config {args.config}: expected decimal multiplicities separated by commas")
-        parts = tuple(map(int, args.config.split(",")))
         try:
+            parts = tuple(map(int, args.config.split(",")))
             config = stability.PointConfig.from_parts(parts)
         except ValueError as exc:
             raise InputError(f"--config {args.config}: {exc}") from None
         return {"config": parts, **checks.encode(stability.classify(config))}
-    if not (re.fullmatch("[0-9]+", args.table) and 1 <= int(args.table) <= MAX_TABLE_DEGREE):
+    try:
+        degree = int(args.table) if re.fullmatch("[0-9]+", args.table) else 0
+    except ValueError:
+        degree = 0
+    if not 1 <= degree <= MAX_TABLE_DEGREE:
         raise InputError(f"--table {args.table}: degree must be between 1 and {MAX_TABLE_DEGREE}")
-    return checks.Quantities().verdict_table(int(args.table))
+    return checks.Quantities().verdict_table(degree)
 
 
 def _census(args) -> dict:

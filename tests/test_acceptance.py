@@ -5,6 +5,7 @@ PASS lines; each test recomputes its quantities from scratch and compares
 with exact equality (tolerances are zero throughout).
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -92,7 +93,7 @@ def test_c05_stabilizer_scan():
     start = time.perf_counter()
     scan = checks.Quantities().scan()
     assert scan.orders == (1, 2, 4)
-    assert scan.e == 2 * scan.lcm_torus == 8
+    assert scan.e == 2 * math.lcm(*scan.torus_orders) == 8
     assert scan.e % 5 != 0
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -18,13 +18,14 @@ from modpoints.blowup import (
     discriminant_pullback,
     quotient_chart_transversality,
     scan_stabilizers,
+    semistable_supports,
     stabilizer_order,
     tangent_cone,
     unstable_supports,
 )
 from modpoints.poly import MultiPoly, is_squarefree, variables
 
-from oracles import parse_poly, semistable_supports
+from oracles import parse_poly
 
 
 def test_chart_names():
@@ -245,8 +246,6 @@ def test_positive_dimensional_stabilizer_signalled():
         coordinates=ch.coordinates,
         weights={c: 0 for c in ch.coordinates},
         residual=ch.residual,
-        zero_side=ch.zero_side,
-        one_side=ch.one_side,
     )
     with pytest.raises(PositiveDimensionalStabilizerError):
         stabilizer_order(zeroed, ("t0",))
@@ -265,30 +264,56 @@ def test_scan_stabilizers():
         assert rows  # semistable supports exist in every chart
 
 
+# the Hilbert-Mumford criterion for the one-parameter torus, a second route
+# that reads no unstable_supports: a point is semistable exactly when the
+# weights over its support take both signs
+_WEIGHT = {coord: SLICE_WEIGHTS[slice_var] for slice_var, coord in blowup._CHART_COORDINATE.items()}
+
+
+def _both_signs(support):
+    weights = [_WEIGHT[c] for c in support]
+    return min(weights) < 0 < max(weights)
+
+
+def _supports(ch):
+    return [s for k in range(1, len(ch.coordinates) + 1) for s in combinations(ch.coordinates, k)]
+
+
+def test_semistable_supports_by_the_hilbert_mumford_criterion():
+    for name in blowup.CHART_NAMES:
+        ch = chart(name)
+        (unit,) = set(_WEIGHT) - set(ch.coordinates)
+        assert unit == blowup._CHART_COORDINATE[ch.exceptional]
+        semistable = [s for s in _supports(ch) if _both_signs((unit, *s))]
+        assert semistable_supports(ch) == semistable
+        assert len(semistable) == 28
+
+
 def test_scan_respects_the_semistability_filter():
+    # the scan's narrowing by the same route: the weights take both signs
+    # over a scanned support without the unit's
     scan = scan_stabilizers(map(chart, blowup.CHART_NAMES))
     for name, rows in scan.per_chart.items():
         ch = chart(name)
+        assert [s for s, _ in rows] == [s for s in _supports(ch) if _both_signs(s)]
         for support, order in rows:
-            s = set(support)
-            assert s & ch.zero_side and s & ch.one_side
             assert order == stabilizer_order(ch, support)
 
 
 def test_the_scan_leaves_out_the_semistable_supports_inside_the_index_1_side():
     # measured against the semistable locus, not the paper: the unit coordinate
-    # is of index 0, so a support inside the index-1 side is semistable, but
-    # _admissible_supports requires both sides among the affine coordinates
+    # is of index 0 and of positive weight, so a support inside the index-1
+    # side is semistable, but the scan asks its affine coordinates to meet the
+    # positive side too
     left_out_orders = {"P": {2, 4, 12, 14, 16}, "Q": {2, 10, 12, 14}, "R": {2, 4, 8, 10, 12}}
+    scan = scan_stabilizers(map(chart, blowup.CHART_NAMES))
     for name in blowup.CHART_NAMES:
         ch = chart(name)
-        semistable, admitted = semistable_supports(ch), blowup._admissible_supports(ch)
-        assert (len(semistable), len(admitted)) == (28, 21)
-        assert set(admitted) <= set(semistable)
-        left_out = set(semistable) - set(admitted)
-        one_side = sorted(ch.one_side)
-        assert left_out == {s for k in (1, 2, 3) for s in combinations(one_side, k)}
-        assert one_side == ["s1", "t1", "u1"]
+        semistable, scanned = semistable_supports(ch), [s for s, _ in scan.per_chart[name]]
+        assert (len(semistable), len(scanned)) == (28, 21)
+        assert scanned == [s for s in semistable if s in scanned]
+        left_out = set(semistable) - set(scanned)
+        assert left_out == {s for k in (1, 2, 3) for s in combinations(("s1", "t1", "u1"), k)}
         assert {stabilizer_order(ch, s) for s in left_out} == left_out_orders[name]
 
 

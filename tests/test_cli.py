@@ -13,6 +13,7 @@ from modpoints import blowup, checks, fqspace, poly, stability
 from modpoints.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+OVERLONG = "1" * 4301  # one digit past the limit on the digits int() converts
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +159,8 @@ def test_run_accepts_no_other_options(option):
         ("stability", "--table", "0"),
         ("stability", "--table", "-3"),
         ("stability", "--table", "41"),
+        pytest.param(("stability", "--config", f"4,{OVERLONG}"), id="stability --config 4,<4301 digits>"),
+        pytest.param(("stability", "--table", OVERLONG), id="stability --table <4301 digits>"),
         ("fq", "census", "--out", "/nonexistent/x"),
     ],
     ids=" ".join,
@@ -186,7 +189,13 @@ def test_unwritable_out_fails_before_any_suite_runs(monkeypatch, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "argv", [("stability", "--config", "4,x"), ("fq", "perp", "0x03"), ("stability", "--table", "41")]
+    "argv",
+    [
+        ("stability", "--config", "4,x"),
+        ("fq", "perp", "0x03"),
+        ("stability", "--table", "41"),
+        ("stability", "--config", f"4,{OVERLONG}"),
+    ],
 )
 def test_malformed_input_leaves_existing_out_file_as_it_was(argv, tmp_path):
     target = tmp_path / "keep.json"

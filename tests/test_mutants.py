@@ -2,9 +2,10 @@
 
 ``MUTANTS`` is keyed like ``TRANSCRIBED`` in ``test_transcribed.py``, by
 (module, name), where the name ``CANONICAL[TOR]`` stands for the ``"TOR"``
-entry of ``picard.CANONICAL``.  Each entry holds a replacement value and the
-ids of the rows of ``checks.run_report`` whose status is then not ``pass``,
-so the table maps which rows rest on which input.
+entry of ``picard.CANONICAL``.  Each entry holds a replacement value, a
+function for a function entry, and the ids of the rows of
+``checks.run_report`` whose status is then not ``pass``, so the table maps
+which rows rest on which input.
 
 A module attribute is patched with ``mock.patch.object``, a registry entry
 with ``mock.patch.dict``.  Every module is imported before any patch, so
@@ -25,6 +26,7 @@ from modpoints import checks
 
 MODULES = {info.name: importlib.import_module(f"modpoints.{info.name}") for info in pkgutil.iter_modules(modpoints.__path__)}
 picard = MODULES["picard"]
+blowup = MODULES["blowup"]
 
 MUTANTS = {
     # e = 3 times the torus lcm, and e's divisors are the obstruction's candidates;
@@ -48,6 +50,12 @@ MUTANTS = {
     # the coefficient of Delta is log_pair_canonical's and the obstruction's 5
     ("picard", "CANONICAL[K]"): (picard.fK_GIT + 4 * picard.Delta, {"picard.identities", "picard.obstruction"}),
     ("picard", "RELATIONS[H_ord]"): (27 * picard.L_ord, {"picard.identities"}),
+    # every point unstable: the locus row reads the two sides, and the scan, whose e the
+    # obstruction reads, finds no semistable support and raises, so both of those error
+    ("blowup", "unstable_supports"): (
+        lambda: [frozenset(blowup.PROJECTIVE_COORDINATES), frozenset()],
+        {"slice.unstable_locus", "slice.stabilizer_scan", "picard.obstruction"},
+    ),
 }
 
 
