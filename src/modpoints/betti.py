@@ -1,21 +1,24 @@
-"""Betti-number bookkeeping over power series in t known modulo t^order.
+"""Betti-number bookkeeping over power series in u = t^2.
 
-A truncated series is the tuple of its first ``order`` coefficients;
-every product is a ``MultiPoly`` product in t, read back below the
-truncation order.  The equivariant Poincare series of the semistable
-locus of binary octics is computed through the torus stratification, the
-blow-up at the closed orbit adds a main correction term, and the extra
-correction is shown to start in degree 6; assembling these and extending
-by duality yields the Betti table of the blown-up quotient.
-Independently, a decomposition rule combines intersection cohomology of a
-cusped compactification with boundary-fiber tables, one per cusp; the
+Every space here has cohomology in even degrees only, so every series is
+the tuple of its coefficients in u = t^2, and every product is a
+``MultiPoly`` product in u.  A series is known modulo u^h, where
+h = (COMPLEX_DIMENSION + 1)/2 counts the even degrees below the middle:
+b_0, b_2 and b_4, which Poincare duality completes (``extend_by_duality``).
+The equivariant Poincare series of the semistable locus of binary octics
+is computed through the torus stratification, the blow-up at the closed
+orbit adds a main correction term, and the extra correction is shown to
+start in degree 6; their sum, completed by duality, is the Betti table of
+the blown-up quotient.  Independently, a decomposition rule adds to the
+intersection cohomology of a cusped compactification one boundary-fiber
+table per cusp below the middle, completed by the same duality step; the
 cusp counts are arguments, which ``checks.Quantities`` reads off the fq
 space.  The two routes must agree.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .poly import MultiPoly
 from .record import Record
@@ -24,46 +27,52 @@ from .stability import luna_slice_basis, torus_monomial_weights
 SLICE_CODIMENSION = len(luna_slice_basis().monomials)
 COMPLEX_DIMENSION = 5
 STRATIFICATION_BOUND_BASE = 7
-# Modulo t^6 the series fixes b_0, b_2 and b_4, which duality completes.
-TRUNCATION_ORDER = 6
-T = "t"
+U = "u"
 
 
 class InsufficientCodimensionError(ValueError):
     """Truncation order exceeds what the stratification bound certifies."""
 
 
+def half() -> int:
+    """h, the number of even degrees below the middle of the odd COMPLEX_DIMENSION.
+
+    Read when called, so that every series follows the dimension.
+    """
+    return (COMPLEX_DIMENSION + 1) // 2
+
+
 def series(coefficients: Sequence[int]) -> MultiPoly:
-    """The polynomial sum of c_k t^k."""
-    return MultiPoly((T,), {(k,): c for k, c in enumerate(coefficients)})
+    """The polynomial sum of c_k u^k."""
+    return MultiPoly((U,), {(k,): c for k, c in enumerate(coefficients)})
 
 
 def truncate(p: MultiPoly, order: int) -> tuple[int, ...]:
-    """The coefficients of t^0, ..., t^(order-1) in p."""
+    """The coefficients of u^0, ..., u^(order-1) in p."""
     terms = p.terms
     return tuple(int(terms.get((k,), 0)) for k in range(order))
 
 
 def series_text(coefficients: Sequence[int]) -> str:
-    """A truncated series as ``2 + 3*t + t^3 (mod t^4)``, in rising degree."""
+    """A series in u = t^2 as ``1 + t^2 + 2*t^4 (mod t^6)``, in rising degree."""
     pieces = [
-        str(c) if k == 0 else ("" if c == 1 else f"{c}*") + ("t" if k == 1 else f"t^{k}")
+        str(c) if k == 0 else ("" if c == 1 else f"{c}*") + f"t^{2 * k}"
         for k, c in enumerate(coefficients)
         if c
     ]
-    return f"{' + '.join(pieces) or '0'} (mod t^{len(coefficients)})"
+    return f"{' + '.join(pieces) or '0'} (mod t^{2 * len(coefficients)})"
 
 
-def geometric(m: int, order: int) -> tuple[int, ...]:
-    """1/(1 - t^m) modulo t^order."""
+def geometric(m: int) -> tuple[int, ...]:
+    """1/(1 - u^m) modulo u^h."""
     if m < 1:
         raise ValueError("period must be positive")
-    return tuple(int(k % m == 0) for k in range(order))
+    return tuple(int(k % m == 0) for k in range(half()))
 
 
 def projective_space(n: int) -> MultiPoly:
-    """Poincare polynomial 1 + t^2 + ... + t^(2n)."""
-    return series([1 - k % 2 for k in range(2 * n + 1)])
+    """Poincare polynomial 1 + u + ... + u^n of P^n."""
+    return series((1,) * (n + 1))
 
 
 # ----------------------------------------------------------------------
@@ -71,8 +80,6 @@ def projective_space(n: int) -> MultiPoly:
 
 class IndexEntry(Record):
     beta: int
-    label: int
-    r: int
     codim_bound: int
 
 
@@ -89,43 +96,37 @@ def kirwan_index_set(weights: Sequence[int]) -> tuple[IndexEntry, ...]:
     entries = []
     for beta in sorted({abs(w) for w in ws if w}):
         r = sum(1 for alpha in ws if alpha * beta >= beta * beta)
-        bound = STRATIFICATION_BOUND_BASE - r
-        entries.append(IndexEntry(beta=beta, label=beta // 2, r=r, codim_bound=bound))
+        entries.append(IndexEntry(beta=beta, codim_bound=STRATIFICATION_BOUND_BASE - r))
     return tuple(entries)
 
 
-def semistable_series(n: int = 8, order: int = 6) -> tuple[int, ...]:
-    """Equivariant Poincare series of the semistable locus modulo t^order.
+def semistable_series() -> tuple[int, ...]:
+    """Equivariant Poincare series of the semistable octics modulo u^h.
 
-    Valid while every nonzero stratum has real codimension at least the
-    truncation order; then the series is P_t(P^n) * P_t(B SL2).
+    Valid while every nonzero stratum has complex codimension at least h;
+    then the series is P(P^8) P(B SL2) = (1 + u + ... + u^8)/(1 - u^2).
     """
-    entries = kirwan_index_set(torus_monomial_weights(n))
+    entries = kirwan_index_set(torus_monomial_weights(8))
     min_codim = min(e.codim_bound for e in entries)
-    if order > 2 * min_codim:
+    h = half()
+    if h > min_codim:
         raise InsufficientCodimensionError(
-            f"truncation t^{order} needs stratum codimension {order}/2, "
+            f"truncation t^{2 * h} needs stratum codimension {h}, "
             f"but the bound only gives {min_codim}"
         )
-    return truncate(projective_space(n) * series(geometric(4, order)), order)
+    return truncate(projective_space(8) * series(geometric(2)), h)
 
 
-def main_correction(
-    normalizer_series: Sequence[int], codimension: int, order: int
-) -> tuple[int, ...]:
-    """Blow-up main correction: invariants series times sum of t^(2i), 0<i<c.
-
-    The product is known only as far as the normalizer series is.
-    """
-    if codimension < 2:
-        raise ValueError("blow-up correction needs codimension at least 2")
-    tail = projective_space(codimension - 1) - 1  # t^2 + t^4 + ... + t^(2c-2)
-    return truncate(series(normalizer_series) * tail, min(order, len(normalizer_series)))
+def normalizer_invariants_series() -> tuple[int, ...]:
+    """Invariants of the normalizer at the closed orbit: a free algebra on c^4, of degree u^2."""
+    return geometric(2)
 
 
-def normalizer_invariants_series(order: int) -> tuple[int, ...]:
-    """Invariants of the normalizer at the closed orbit: a free algebra on c^4."""
-    return geometric(4, order)
+def main_correction() -> tuple[int, ...]:
+    """Blow-up main correction: the invariants series times u + ... + u^(c-1),
+    c the slice codimension, modulo u^h."""
+    tail = projective_space(SLICE_CODIMENSION - 1) - 1
+    return truncate(series(normalizer_invariants_series()) * tail, half())
 
 
 def slice_normal_weights() -> tuple[int, ...]:
@@ -140,7 +141,7 @@ def slice_normal_weights() -> tuple[int, ...]:
 
 
 def extra_correction_min_degree(weights: Sequence[int] | None = None) -> int:
-    """Smallest degree where the extra correction can start: min of 2 n(beta').
+    """Smallest degree in t where the extra correction can start: min of 2 n(beta').
 
     For each candidate beta' of the normal representation, n(beta') counts
     the weights below it; the minimum doubles to the first possibly
@@ -161,37 +162,23 @@ class BettiTable(Record):
 
     even: tuple[int, ...]
 
-    def is_palindromic(self) -> bool:
-        return self.even == tuple(reversed(self.even))
-
     def by_degree(self) -> dict[int, int]:
         return {2 * i: v for i, v in enumerate(self.even)}
 
 
-def extend_by_duality(partial: Sequence[int], complex_dim: int) -> BettiTable:
-    """Complete low even degrees to a full palindromic table."""
-    needed = (complex_dim + 2) // 2
-    if len(partial) < needed:
-        raise ValueError("not enough low-degree values to apply duality")
-    out = []
-    for j in range(complex_dim + 1):
-        out.append(partial[j] if j < len(partial) else partial[complex_dim - j])
-    table = BettiTable(tuple(out))
-    if not table.is_palindromic():
-        raise AssertionError(f"duality gives the non-palindromic table {table.even}")
-    return table
+def extend_by_duality(low: Iterable[int]) -> BettiTable:
+    """The table whose h even degrees below the middle are ``low``: duality mirrors them."""
+    low = tuple(low)
+    if len(low) != half():
+        raise ValueError(f"duality completes {half()} even degrees below the middle, not {len(low)}")
+    return BettiTable(low + low[::-1])
 
 
 def kirwan_betti() -> BettiTable:
     """Betti table of the blown-up quotient via the stratification route."""
-    order = TRUNCATION_ORDER
-    main = main_correction(normalizer_invariants_series(order), SLICE_CODIMENSION, order)
-    total = tuple(a + b for a, b in zip(semistable_series(8, order), main))
-    if extra_correction_min_degree() < order:
+    if extra_correction_min_degree() < 2 * half():
         raise AssertionError("extra correction interferes below the truncation")
-    if any(total[1::2]):
-        raise AssertionError("odd-degree contribution in an even theory")
-    return extend_by_duality(total[0::2], COMPLEX_DIMENSION)
+    return extend_by_duality(a + b for a, b in zip(semistable_series(), main_correction()))
 
 
 def invariant_sym_square(dims: Sequence[int]) -> tuple[int, ...]:
@@ -202,7 +189,7 @@ def invariant_sym_square(dims: Sequence[int]) -> tuple[int, ...]:
     Poincare polynomial of the space.
     """
     p = series(dims)
-    doubled = p * p + p.substitute({T: MultiPoly.variable(T) ** 2})
+    doubled = p * p + p.substitute({U: MultiPoly.variable(U) ** 2})
     return tuple(c // 2 for c in truncate(doubled, 2 * len(dims) - 1))
 
 
@@ -212,36 +199,21 @@ def kunneth_square(dims: Sequence[int]) -> tuple[int, ...]:
     return truncate(p * p, 2 * len(dims) - 1)
 
 
-def decomposition_assembly(
-    ih: Sequence[int], fiber: Sequence[int], cusps: int, complex_dim: int
-) -> BettiTable:
-    """Add cusp-fiber corrections below the middle degree, symmetrized.
+def decomposition_assembly(ih: Sequence[int], fiber: Sequence[int], cusps: int) -> BettiTable:
+    """Intersection cohomology plus cusps * u * fiber modulo u^h, completed by duality.
 
-    The correction in even degree k, for 2 <= k <= n-1, is
-    cusps * h^(k-2)(fiber); degrees above n mirror those below.  The rule
-    is pinned by its two instances (35 cusps with product-of-planes fibers
-    and one cusp with the invariant fiber) and needs odd n.
+    Each cusp adds b_(k-2) of its fiber in each even degree k below the
+    middle.  The rule is pinned by its two instances (35 cusps with
+    product-of-planes fibers and one cusp with the invariant fiber).
     """
-    ih = tuple(int(x) for x in ih)
-    fiber = tuple(int(x) for x in fiber)
-    if len(ih) != complex_dim + 1:
-        raise ValueError("intersection-cohomology table has the wrong length")
-    if len(fiber) != complex_dim:
-        raise ValueError("fiber table has the wrong length")
-    if complex_dim % 2 == 0:
-        raise ValueError("middle-degree convention is only pinned for odd dimension")
-    corrections = [0] * (complex_dim + 1)
-    for k in range(2, complex_dim, 2):
-        corrections[k // 2] = cusps * fiber[(k - 2) // 2]
-    for k in range(complex_dim + 1, 2 * complex_dim + 1, 2):
-        corrections[k // 2] = corrections[(2 * complex_dim - k) // 2]
-    return BettiTable(tuple(x + c for x, c in zip(ih, corrections)))
+    shifted = (0, *fiber)  # u times the fiber
+    return extend_by_duality(i + cusps * f for i, f in zip(ih, shifted))
 
 
-# Intersection-cohomology tables of the two cusped compactifications,
-# consumed as fixtures.
-IH_BB_ORDERED = (1, 8, 29, 29, 8, 1)
-IH_BB_UNORDERED = (1, 1, 2, 2, 1, 1)
+# The intersection cohomology of the two cusped compactifications below the
+# middle, consumed as fixtures: b_0, b_2 and b_4, which duality completes.
+IH_BB_ORDERED = (1, 8, 29)
+IH_BB_UNORDERED = (1, 1, 2)
 
 PLANE_BETTI = (1, 1, 1)  # one projective plane, even degrees 0..4
 
@@ -258,9 +230,9 @@ def boundary_invariants() -> tuple[int, ...]:
 
 def tor_betti_ordered(cusps: int) -> BettiTable:
     """The ordered table: one cusp per isotropic vector of the fq space (Kondo)."""
-    return decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), cusps, COMPLEX_DIMENSION)
+    return decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), cusps)
 
 
 def tor_betti_unordered(cusps: int) -> BettiTable:
     """The unordered table: one cusp per orbit of G on the isotropic vectors."""
-    return decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), cusps, COMPLEX_DIMENSION)
+    return decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), cusps)

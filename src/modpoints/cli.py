@@ -43,23 +43,35 @@ def _run(args) -> dict:
     return checks.run_report(names)
 
 
+def _malformed(option: str, value: str, problem: str) -> InputError:
+    """One line: the option, its value (past 24 characters, its first 12 and its
+    length) and what is wrong."""
+    shown = repr(value)[1:-1]  # a line break or other unprintable character, escaped
+    if len(shown) > 24:
+        shown = f"{shown[:12]}... ({len(value)} characters)"
+    return InputError(f"{option} {shown}: {problem}")
+
+
 def _stability(args) -> dict:
     # int() would also take "4_4", spaces and non-ASCII digits, and raises past a digit limit
     if args.config is not None:
         if not re.fullmatch("[0-9]+(,[0-9]+)*", args.config):
-            raise InputError(f"--config {args.config}: expected decimal multiplicities separated by commas")
+            raise _malformed("--config", args.config, "expected decimal multiplicities separated by commas")
         try:
             parts = tuple(map(int, args.config.split(",")))
+        except ValueError:
+            raise _malformed("--config", args.config, "a multiplicity has too many digits") from None
+        try:
             config = stability.PointConfig.from_parts(parts)
         except ValueError as exc:
-            raise InputError(f"--config {args.config}: {exc}") from None
+            raise _malformed("--config", args.config, str(exc)) from None
         return {"config": parts, **checks.encode(stability.classify(config))}
     try:
         degree = int(args.table) if re.fullmatch("[0-9]+", args.table) else 0
     except ValueError:
         degree = 0
     if not 1 <= degree <= MAX_TABLE_DEGREE:
-        raise InputError(f"--table {args.table}: degree must be between 1 and {MAX_TABLE_DEGREE}")
+        raise _malformed("--table", args.table, f"degree must be between 1 and {MAX_TABLE_DEGREE}")
     return checks.Quantities().verdict_table(degree)
 
 
@@ -75,12 +87,12 @@ def _perp(args) -> dict:
 
     # int(..., 16) would also take "1_0", spaces and non-ASCII digits
     if not re.fullmatch("(0x)?[0-9a-fA-F]+", args.vector):
-        raise InputError(f"fq perp {args.vector}: expected hex digits, optionally after 0x")
+        raise _malformed("fq perp", args.vector, "expected hex digits, optionally after 0x")
     vector = int(args.vector, 16)
     try:
         iso, non = fqspace.perp_census(vector)
     except ValueError as exc:
-        raise InputError(f"fq perp {args.vector}: {exc}") from None
+        raise _malformed("fq perp", args.vector, str(exc)) from None
     return {"vector": f"0x{vector:02x}", "isotropic": iso, "nonisotropic": non}
 
 
@@ -191,6 +203,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         if created and isinstance(exc, InputError):
             os.remove(args.out)  # malformed input leaves no new file behind
+        if isinstance(exc, OSError) and args.out:  # its text quotes the whole path
+            exc = _malformed("--out", args.out, exc.strerror)
         parser.exit(2, f"modpoints: error: {exc}\n")
     except Exception:
         if created:

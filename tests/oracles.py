@@ -27,8 +27,8 @@ another way, or a helper only the tests need:
   1, 2 or 3 hyperbolic planes, against the table ``modpoints.fqspace.q``
   and ``fqspace.census``;
 - ``invert_unit``: the inverse of a truncated series (a coefficient
-  tuple, as in ``modpoints.betti``) with constant term +-1, term by term;
-  1/(1 - t^2) times 1/(1 - t^4) is a second route to the series
+  tuple in u = t^2, as in ``modpoints.betti``) with constant term +-1, term
+  by term; 1/(1 - u) times 1/(1 - u^2) is a second route to the series
   ``modpoints.betti.semistable_series`` builds as a ``MultiPoly`` product
   of ``projective_space`` and ``geometric``;
 - ``parse_poly``: reads the canonical printing of ``MultiPoly`` back, so
@@ -257,7 +257,7 @@ def plane_census(planes: int) -> Tuple[int, int, int]:
 # truncated series
 
 def invert_unit(coefficients: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The inverse of a series with constant term +-1, modulo the same power of t."""
+    """The inverse of a series with constant term +-1, modulo the same power of its variable."""
     c0 = coefficients[0]
     if c0 not in (1, -1):
         raise ValueError("only series with constant term +-1 are invertible here")

@@ -118,22 +118,17 @@ def test_c06_quadratic_space():
 
 
 def test_c07_kirwan_series():
-    assert betti.semistable_series(8, 6) == (1, 0, 1, 0, 2, 0)
-    main = betti.main_correction(betti.normalizer_invariants_series(6), 6, 6)
-    assert main == (0, 0, 1, 0, 1, 0)
+    assert betti.semistable_series() == (1, 1, 2)
+    assert betti.main_correction() == (0, 1, 1)
     assert betti.extra_correction_min_degree() == 6
     assert betti.kirwan_betti().even == (1, 2, 3, 3, 2, 1)
     _report("C7 equivariant series and Betti table (1,2,3,3,2,1): PASS")
 
 
 def test_c08_decomposition_assembly():
-    ordered = betti.decomposition_assembly(
-        betti.IH_BB_ORDERED, betti.boundary_fiber_ordered(), 35, 5
-    )
+    ordered = betti.decomposition_assembly(betti.IH_BB_ORDERED, betti.boundary_fiber_ordered(), 35)
     assert ordered.even == (1, 43, 99, 99, 43, 1)
-    unordered = betti.decomposition_assembly(
-        betti.IH_BB_UNORDERED, betti.boundary_invariants(), 1, 5
-    )
+    unordered = betti.decomposition_assembly(betti.IH_BB_UNORDERED, betti.boundary_invariants(), 1)
     assert unordered.even == (1, 2, 3, 3, 2, 1)
     assert betti.boundary_invariants() == (1, 1, 2, 1, 1)
     _report("C8 decomposition assembly (ordered + unordered) and boundary invariants: PASS")

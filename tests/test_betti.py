@@ -1,5 +1,6 @@
-"""Truncated series (coefficient tuples multiplied as ``MultiPoly`` in t),
-their printing, and the two Betti-table routes."""
+"""Truncated series (coefficient tuples in u = t^2 multiplied as ``MultiPoly``
+in u), their printing, and the two Betti-table routes, both completed by
+``extend_by_duality``."""
 
 import os
 import subprocess
@@ -23,6 +24,7 @@ from modpoints.betti import (
     extend_by_duality,
     extra_correction_min_degree,
     geometric,
+    half,
     invariant_sym_square,
     kirwan_betti,
     kirwan_index_set,
@@ -49,14 +51,28 @@ def one(order):
 # ----------------------------------------------------------------------
 # series arithmetic
 
-def test_geometric_inverts_one_minus_power():
-    for order in range(1, 8):
-        p = series((1, 0, -1)) * series(geometric(2, order))
-        assert truncate(p, order) == one(order)
+def dimension(monkeypatch, n):
+    """Patch COMPLEX_DIMENSION, which every series reads through ``half``."""
+    monkeypatch.setattr(betti, "COMPLEX_DIMENSION", n)
+    return half()
+
+
+def test_half_counts_the_even_degrees_below_the_middle(monkeypatch):
+    assert half() == 3
+    assert [dimension(monkeypatch, n) for n in (1, 3, 7)] == [1, 2, 4]
+
+
+def test_geometric_inverts_one_minus_power(monkeypatch):
+    for n in (1, 3, 5, 7, 9):
+        h = dimension(monkeypatch, n)
+        for m in range(1, 4):
+            p = series((1,) + (0,) * (m - 1) + (-1,)) * series(geometric(m))
+            assert truncate(p, h) == one(h)
 
 
 def test_invert_unit():
-    assert invert_unit((1, 0, -1, 0, 0, 0)) == geometric(2, 6)
+    assert invert_unit((1, -1, 0)) == geometric(1)
+    assert invert_unit((1, 0, -1)) == geometric(2)
     with pytest.raises(ValueError):
         invert_unit((2, 0, 0, 0))
 
@@ -69,25 +85,27 @@ def test_property_invert_unit_inverts(constant, rest):
 
 
 def test_projective_space_series():
-    assert truncate(projective_space(8), 6) == (1, 0, 1, 0, 1, 0)
-    assert truncate(projective_space(2), 8) == (1, 0, 1, 0, 1, 0, 0, 0)
+    assert truncate(projective_space(8), 3) == (1, 1, 1)
+    assert truncate(projective_space(2), 4) == (1, 1, 1, 0)
 
 
 def test_truncation_discipline():
-    s = semistable_series(8, 6)
+    s = semistable_series()
     with pytest.raises(IndexError):
-        s[6]  # degree 6 is not determined modulo t^6
-    assert len(main_correction(normalizer_invariants_series(4), 6, 8)) == 4
+        s[3]  # u^3 = t^6 is not determined modulo t^6
+    assert len(main_correction()) == len(normalizer_invariants_series()) == half()
 
 
 @pytest.mark.parametrize(
     "coefficients, text",
     [
-        ((0, 0, 0), "0 (mod t^3)"),
-        ((1,), "1 (mod t^1)"),
-        ((0, 1, 0, 0), "t (mod t^4)"),
-        ((2, 3, 0, 1), "2 + 3*t + t^3 (mod t^4)"),
-        ((0, 0, 0, 0, 0, 0, 7), "7*t^6 (mod t^7)"),
+        ((0, 0, 0), "0 (mod t^6)"),
+        ((1,), "1 (mod t^2)"),
+        ((0, 1, 0, 0), "t^2 (mod t^8)"),
+        ((2, 3, 0, 1), "2 + 3*t^2 + t^6 (mod t^8)"),
+        ((0, 0, 0, 7), "7*t^6 (mod t^8)"),
+        ((1, 1, 2), "1 + t^2 + 2*t^4 (mod t^6)"),
+        ((0, 1, 1), "t^2 + t^4 (mod t^6)"),
     ],
 )
 def test_series_text(coefficients, text):
@@ -100,8 +118,7 @@ def test_series_text(coefficients, text):
 def test_kirwan_index_set_for_octics():
     entries = kirwan_index_set(torus_monomial_weights(8))
     assert [e.beta for e in entries] == [2, 4, 6, 8]
-    assert [e.label for e in entries] == [1, 2, 3, 4]
-    assert [e.r for e in entries] == [4, 3, 2, 1]
+    # 7 - r, where r = 4, 3, 2, 1 weights alpha have alpha * beta >= beta^2
     assert [e.codim_bound for e in entries] == [3, 4, 5, 6]
     assert min(e.codim_bound for e in entries) == 3
 
@@ -128,31 +145,37 @@ def test_property_index_set_candidates_are_the_hull_points(weights):
     assert [e.beta for e in entries] == sorted(hull_candidates(weights))
 
 
-def test_semistable_series():
-    assert semistable_series(8, 6) == (1, 0, 1, 0, 2, 0)
-    assert semistable_series(8, 2) == one(2)
+def test_semistable_series(monkeypatch):
+    assert semistable_series() == (1, 1, 2)
+    dimension(monkeypatch, 1)
+    assert semistable_series() == one(1)
 
 
-def test_semistable_series_identity_at_every_valid_order():
-    inv2 = invert_unit((1, 0, -1, 0, 0, 0))
-    inv4 = invert_unit((1, 0, 0, 0, -1, 0))
-    for order in range(1, 7):
-        assert semistable_series(8, order) == truncate(series(inv2) * series(inv4), order)
+def test_semistable_series_identity_at_every_valid_order(monkeypatch):
+    # 1/(1 - u) for P^8 below u^9, times 1/(1 - u^2) for B SL2
+    for n in (1, 3, 5):
+        h = dimension(monkeypatch, n)
+        inv1 = invert_unit((1, -1, 0)[:h])
+        inv2 = invert_unit((1, 0, -1)[:h])
+        assert semistable_series() == truncate(series(inv1) * series(inv2), h)
 
 
-def test_semistable_series_insufficient_codimension():
+def test_semistable_series_insufficient_codimension(monkeypatch):
+    # modulo t^8 needs codimension 4, and the bound gives 3
+    dimension(monkeypatch, 7)
     with pytest.raises(InsufficientCodimensionError):
-        semistable_series(8, 8)
+        semistable_series()
 
 
 # ----------------------------------------------------------------------
 # correction terms
 
-def test_main_correction():
-    assert main_correction(normalizer_invariants_series(6), 6, 6) == (0, 0, 1, 0, 1, 0)
-    assert main_correction(one(6), 2, 6) == (0, 0, 1, 0, 0, 0)
-    longer = main_correction(normalizer_invariants_series(10), 6, 10)
-    assert longer == (0, 0, 1, 0, 1, 0, 2, 0, 2, 0)
+def test_main_correction(monkeypatch):
+    assert main_correction() == (0, 1, 1)
+    dimension(monkeypatch, 9)
+    assert main_correction() == (0, 1, 1, 2, 2)
+    monkeypatch.setattr(betti, "SLICE_CODIMENSION", 2)
+    assert main_correction() == (0, 1, 0, 1, 0)
 
 
 def test_slice_normal_weights():
@@ -186,22 +209,22 @@ def test_extra_correction_rejects_zero_weights():
 # Betti tables
 
 def test_kirwan_betti_table():
-    table = kirwan_betti()
-    assert table.even == (1, 2, 3, 3, 2, 1)
-    assert table.is_palindromic()
+    assert kirwan_betti().even == (1, 2, 3, 3, 2, 1)
 
 
 def test_extend_by_duality_needs_enough_values():
-    with pytest.raises(ValueError):
-        extend_by_duality((1, 2), 5)
+    assert extend_by_duality((1, 2, 3)).even == (1, 2, 3, 3, 2, 1)
+    for low in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            extend_by_duality(low)
 
 
 def test_duality_check_holds_under_optimize():
-    # python -O strips assert statements; the check must not be one
+    # python -O strips assert statements; the length check must not be one
     code = (
         "from modpoints.betti import extend_by_duality\n"
-        "try:\n    print(extend_by_duality((1, 2, 3, 4), 5))\n"
-        "except AssertionError:\n    print('raised')"
+        "try:\n    print(extend_by_duality((1, 2, 3, 4)))\n"
+        "except ValueError:\n    print('raised')"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     argv = [sys.executable, "-O", "-S", "-c", code]
@@ -250,35 +273,37 @@ def test_boundary_tables():
 
 
 def test_ih_fixtures_start_as_the_semistable_series():
-    # below degree 6 each fixture reads the semistable series of its GIT
-    # problem: P^8 modulo SL2 (semistable_series), and (P^1)^8 modulo SL2,
-    # (1 + t^2)^8 / (1 - t^4), where 1 / (1 - t^4) is 1 + t^4 modulo t^6
-    assert IH_BB_UNORDERED[:3] == semistable_series(8, 6)[0::2] == (1, 1, 2)
-    t = MultiPoly.variable("t")
-    ordered = {e: c for (e,), c in ((1 + t ** 2) ** 8 * (1 + t ** 4)).terms.items()}
-    assert IH_BB_ORDERED[:3] == tuple(ordered[e] for e in (0, 2, 4)) == (1, 8, 29)
+    # each fixture is the semistable series of its GIT problem below the
+    # middle: P^8 modulo SL2 (semistable_series), and (P^1)^8 modulo SL2,
+    # (1 + u)^8 / (1 - u^2)
+    assert IH_BB_UNORDERED == semistable_series()
+    u = MultiPoly.variable("u")
+    ordered = (1 + u) ** 8 * series(invert_unit((1, 0, -1)))
+    assert IH_BB_ORDERED == truncate(ordered, half()) == (1, 8, 29)
 
 
 def test_decomposition_assembly_ordered():
-    table = decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 35, 5)
+    table = decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 35)
     assert table.even == (1, 43, 99, 99, 43, 1)
 
 
 def test_decomposition_assembly_unordered():
-    table = decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 1, 5)
+    table = decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 1)
     assert table.even == (1, 2, 3, 3, 2, 1)
 
 
 def test_decomposition_assembly_no_cusps():
-    table = decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 0, 5)
-    assert table.even == IH_BB_UNORDERED
+    table = decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 0)
+    assert table == extend_by_duality(IH_BB_UNORDERED)
 
 
 def test_decomposition_assembly_validates_lengths():
+    # the table needs h intersection-cohomology values and the fiber's h - 1 lowest
+    for ih in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError):
+            decomposition_assembly(ih, boundary_invariants(), 1)
     with pytest.raises(ValueError):
-        decomposition_assembly((1, 2, 3), boundary_invariants(), 1, 5)
-    with pytest.raises(ValueError):
-        decomposition_assembly(IH_BB_UNORDERED, (1, 2), 1, 5)
+        decomposition_assembly(IH_BB_UNORDERED, (1,), 1)
 
 
 def test_cusp_counts_are_read_from_the_fq_space(monkeypatch):
@@ -286,14 +311,14 @@ def test_cusp_counts_are_read_from_the_fq_space(monkeypatch):
     # of G on them; the 35 isotropic vectors make one orbit under G, and 35 under
     # the identity alone
     quantities = checks.Quantities()
-    assert quantities.tor_ordered() == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 35, 5)
-    assert quantities.tor_unordered() == decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 1, 5)
+    assert quantities.tor_ordered() == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 35)
+    assert quantities.tor_unordered() == decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 1)
     fewer = fqspace.isotropic_vectors()[1:]
     monkeypatch.setattr(fqspace, "isotropic_vectors", lambda: fewer)
     monkeypatch.setattr(fqspace, "coxeter_generators", lambda: (fqspace.IDENTITY,))
     quantities = checks.Quantities()
-    assert quantities.tor_ordered() == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 34, 5)
-    assert quantities.tor_unordered() == decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 35, 5)
+    assert quantities.tor_ordered() == decomposition_assembly(IH_BB_ORDERED, boundary_fiber_ordered(), 34)
+    assert quantities.tor_unordered() == decomposition_assembly(IH_BB_UNORDERED, boundary_invariants(), 35)
 
 
 def test_both_routes_agree():
@@ -303,7 +328,7 @@ def test_both_routes_agree():
 def test_tables_are_palindromic():
     quantities = checks.Quantities()
     for table in (kirwan_betti(), quantities.tor_ordered(), quantities.tor_unordered()):
-        assert table.is_palindromic()
+        assert table.even == table.even[::-1]
 
 
 def test_helper_table_roundtrip():

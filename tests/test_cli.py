@@ -154,6 +154,7 @@ def test_run_accepts_no_other_options(option):
         ("stability", "--config", "4_4"),  # int() reads this as 44
         ("stability", "--config", "\uff14,4"),  # a full-width four
         ("stability", "--config", "4,4,"),
+        pytest.param(("stability", "--config", "4\n4"), id="stability --config 4<newline>4"),
         ("stability", "--table", "1_0"),  # int() reads this as 10
         ("stability", "--table", "eight"),
         ("stability", "--table", "0"),
@@ -161,7 +162,9 @@ def test_run_accepts_no_other_options(option):
         ("stability", "--table", "41"),
         pytest.param(("stability", "--config", f"4,{OVERLONG}"), id="stability --config 4,<4301 digits>"),
         pytest.param(("stability", "--table", OVERLONG), id="stability --table <4301 digits>"),
+        pytest.param(("fq", "perp", OVERLONG), id="fq perp <4301 hex digits>"),
         ("fq", "census", "--out", "/nonexistent/x"),
+        pytest.param(("fq", "census", "--out", f"/nonexistent/{OVERLONG}"), id="fq census --out /nonexistent/<4301 digits>"),
     ],
     ids=" ".join,
 )
@@ -173,6 +176,8 @@ def test_malformed_input_exits_2_with_one_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("modpoints: error: ")
     assert captured.err.count("\n") == 1
+    # a long argument is cut, so the line stays legible
+    assert len(captured.err.encode()) <= 200, captured.err
 
 
 def test_unwritable_out_fails_before_any_suite_runs(monkeypatch, tmp_path, capsys):

@@ -27,24 +27,30 @@ from modpoints import checks
 MODULES = {info.name: importlib.import_module(f"modpoints.{info.name}") for info in pkgutil.iter_modules(modpoints.__path__)}
 picard = MODULES["picard"]
 blowup = MODULES["blowup"]
+_T0, _T1 = (MODULES["poly"].MultiPoly.variable(v) for v in ("t0", "t1"))
 
 MUTANTS = {
     # e = 3 times the torus lcm, and e's divisors are the obstruction's candidates;
     # stability.COMPONENT_GROUP_ORDER patched alone fails no row, as blowup binds it by a from import
     ("blowup", "COMPONENT_GROUP_ORDER"): (3, {"picard.obstruction", "slice.stabilizer_scan"}),
-    # duality asks for more low-degree values than the series has, and the IH tables are too short
-    ("betti", "COMPLEX_DIMENSION"): (7, {"betti.M_K", "betti.routes_agree", "betti.tor_ordered", "betti.tor_unordered"}),
+    # the half h = (n + 1) / 2 becomes 4, read when called: the codimension bound 3 does not
+    # reach t^8, so the semistable series raises; the main correction prints "mod t^8"; the
+    # 3-value IH fixtures are one short of what duality completes, so both assemblies raise
+    ("betti", "COMPLEX_DIMENSION"): (7, {
+        "betti.M_K", "betti.main_correction", "betti.routes_agree", "betti.semistable",
+        "betti.tor_ordered", "betti.tor_unordered",
+    }),
     # betti's value, bound by a from import: the proportionality (n + 1) L_ord - Htilde_ord / 2 - T_ord
     ("picard", "COMPLEX_DIMENSION"): (6, {"picard.identities"}),
-    # main_correction prints "mod t^8"; the codimension bound does not reach t^8, so the series raises
-    ("betti", "TRUNCATION_ORDER"): (8, {"betti.M_K", "betti.main_correction", "betti.routes_agree", "betti.semistable"}),
     # the codimension bound 6 - r no longer reaches t^6, so the series raises; a base of 8 fails no row
     ("betti", "STRATIFICATION_BOUND_BASE"): (6, {"betti.M_K", "betti.routes_agree", "betti.semistable"}),
-    # the ordered table has no second route
-    ("betti", "IH_BB_ORDERED"): ((1, 8, 30, 30, 8, 1), {"betti.tor_ordered"}),
-    ("betti", "IH_BB_UNORDERED"): ((1, 1, 3, 3, 1, 1), {"betti.routes_agree", "betti.tor_unordered"}),
-    # the boundary fibre, a square of planes, enters both assemblies
-    ("betti", "PLANE_BETTI"): ((1, 1, 1, 1), {"betti.boundary", "betti.routes_agree", "betti.tor_ordered", "betti.tor_unordered"}),
+    # b_4 of the ordered IH; the ordered table has no second route
+    ("betti", "IH_BB_ORDERED"): ((1, 8, 30), {"betti.tor_ordered"}),
+    # b_4 of the unordered IH: the decomposition route then disagrees with Kirwan's
+    ("betti", "IH_BB_UNORDERED"): ((1, 1, 3), {"betti.routes_agree", "betti.tor_unordered"}),
+    # the boundary fibre, a square of planes, enters both assemblies through b_0 and b_2;
+    # (1, 1, 1, 1) changes only degrees above those and fails betti.boundary alone
+    ("betti", "PLANE_BETTI"): ((1, 2, 1), {"betti.boundary", "betti.routes_agree", "betti.tor_ordered", "betti.tor_unordered"}),
     # (6 T)^5 is not the row's (7 T)^5; no identity reads TOR's canonical class
     ("picard", "CANONICAL[TOR]"): (picard.pK_BB + 6 * picard.T, {"picard.obstruction"}),
     # the coefficient of Delta is log_pair_canonical's and the obstruction's 5
@@ -55,6 +61,12 @@ MUTANTS = {
     ("blowup", "unstable_supports"): (
         lambda: [frozenset(blowup.PROJECTIVE_COORDINATES), frozenset()],
         {"slice.unstable_locus", "slice.stabilizer_scan", "picard.obstruction"},
+    ),
+    # both equations composed wrongly: their gcd's radical is t0^16 - t1^16, not the row's
+    # t0^8 - t1^8, and the row shows both resultants beside it
+    ("blowup", "antidiag_resultants"): (
+        lambda: (_T0 ** 16 - _T1 ** 16,) * 2,
+        {"slice.antidiag"},
     ),
 }
 

@@ -34,12 +34,9 @@ TRANSCRIBED = {
     # betti: the Betti-number side of the paper
     ("betti", "COMPLEX_DIMENSION"): ("claim", "the moduli space has complex dimension 5"),
     ("betti", "STRATIFICATION_BOUND_BASE"): ("claim", "a stratum's codimension is at least 7 - r"),
-    ("betti", "TRUNCATION_ORDER"): ("parameter", "the series are compared modulo t^6"),
-    ("betti", "semistable_series"): ("claim", "8 points, truncation t^6, invariants of c^4 by default"),
-    ("betti", "normalizer_invariants_series"): ("claim", "the normalizer's invariants are free on c^4"),
+    ("betti", "semistable_series"): ("claim", "the 8 points, whose series is P(P^8) / (1 - u^2)"),
     ("betti", "slice_normal_weights"): ("claim", "the weights of degree-8 binary forms"),
-    ("betti", "kirwan_betti"): ("claim", "the semistable series of 8 points"),
-    ("betti", "IH_BB_ORDERED"): ("claim", "the ordered Baily-Borel IH table (1,8,29,29,8,1)"),
+    ("betti", "IH_BB_ORDERED"): ("claim", "the ordered Baily-Borel IH table below the middle, (1,8,29)"),
     # blowup: the normal slice and its blow-up
     ("blowup", "scan_stabilizers"): ("claim", "the denominator bound e must be free of the prime 5"),
     ("blowup", "antidiag_resultants"): ("claim", "the antidiagonal action by l^2, l^14 with l^16 = 1"),
@@ -47,11 +44,11 @@ TRANSCRIBED = {
     ("checks", "_stated_verdict"): ("claim", "stability changes where 4 of the 8 points coincide"),
     ("checks", "_odd_degrees"): ("parameter", "the odd degrees 5, 7, 9 and 11 checked"),
     ("checks", "_antidiagonal_locus"): ("formula", "Res_mu(mu t0 + t1, mu^8 - 1) for the 8th roots mu"),
-    ("checks", "_semistable_series"): ("claim", "the semistable series of 8 points"),
     ("checks", "_DISCREPANCY_INPUTS"): ("claim", "the inputs of the three stated discrepancies"),
     ("checks", "SUITES"): ("claim", "the degree 8 of the stability rows' computations"),
     # cli: the interface
     ("cli", "MAX_TABLE_DEGREE"): ("parameter", "the largest degree `stability --table` accepts"),
+    ("cli", "_malformed"): ("parameter", "an error message shows 12 characters of a value longer than 24"),
     ("cli", "_perp"): ("parameter", "`fq perp` reads its vector in base 16"),
     ("cli", "main"): ("parameter", "exit code 3 when a computation raised"),
     # fqspace: the quadratic space (F_2)^6
